@@ -13,18 +13,15 @@ Every breakdown carries six per-(m, n) linear-power components:
 * ``ibi``   previous-block leakage (zero when guards are long enough),
 * ``noise`` thermal noise after the receiver.
 
-The matched-filter (``nif``) components are exact conditional second moments
+One routine, :func:`averaged_breakdown`, gives both the conditional breakdown
+of one channel realization and the average over a stack of draws. The
+matched-filter (``nif``) components are exact conditional second moments
 given the channel realization (or its ensemble average): ici/isi from circular
 correlations of the interference tables with |C|^2, fd/ibi from structured
 covariance quadratic forms. The inverse-filter (``if``) breakdown multiplies
 fd/ibi/noise by the enhancement factor zeta, which is exact for white noise
 but understates the structured fd error; the exact R-transformed values are
 exposed separately as ``fd_exact``/``ibi_exact`` diagnostics.
-
-Scalar summaries of the displaced-filter traces (``alpha_fd``, ``alpha_ibi``)
-are reported as reference values only: their trace normalization makes them
-per-block rather than per-symbol quantities, orders of magnitude above any
-per-(m, n) error power.
 """
 
 from __future__ import annotations
@@ -35,9 +32,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .channel import PowerDelayProfile, draw_taps, freq_response
-from .filterbank import (autocorr_bands, displacement_matrix, displaced_summaries,
-                         gram_stack, inverse_stack, kept_mask, sparse_filter_matrix,
-                         sparsify_inverse, tail_matrix)
+from .filterbank import (autocorr_bands, displacement_matrix, kept_mask,
+                         sparse_filter_matrix, tail_matrix)
 from .transceiver import make_equalizer
 
 __all__ = [
@@ -47,9 +43,8 @@ __all__ = [
     "MseBreakdown",
     "DisplacedCovariances",
     "displaced_covariances",
-    "conditional_breakdown",
+    "ensemble_taps",
     "averaged_breakdown",
-    "reference_scalars",
     "ComplexityReport",
     "complexity_report",
 ]
@@ -113,7 +108,6 @@ def zeta_factors(inv: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
 def zeta_grid(inv: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """zeta as an (M, N) grid, matching the per-(m, n) breakdown shape."""
-    m = inv.shape[1]
     n = inv.shape[0]
     return np.repeat(zeta_factors(inv, gram)[:, None], n, axis=1)
 
@@ -210,26 +204,6 @@ def displaced_covariances(segs: np.ndarray, m: int,
     return DisplacedCovariances(fd_nif, fd_if, ibi_nif, ibi_if)
 
 
-def reference_scalars(segs: np.ndarray, m: int, pdp: PowerDelayProfile,
-                      delta2: float = 1.0) -> dict:
-    """Trace-based scalar summaries of the displaced filters (reference only).
-
-    ``alpha_fd`` and ``alpha_ibi`` carry the whole-block trace normalization,
-    so they exceed any per-symbol error power by roughly M*N; they are
-    reported for comparison, never used in the breakdown.
-    """
-    summ = displaced_summaries(segs, m, pdp.n_taps)
-    rho2 = pdp.powers
-    return {
-        "t_down": summ["t_down"],
-        "pcorr": summ["pcorr"],
-        "pcorr_tail": summ["pcorr_tail"],
-        "alpha_fd": float(delta2 * np.sum(rho2 * summ["t_down"])),
-        "alpha_ibi": float(delta2 * np.sum(rho2 * summ["pcorr"])),
-        "alpha_ibi_tail": float(delta2 * np.sum(rho2 * summ["pcorr_tail"])),
-    }
-
-
 # ---------------------------------------------------------------------------
 # MSE breakdowns
 # ---------------------------------------------------------------------------
@@ -271,118 +245,51 @@ class MseBreakdown:
         return val
 
 
-def _resd_terms(eq, sigma2: float, delta2: float) -> np.ndarray:
-    """delta^2 (1 - beta_n)^2: the equalizer's bias error on the desired symbol."""
-    return delta2 * (1.0 - eq.beta) ** 2
-
-
-def _build(system, filt):
-    from .filterbank import tap_segments
-    segs = tap_segments(filt)
-    bands = autocorr_bands(segs)
-    gram = gram_stack(bands, system.m)
-    inv = inverse_stack(gram)
-    return segs, bands, gram, inv
-
-
-def conditional_breakdown(system, filt, taps: np.ndarray, sigma2: float,
-                          with_ibi: bool = False,
-                          zeta_from_masked: bool = False,
-                          covariances: DisplacedCovariances | None = None) -> MseBreakdown:
-    """Exact per-(m, n) error powers for one channel realization.
-
-    ``covariances`` may be passed in when the caller already computed the
-    displacement forms for these taps (they are the expensive part).
-    """
-    segs, bands, gram, inv = _build(system, filt)
-    n, m = system.n, system.m
-    delta2 = system.symbol_power
-    c = freq_response(taps, n)
-    eq = make_equalizer(c, system.equalizer, sigma2, delta2)
-    absc2 = np.abs(c) ** 2
-    abse2 = np.abs(eq.coeffs) ** 2
-
-    tables = interference_tables(bands, m)
-    if covariances is None:
-        inv_arg = inv if system.receiver_mode == "if" else None
-        covariances = displaced_covariances(segs, m, taps=taps, inv=inv_arg)
-
-    resd = np.repeat(_resd_terms(eq, sigma2, delta2)[None, :], m, axis=0)
-    zmask = kept_mask(n, system.eta) if zeta_from_masked else None
-    inv_for_zeta = sparsify_inverse(inv, zmask) if zmask is not None else inv
-    zgrid = zeta_grid(inv_for_zeta, gram)
-
-    if system.receiver_mode == "nif":
-        ici_n = delta2 * abse2 * (_circconv(tables.power[0], absc2)
-                                  - tables.power[0, 0] * absc2)
-        ici = np.repeat(ici_n[None, :], m, axis=0)
-        isi = np.zeros((m, n))
-        for ref in range(m):
-            acc = np.zeros(n)
-            for d in range(1, segs.shape[0]):
-                count = (ref - d >= 0) + (ref + d < m)
-                if count:
-                    acc += count * _circconv(tables.power[d], absc2)
-            isi[ref] = delta2 * abse2 * acc
-        fd = delta2 * abse2 * covariances.fd_nif
-        ibi = delta2 * abse2 * covariances.ibi_nif if with_ibi else np.zeros((m, n))
-        noise = np.repeat((sigma2 * abse2)[None, :], m, axis=0)
-        return MseBreakdown("nif", resd, ici, isi, fd, ibi, noise, zgrid,
-                            delta2=delta2)
-
-    # inverse filter: self-interference cancelled; fd/ibi/noise enhanced
-    fd_base = delta2 * abse2 * covariances.fd_nif
-    ibi_base = delta2 * abse2 * covariances.ibi_nif if with_ibi else np.zeros((m, n))
-    fd = zgrid * fd_base
-    ibi = zgrid * ibi_base
-    noise = zgrid * (sigma2 * abse2)[None, :]
-    fd_exact = delta2 * abse2 * covariances.fd_if
-    ibi_exact = (delta2 * abse2 * covariances.ibi_if) if with_ibi else np.zeros((m, n))
-    return MseBreakdown("if", resd, np.zeros((m, n)), np.zeros((m, n)),
-                        fd, ibi, noise, zgrid, delta2=delta2,
-                        fd_exact=fd_exact, ibi_exact=ibi_exact)
-
-
-def averaged_breakdown(system, filt, pdp: PowerDelayProfile, sigma2: float,
-                       draws: int = 1000, seed: int = 0,
-                       with_ibi: bool = False,
-                       zeta_from_masked: bool = False) -> MseBreakdown:
-    """Channel-ensemble average of the conditional closed forms.
-
-    Equalizer-dependent terms are averaged over ``draws`` seeded Rayleigh
-    realizations; the displacement covariances use their exact ensemble
-    average (tap cross terms vanish in expectation).
-    """
-    segs, bands, gram, inv = _build(system, filt)
-    n, m = system.n, system.m
-    delta2 = system.symbol_power
+def ensemble_taps(pdp: PowerDelayProfile, draws: int, seed: int) -> np.ndarray:
+    """The (draws, L) seeded Rayleigh realizations the ensemble average runs over."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA5E]))
-    taps = draw_taps(pdp, rng, (draws,))
-    c = freq_response(taps, n)
-    eq = make_equalizer(c, system.equalizer, sigma2, delta2)
-    absc2 = np.abs(c) ** 2                       # (draws, N)
+    return draw_taps(pdp, rng, (draws,))
+
+
+def averaged_breakdown(cfg, ctx, mode: str, taps: np.ndarray, sigma2: float,
+                       cov: DisplacedCovariances,
+                       with_ibi: bool = False) -> MseBreakdown:
+    """Per-(m, n) error powers of receiver ``mode`` ("nif" or "if"), averaged
+    over channel realizations.
+
+    ``taps`` is one realization (L,), which gives the exact conditional
+    breakdown, or a (D, L) stack of draws (see :func:`ensemble_taps`) whose
+    equalizer-dependent terms are averaged. ``cov`` holds the displaced
+    covariances for the same channel: ``taps=`` for one realization, the
+    ensemble ``weights=`` for a stack; the inverse-filter variants are needed
+    for ``mode="if"``. ``ctx`` supplies the filter bank (``segs``, ``gram``
+    and the exact inverse ``inv``); ``cfg`` the numerology, symbol power and
+    equalizer.
+    """
+    n, m = cfg.n, cfg.m
+    delta2 = cfg.symbol_power
+    c = freq_response(np.atleast_2d(taps), n)    # (D, N)
+    eq = make_equalizer(c, cfg.equalizer, sigma2, delta2)
+    absc2 = np.abs(c) ** 2
     abse2 = np.abs(eq.coeffs) ** 2
     abse2_bar = abse2.mean(axis=0)
 
-    tables = interference_tables(bands, m)
-    inv_arg = inv if system.receiver_mode == "if" else None
-    cov = displaced_covariances(segs, m, weights=pdp.powers, inv=inv_arg)
-
+    k = ctx.segs.shape[0]
+    tables = interference_tables(autocorr_bands(ctx.segs), m)
+    # equalizer bias delta^2 (1 - beta_n)^2; zero for ZF
     resd = np.repeat((delta2 * ((1.0 - eq.beta) ** 2).mean(axis=0))[None, :], m, axis=0)
-    zmask = kept_mask(n, system.eta) if zeta_from_masked else None
-    inv_for_zeta = sparsify_inverse(inv, zmask) if zmask is not None else inv
-    zgrid = zeta_grid(inv_for_zeta, gram)
+    zgrid = zeta_grid(ctx.inv, ctx.gram)
 
-    if system.receiver_mode == "nif":
+    if mode == "nif":
         ici_n = delta2 * (abse2 * (_circconv(tables.power[0], absc2)
                                    - tables.power[0, 0] * absc2)).mean(axis=0)
         ici = np.repeat(ici_n[None, :], m, axis=0)
         isi = np.zeros((m, n))
         conv_d = [None] + [(abse2 * _circconv(tables.power[d], absc2)).mean(axis=0)
-                           for d in range(1, segs.shape[0])]
+                           for d in range(1, k)]
         for ref in range(m):
             acc = np.zeros(n)
-            for d in range(1, segs.shape[0]):
+            for d in range(1, k):
                 count = (ref - d >= 0) + (ref + d < m)
                 if count:
                     acc += count * conv_d[d]
@@ -393,6 +300,7 @@ def averaged_breakdown(system, filt, pdp: PowerDelayProfile, sigma2: float,
         return MseBreakdown("nif", resd, ici, isi, fd, ibi, noise, zgrid,
                             delta2=delta2)
 
+    # inverse filter: self-interference cancelled; fd/ibi/noise enhanced
     fd = zgrid * (delta2 * abse2_bar * cov.fd_nif)
     ibi = zgrid * (delta2 * abse2_bar * cov.ibi_nif) if with_ibi else np.zeros((m, n))
     noise = zgrid * (sigma2 * abse2_bar)[None, :]

@@ -21,11 +21,12 @@ import time
 import numpy as np
 
 from . import __version__
-from .analytics import averaged_breakdown, complexity_report, zeta_grid
+from .analytics import (averaged_breakdown, complexity_report, displaced_covariances,
+                        ensemble_taps, zeta_grid)
 from .config import (ConfigError, RunConfig, apply_overrides, format_config,
                      load_config_file, WORKER_ENV_VAR)
 from .filterbank import autocorr_bands
-from .simulator import _profile, build_filter, make_context, run_multiservice
+from .simulator import _profile, make_context, run_multiservice
 
 log = logging.getLogger("fbmcqam")
 
@@ -42,7 +43,6 @@ _FIELD_HELP = {
     "pdp_decay_db": "first-to-last tap decay of the default profile",
     "pdp_file": "l,rho2 CSV overriding the default profile",
     "pdp_normalize": "normalize a loaded profile to unit power",
-    "guard_samples": "inter-block guard; -1 selects (K-1)N + L - 1",
     "overlap_blocks": "model previous-block leakage instead of a guard",
     "cp_len": "OFDM cyclic prefix; -1 selects N/8",
     "filter_file": "prototype coefficients file overriding the design",
@@ -195,8 +195,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     if _maybe_print_config(args, cfg):
         return 0
-    filt = build_filter(cfg)
+    ctx = make_context(cfg)
     pdp = _profile(cfg)
+    taps = ensemble_taps(pdp, cfg.theory_draws, cfg.seed)
     mode_components = {"nif": ("resd", "ici", "isi", "fd", "ibi", "noise",
                                "total", "sinr"),
                        "if": ("resd", "fd", "ibi", "noise", "total", "sinr")}
@@ -204,10 +205,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for snr_db in cfg.snr_db:
         sigma2 = cfg.symbol_power / 10.0 ** (snr_db / 10.0)
         for mode in ("nif", "if"):
-            system = replace(cfg.system, receiver_mode=mode)
-            bd = averaged_breakdown(system, filt, pdp, sigma2,
-                                    draws=cfg.theory_draws, seed=cfg.seed,
-                                    with_ibi=True)
+            cov = displaced_covariances(ctx.segs, cfg.m, weights=pdp.powers,
+                                        inv=ctx.inv if mode == "if" else None)
+            bd = averaged_breakdown(cfg, ctx, mode, taps, sigma2, cov, with_ibi=True)
             grids = {name: bd.component(name) for name in mode_components[mode]}
             for mm in range(cfg.m):
                 for nu in range(cfg.n):

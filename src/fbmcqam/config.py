@@ -4,8 +4,8 @@ A configuration file is a flat list of ``key = value`` lines (``#`` comments
 allowed). Flags given on the command line win over file values. Validation
 collects every violated field before raising, so a bad config reports all of
 its problems at once. Run manifests reuse this format; a handful of manifest
-bookkeeping keys are recognized and ignored on load so a manifest can be fed
-straight back as a config.
+bookkeeping keys, and the keys of retired fields, are recognized and ignored
+on load so a manifest, old or new, can be fed straight back as a config.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass, fields, replace
 import os
 
 __all__ = [
-    "SystemConfig",
     "RunConfig",
     "ConfigError",
     "parse_config_text",
@@ -26,47 +25,15 @@ __all__ = [
 
 WORKER_ENV_VAR = "FBMCQAM_WORKERS"
 
-# manifest bookkeeping keys that are not configuration
+# manifest bookkeeping keys that are not configuration, and retired fields
+# that older manifests still carry
 _META_KEYS = {"master_seed", "tool_version", "wall_time_s", "outputs",
               "command", "created"}
+_RETIRED_KEYS = {"guard_samples"}
 
 
 class ConfigError(ValueError):
     """Raised with one message line per violated field."""
-
-
-@dataclass(frozen=True)
-class SystemConfig:
-    """Core waveform parameters shared by every chain."""
-
-    n: int = 64                 # subcarriers, power of two
-    m: int = 14                 # multicarrier symbols per block
-    k: int = 5                  # filter overlap factor
-    symbol_power: float = 1.0   # mean QAM symbol power (linear)
-    mod_order: int = 16
-    eta: float = 0.0            # inverse-filter sparsification fraction
-    equalizer: str = "mmse"     # "zf" or "mmse"
-    receiver_mode: str = "if"   # "if" (inverse filter) or "nif"
-
-    def violations(self) -> list[str]:
-        errs = []
-        if self.n < 2 or self.n & (self.n - 1):
-            errs.append(f"n: {self.n} is not a power of two >= 2")
-        if self.m < 1:
-            errs.append(f"m: {self.m} must be >= 1")
-        if self.k < 1:
-            errs.append(f"k: {self.k} must be >= 1")
-        if not (self.symbol_power > 0):
-            errs.append(f"symbol_power: {self.symbol_power} must be > 0")
-        if self.mod_order not in (4, 16, 64):
-            errs.append(f"mod_order: {self.mod_order} not in (4, 16, 64)")
-        if not (0.0 <= self.eta <= 1.0):
-            errs.append(f"eta: {self.eta} outside [0, 1]")
-        if self.equalizer not in ("zf", "mmse"):
-            errs.append(f"equalizer: {self.equalizer!r} not 'zf' or 'mmse'")
-        if self.receiver_mode not in ("if", "nif"):
-            errs.append(f"receiver_mode: {self.receiver_mode!r} not 'if' or 'nif'")
-        return errs
 
 
 @dataclass(frozen=True)
@@ -86,7 +53,6 @@ class RunConfig:
     pdp_decay_db: float = 20.0     # first-to-last tap power drop
     pdp_file: str = ""             # optional `l,rho2` CSV; overrides the exponential
     pdp_normalize: bool = True
-    guard_samples: int = -1        # -1 = auto: (K-1)*N + L - 1 (leakage-free)
     overlap_blocks: bool = False   # adjacent blocks leak through the channel tail
     cp_len: int = -1               # OFDM cyclic prefix; -1 = auto: N // 8
 
@@ -104,18 +70,7 @@ class RunConfig:
     subband_starts: tuple[int, ...] = ()     # empty = auto layout
     subband_offsets: tuple[int, ...] = ()    # empty = all zero (synchronous)
 
-    @property
-    def system(self) -> SystemConfig:
-        return SystemConfig(self.n, self.m, self.k, self.symbol_power,
-                            self.mod_order, self.eta, self.equalizer,
-                            self.receiver_mode)
-
     # resolved (auto-aware) values -----------------------------------------
-
-    def guard(self) -> int:
-        if self.guard_samples >= 0:
-            return self.guard_samples
-        return (self.k - 1) * self.n + self.channel_taps - 1
 
     def cp(self) -> int:
         return self.cp_len if self.cp_len >= 0 else self.n // 8
@@ -142,7 +97,23 @@ class RunConfig:
         return int(0.5 * (self.n + self.cp()))
 
     def violations(self) -> list[str]:
-        errs = self.system.violations()
+        errs = []
+        if self.n < 2 or self.n & (self.n - 1):
+            errs.append(f"n: {self.n} is not a power of two >= 2")
+        if self.m < 1:
+            errs.append(f"m: {self.m} must be >= 1")
+        if self.k < 1:
+            errs.append(f"k: {self.k} must be >= 1")
+        if not (self.symbol_power > 0):
+            errs.append(f"symbol_power: {self.symbol_power} must be > 0")
+        if self.mod_order not in (4, 16, 64):
+            errs.append(f"mod_order: {self.mod_order} not in (4, 16, 64)")
+        if not (0.0 <= self.eta <= 1.0):
+            errs.append(f"eta: {self.eta} outside [0, 1]")
+        if self.equalizer not in ("zf", "mmse"):
+            errs.append(f"equalizer: {self.equalizer!r} not 'zf' or 'mmse'")
+        if self.receiver_mode not in ("if", "nif"):
+            errs.append(f"receiver_mode: {self.receiver_mode!r} not 'if' or 'nif'")
         if self.channel_taps < 1:
             errs.append(f"channel_taps: {self.channel_taps} must be >= 1")
         if self.n >= 2 and not (self.n & (self.n - 1)) and self.channel_taps * 2 > self.n:
@@ -245,7 +216,7 @@ def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:
     updates = {}
     errs = []
     for key, raw in overrides.items():
-        if key in _META_KEYS:
+        if key in _META_KEYS or key in _RETIRED_KEYS:
             continue
         if key not in _FIELD_TYPES:
             errs.append(f"{key}: unknown configuration key")

@@ -37,7 +37,6 @@ __all__ = [
     "inverse_nonzeros",
     "displacement_matrix",
     "tail_matrix",
-    "displaced_summaries",
 ]
 
 
@@ -241,28 +240,3 @@ def tail_matrix(segs: np.ndarray, m: int, l: int) -> sp.csr_matrix:
         return sp.csr_matrix(spm.shape)
     tail = spm[t - l:, :]
     return sp.vstack([tail, sp.csr_matrix((t - l, spm.shape[1]))]).tocsr()
-
-
-def displaced_summaries(segs: np.ndarray, m: int, n_taps: int) -> dict:
-    """Scalar summaries of the displaced filter matrices for delays 0..L-1.
-
-    Returns ``t_down`` (squared Frobenius norm of each delay perturbation),
-    ``pcorr`` (energy of the previous block's leaking rows, exact trace), and
-    ``pcorr_tail`` (the tail-tap approximation of the same quantity; equal to
-    ``pcorr`` whenever the delay does not exceed N).
-    """
-    k, n = segs.shape
-    t = (k + m - 1) * n
-    spm = sparse_filter_matrix(segs, m)
-    taps = segs.reshape(-1)
-    t_down = np.zeros(n_taps)
-    pcorr = np.zeros(n_taps)
-    pcorr_tail = np.zeros(n_taps)
-    for l in range(n_taps):
-        if l == 0:
-            continue
-        a = _row_shifted(spm, l) - _block_rolled(spm, n, l)
-        t_down[l] = float(a.multiply(a).sum())
-        pcorr[l] = float(spm[t - l:, :].multiply(spm[t - l:, :]).sum())
-        pcorr_tail[l] = float(np.sum(taps[k * n - l:] ** 2))
-    return {"t_down": t_down, "pcorr": pcorr, "pcorr_tail": pcorr_tail}

@@ -14,18 +14,18 @@ import logging
 
 import numpy as np
 
-from .analytics import (MseBreakdown, _circconv, conditional_breakdown,
+from .analytics import (MseBreakdown, _circconv, averaged_breakdown,
                         displaced_covariances, interference_tables, zeta_factors)
 from .channel import (PowerDelayProfile, apply_taps, complex_noise, draw_taps,
                       freq_response, overlap_tail)
 from .config import RunConfig, worker_count
-from .core import (PrototypeFilter, design_prototype, dft_segments, idft_block,
-                   load_prototype_file, qam_demap, qam_llrs, qam_map)
+from .core import (PrototypeFilter, design_prototype, load_prototype_file,
+                   qam_demap, qam_llrs, qam_map)
 from .fec import conv_encode, viterbi_decode
-from .filterbank import (apply_adjoint, apply_filter, apply_inverse, autocorr_bands,
-                         gram_stack, inverse_stack, kept_mask, sparsify_inverse,
-                         tap_segments, window_length)
-from .transceiver import make_equalizer, ofdm_demodulate, ofdm_modulate
+from .filterbank import (autocorr_bands, gram_stack, inverse_stack, kept_mask,
+                         sparsify_inverse, tap_segments, window_length)
+from .transceiver import (fbmc_receive, fbmc_transmit, make_equalizer,
+                          ofdm_demodulate, ofdm_modulate)
 
 __all__ = [
     "build_filter",
@@ -38,7 +38,6 @@ __all__ = [
     "MultiserviceResult",
     "run_multiservice",
     "scheme_label",
-    "sweep",
     "wilson_halfwidth",
     "wilson_interval",
 ]
@@ -151,7 +150,7 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
     exact; validation is meant for eta = 0.
     """
     cfg.validate()
-    system = cfg.system
+    mode = cfg.receiver_mode
     ctx = make_context(cfg)
     n, m = cfg.n, cfg.m
     delta2 = cfg.symbol_power
@@ -169,7 +168,7 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
     rng_data = np.random.default_rng(ss_data)
     rng_noise = np.random.default_rng(ss_noise)
 
-    inv_arg = ctx.inv if system.receiver_mode == "if" else None
+    inv_arg = ctx.inv if mode == "if" else None
     cov = displaced_covariances(ctx.segs, m, taps=h, inv=inv_arg)
 
     def draw_grid():
@@ -178,21 +177,21 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
         return np.moveaxis(S, 0, 2).swapaxes(0, 1)          # (N, M, B)
 
     S = draw_grid()
-    o = apply_filter(ctx.segs, idft_block(S))
-    o_circ = apply_filter(ctx.segs, idft_block(c[:, None, None] * S))
+    o = fbmc_transmit(S, ctx.segs)
+    o_circ = fbmc_transmit(c[:, None, None] * S, ctx.segs)
     r_lin = apply_taps(h, o)
     r_fd = r_lin - o_circ
     tails = None
     if with_ibi:
         # overlap_tail applies the channel; feed it the unfaded previous block
-        tails = overlap_tail(h, apply_filter(ctx.segs, idft_block(draw_grid())), t_len)
+        tails = overlap_tail(h, fbmc_transmit(draw_grid(), ctx.segs), t_len)
 
     # single-active-symbol stimulus, round robin over block positions
     stim_col = np.arange(trials) % m
     S_stim = np.zeros_like(S)
     sel = (np.arange(n)[:, None], stim_col[None, :], np.arange(trials)[None, :])
     S_stim[sel] = S[sel]
-    r_stim = apply_filter(ctx.segs, idft_block(c[:, None, None] * S_stim))
+    r_stim = fbmc_transmit(c[:, None, None] * S_stim, ctx.segs)
 
     # single-active-subcarrier stimulus, round robin over subcarriers of the
     # middle symbol; measures per-donor leakage sums
@@ -201,21 +200,18 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
     sub_sel = (sub_q, np.full(trials, m0), np.arange(trials))
     S_sub = np.zeros_like(S)
     S_sub[sub_sel] = S[sub_sel]
-    r_sub = apply_filter(ctx.segs, idft_block(c[:, None, None] * S_sub))
+    r_sub = fbmc_transmit(c[:, None, None] * S_sub, ctx.segs)
     tables = interference_tables(autocorr_bands(ctx.segs), m)
+    inv_rx = ctx.inv_rx if mode == "if" else None
 
     points = []
     for snr_db in cfg.snr_db:
         sigma2 = _sigma2(cfg, snr_db)
-        bd = conditional_breakdown(system, ctx.filt, h, sigma2,
-                                   with_ibi=with_ibi, covariances=cov)
+        bd = averaged_breakdown(cfg, ctx, mode, h, sigma2, cov, with_ibi=with_ibi)
         eq = make_equalizer(c, cfg.equalizer, sigma2, delta2)
 
         def receive(r):
-            x = apply_adjoint(ctx.segs, r)
-            if system.receiver_mode == "if":
-                x = apply_inverse(ctx.inv_rx, x)
-            return eq.coeffs[:, None, None] * dft_segments(x, n)
+            return fbmc_receive(r, ctx.segs, eq.coeffs, inv_rx)
 
         noise = complex_noise(rng_noise, (t_len, trials), sigma2)
         meas_noise = np.mean(np.abs(receive(noise)) ** 2, axis=(0, 1))
@@ -411,17 +407,14 @@ class _MultiserviceEngine:
 
         r = np.zeros((self.t_len, batch), dtype=complex)
         for u in range(3):
-            tx = apply_filter(ctx.segs, idft_block(_band_grid(grids[u], n, self.starts[u])))
+            tx = fbmc_transmit(_band_grid(grids[u], n, self.starts[u]), ctx.segs)
             r += _shift_window(apply_taps(taps[u], tx), self.offsets[u])
         r += complex_noise(rng, r.shape, sigma2)
 
         eq = make_equalizer(mid_c, cfg.equalizer, sigma2, cfg.symbol_power)
         coeffs = eq.coeffs.T                                 # (N, B)
         for mode in self.modes:
-            x = apply_adjoint(ctx.segs, r)
-            if mode == "if":
-                x = apply_inverse(ctx.inv_rx, x)
-            est = coeffs[:, None, :] * dft_segments(x, n)
+            est = fbmc_receive(r, ctx.segs, coeffs, ctx.inv_rx if mode == "if" else None)
             zeta = ctx.zeta_m if mode == "if" else np.ones(m)
             nv = sigma2 * np.abs(coeffs[:, None, :]) ** 2 * zeta[None, :, None]
             out[scheme_label(mode, cfg.eta)] = self._tally(est, nv, infos[1])
@@ -544,9 +537,3 @@ def run_multiservice(cfg: RunConfig, modes: tuple[str, ...] = ("nif", "if"),
         if pool is not None:
             pool.shutdown()
     return MultiserviceResult(tuple(points), decision_snr, schemes)
-
-
-def sweep(cfgs: list[RunConfig],
-          modes: tuple[str, ...] = ("nif", "if")) -> list[MultiserviceResult]:
-    """Run a list of scenarios; each keeps its own master seed."""
-    return [run_multiservice(cfg, modes) for cfg in cfgs]

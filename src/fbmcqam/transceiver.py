@@ -22,7 +22,6 @@ __all__ = [
     "fbmc_receive",
     "ofdm_modulate",
     "ofdm_demodulate",
-    "ofdm_roundtrip",
 ]
 
 
@@ -67,20 +66,21 @@ def fbmc_transmit(S: np.ndarray, segs: np.ndarray,
     return apply_filter(segs, idft_block(S), counter)
 
 
-def fbmc_receive(r: np.ndarray, segs: np.ndarray, eq: Equalizer,
+def fbmc_receive(r: np.ndarray, segs: np.ndarray, coeffs: np.ndarray,
                  inv: np.ndarray | None = None,
                  counter: MultiplyCounter | None = None) -> np.ndarray:
     """Matched filter, optional inverse filter, per-symbol DFT, equalize.
 
-    ``inv`` is the (N, M, M) inverse stack; passing None selects the
-    matched-filter-only receiver.
+    ``coeffs`` holds the one-tap equalizer coefficients, shared (N,) or per
+    trial (N, B). ``inv`` is the (N, M, M) inverse stack; passing None
+    selects the matched-filter-only receiver.
     """
     n = segs.shape[1]
     x = apply_adjoint(segs, r, counter)
     if inv is not None:
         x = apply_inverse(inv, x, counter)
     y = dft_segments(x, n)
-    e = eq.coeffs.reshape((n,) + (1,) * (y.ndim - 1))
+    e = np.expand_dims(coeffs, tuple(range(1, y.ndim - coeffs.ndim + 1)))
     return e * y
 
 
@@ -107,27 +107,3 @@ def ofdm_demodulate(y: np.ndarray, n: int, cp_len: int) -> np.ndarray:
         raise ValueError(f"stream length {y.shape[0]} not a multiple of {step}")
     sym = y.reshape((nsym, step) + y.shape[1:])
     return np.moveaxis(np.fft.fft(sym[:, cp_len:], axis=1, norm="ortho"), 0, 1)
-
-
-def ofdm_roundtrip(S: np.ndarray, h: np.ndarray, sigma2: float, cp_len: int,
-                   kind: str, rng: np.random.Generator,
-                   delta2: float = 1.0) -> np.ndarray:
-    """Single-user CP-OFDM chain at sample level, returning symbol estimates.
-
-    Noise is drawn at variance sigma2 * (N + cp) / N to account for the
-    prefix energy overhead.
-    """
-    from .channel import apply_taps, complex_noise, freq_response
-
-    n = S.shape[0]
-    if cp_len < h.shape[-1] - 1:
-        raise ValueError(f"cp_len {cp_len} shorter than channel memory {h.shape[-1] - 1}")
-    tx = ofdm_modulate(S, cp_len)
-    rx = apply_taps(h, tx)
-    if sigma2 > 0:
-        rx = rx + complex_noise(rng, rx.shape, sigma2 * (n + cp_len) / n)
-    grid = ofdm_demodulate(rx, n, cp_len)
-    c = freq_response(h, n)
-    eq = make_equalizer(c, kind, sigma2 * (n + cp_len) / n, delta2)
-    e = eq.coeffs.reshape((n,) + (1,) * (grid.ndim - 1))
-    return e * grid

@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from fbmcqam.analytics import (averaged_breakdown, complexity_report,
+                               displaced_covariances, ensemble_taps,
                                interference_tables, zeta_factors, zeta_grid)
 from fbmcqam.channel import PowerDelayProfile, apply_taps, freq_response
 from fbmcqam.config import RunConfig
@@ -83,14 +84,15 @@ def test_c04_high_snr_interference_floor_gap():
     # ensemble-averaged closed-form totals at 50 dB; reference floors for the
     # same comparison elsewhere: nif -11.2 dB, if -31 dB
     cfg = RunConfig()
-    filt = design_prototype(cfg.k, cfg.n)
+    ctx = make_context(cfg)
     pdp = PowerDelayProfile.exponential(cfg.channel_taps, cfg.pdp_decay_db)
+    taps = ensemble_taps(pdp, 400, seed=1)
     sigma2 = cfg.symbol_power / 10.0 ** 5
     totals = {}
     for mode in ("nif", "if"):
-        bd = averaged_breakdown(replace(cfg.system, receiver_mode=mode),
-                                filt, pdp, sigma2, draws=400, seed=1,
-                                with_ibi=True)
+        cov = displaced_covariances(ctx.segs, cfg.m, weights=pdp.powers,
+                                    inv=ctx.inv if mode == "if" else None)
+        bd = averaged_breakdown(cfg, ctx, mode, taps, sigma2, cov, with_ibi=True)
         totals[mode] = float(bd.total.mean())
     gap_db = 10 * np.log10(totals["nif"] / totals["if"])
     print(f"50 dB floors: nif {10 * np.log10(totals['nif']):.2f} dB, "

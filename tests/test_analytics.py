@@ -7,16 +7,14 @@ helpers.py straight from the definitions.
 import numpy as np
 import pytest
 
-from fbmcqam.analytics import (DisplacedCovariances, MseBreakdown,
-                               averaged_breakdown, complexity_report,
-                               conditional_breakdown, displaced_covariances,
-                               interference_tables, reference_scalars,
-                               zeta_factors, zeta_grid)
+from fbmcqam.analytics import (averaged_breakdown, complexity_report,
+                               displaced_covariances, ensemble_taps,
+                               interference_tables, zeta_factors, zeta_grid)
 from fbmcqam.channel import PowerDelayProfile, draw_taps, freq_response
-from fbmcqam.config import SystemConfig
+from fbmcqam.config import RunConfig
 from fbmcqam.core import design_prototype
-from fbmcqam.filterbank import (autocorr_bands, displaced_summaries, gram_stack,
-                                inverse_stack, tap_segments)
+from fbmcqam.filterbank import autocorr_bands, gram_stack, inverse_stack, tap_segments
+from fbmcqam.simulator import make_context
 from fbmcqam.transceiver import make_equalizer
 from helpers import (dense_displacement, dense_filter_matrix, dense_tail,
                      stack_to_dense, unitary_dft)
@@ -207,7 +205,17 @@ def test_single_tap_channel_has_no_dispersion():
 # ---------------------------------------------------------------------------
 
 def _system(**kw):
-    return SystemConfig(**{"n": 64, "m": 14, "k": 5, **kw})
+    return RunConfig(**{"n": 64, "m": 14, "k": 5, **kw})
+
+
+def _conditional(cfg, taps, sigma2, with_ibi=False):
+    """One realization's breakdown for ``cfg.receiver_mode``, with the
+    displaced covariances of those taps."""
+    ctx = make_context(cfg)
+    mode = cfg.receiver_mode
+    cov = displaced_covariances(ctx.segs, cfg.m, taps=taps,
+                                inv=ctx.inv if mode == "if" else None)
+    return averaged_breakdown(cfg, ctx, mode, taps, sigma2, cov, with_ibi)
 
 
 def test_flat_channel_matches_published_forms():
@@ -217,7 +225,7 @@ def test_flat_channel_matches_published_forms():
     filt = design_prototype(5, 64)
     h = np.array([0.8 + 0.3j])
     sigma2 = 0.05
-    bd = conditional_breakdown(sys_cfg, filt, h, sigma2, with_ibi=True)
+    bd = _conditional(sys_cfg, h, sigma2, with_ibi=True)
     segs = tap_segments(filt)
     tables = interference_tables(autocorr_bands(segs), 14)
     c2 = abs(h[0]) ** 2
@@ -237,10 +245,9 @@ def test_flat_channel_matches_published_forms():
 
 def test_breakdown_totals_and_accessor():
     sys_cfg = _system(receiver_mode="nif")
-    filt = design_prototype(5, 64)
     h = draw_taps(PowerDelayProfile.exponential(8, 20.0),
                   np.random.default_rng(33))
-    bd = conditional_breakdown(sys_cfg, filt, h, 0.01, with_ibi=True)
+    bd = _conditional(sys_cfg, h, 0.01, with_ibi=True)
     np.testing.assert_allclose(
         bd.total, bd.resd + bd.ici + bd.isi + bd.fd + bd.ibi + bd.noise,
         atol=1e-15)
@@ -252,13 +259,12 @@ def test_breakdown_totals_and_accessor():
 
 def test_if_mode_cancels_self_interference():
     sys_cfg = _system(receiver_mode="if")
-    filt = design_prototype(5, 64)
     h = draw_taps(PowerDelayProfile.exponential(8, 20.0),
                   np.random.default_rng(34))
-    bd = conditional_breakdown(sys_cfg, filt, h, 0.01, with_ibi=True)
+    bd = _conditional(sys_cfg, h, 0.01, with_ibi=True)
     assert np.all(bd.ici == 0.0) and np.all(bd.isi == 0.0)
     # noise enhancement by zeta, constant per symbol row
-    nif = conditional_breakdown(_system(receiver_mode="nif"), filt, h, 0.01)
+    nif = _conditional(_system(receiver_mode="nif"), h, 0.01)
     np.testing.assert_allclose(bd.noise, bd.zeta * nif.noise, rtol=1e-12)
     # the zeta-scaled dispersion form understates the exact propagated one
     assert bd.component("fd_exact").mean() > bd.fd.mean()
@@ -268,65 +274,61 @@ def test_if_mode_cancels_self_interference():
 
 def test_zf_has_no_bias_error():
     sys_cfg = _system(receiver_mode="nif", equalizer="zf")
-    filt = design_prototype(5, 64)
     h = draw_taps(PowerDelayProfile.exponential(8, 20.0),
                   np.random.default_rng(35))
-    bd = conditional_breakdown(sys_cfg, filt, h, 0.01)
+    bd = _conditional(sys_cfg, h, 0.01)
     assert np.all(bd.resd == 0.0)
 
 
 def test_symbol_power_scales_signal_terms():
-    filt = design_prototype(4, 32)
     h = draw_taps(PowerDelayProfile.exponential(4, 20.0),
                   np.random.default_rng(36))
-    a = conditional_breakdown(_system(n=32, k=4, receiver_mode="nif"),
-                              filt, h, 1e-3, with_ibi=True)
-    b = conditional_breakdown(
+    a = _conditional(_system(n=32, k=4, receiver_mode="nif"),
+                     h, 1e-3, with_ibi=True)
+    b = _conditional(
         _system(n=32, k=4, receiver_mode="nif", symbol_power=4.0),
-        filt, h, 4e-3, with_ibi=True)
+        h, 4e-3, with_ibi=True)
     # equal SNR: every term scales by delta^2, SINR is invariant
     np.testing.assert_allclose(b.total, 4.0 * a.total, rtol=1e-9)
     np.testing.assert_allclose(b.sinr, a.sinr, rtol=1e-9)
 
 
 def test_averaged_breakdown_deterministic():
-    filt = design_prototype(5, 64)
+    cfg = _system()
+    ctx = make_context(cfg)
     pdp = PowerDelayProfile.exponential(8, 20.0)
-    kw = dict(draws=20, with_ibi=True)
-    a = averaged_breakdown(_system(), filt, pdp, 0.01, seed=3, **kw)
-    b = averaged_breakdown(_system(), filt, pdp, 0.01, seed=3, **kw)
-    c = averaged_breakdown(_system(), filt, pdp, 0.01, seed=4, **kw)
+    cov = displaced_covariances(ctx.segs, cfg.m, weights=pdp.powers, inv=ctx.inv)
+
+    def averaged(seed):
+        return averaged_breakdown(cfg, ctx, "if", ensemble_taps(pdp, 20, seed),
+                                  0.01, cov, with_ibi=True)
+
+    a = averaged(3)
+    b = averaged(3)
+    c = averaged(4)
     np.testing.assert_array_equal(a.total, b.total)
     assert np.any(a.total != c.total)
     assert np.all(a.total > 0) and np.all(np.isfinite(a.sinr))
 
 
-# ---------------------------------------------------------------------------
-# reference scalars
-# ---------------------------------------------------------------------------
-
-def test_displaced_summaries_match_dense_norms():
-    n, m, k = 8, 3, 2
-    segs, _, _, _ = _setup(n, m, k)
-    p = dense_filter_matrix(segs, m)
-    summ = displaced_summaries(segs, m, 4)
-    for l in range(4):
-        assert summ["t_down"][l] == pytest.approx(
-            np.sum(dense_displacement(p, n, l) ** 2), abs=1e-10)
-        assert summ["pcorr"][l] == pytest.approx(
-            np.sum(dense_tail(p, l) ** 2), abs=1e-10)
-
-
-def test_tail_energy_approximation_is_exact_for_short_channels():
-    # the tail-tap shortcut equals the exact trace whenever L - 1 <= N
-    segs = tap_segments(design_prototype(5, 64))
-    pdp = PowerDelayProfile.exponential(8, 20.0)
-    rs = reference_scalars(segs, 14, pdp)
-    np.testing.assert_allclose(rs["pcorr"], rs["pcorr_tail"], atol=1e-15)
-    assert rs["alpha_ibi"] == pytest.approx(rs["alpha_ibi_tail"], abs=1e-15)
-    assert rs["alpha_fd"] == pytest.approx(
-        float(np.sum(pdp.powers * rs["t_down"])), abs=1e-12)
-    assert rs["t_down"][0] == 0.0
+@pytest.mark.parametrize("mode", ["nif", "if"])
+def test_one_realization_equals_one_draw_stack(mode):
+    # a conditional breakdown is the average over a stack of one draw
+    cfg = _system(n=32, k=4)
+    ctx = make_context(cfg)
+    h = draw_taps(PowerDelayProfile.exponential(4, 20.0),
+                  np.random.default_rng(37))
+    cov = displaced_covariances(ctx.segs, cfg.m, taps=h, inv=ctx.inv)
+    one = averaged_breakdown(cfg, ctx, mode, h, 0.01, cov, with_ibi=True)
+    stack = averaged_breakdown(cfg, ctx, mode, h[None, :], 0.01, cov,
+                               with_ibi=True)
+    names = ["resd", "ici", "isi", "fd", "ibi", "noise", "total", "sinr", "zeta"]
+    if mode == "if":
+        names += ["fd_exact", "ibi_exact"]
+    for name in names:
+        np.testing.assert_array_equal(one.component(name), stack.component(name),
+                                      err_msg=name)
+    assert one.mode == stack.mode == mode
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,13 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "unknown configuration key" in capsys.readouterr().err
 
 
+def test_retired_guard_samples_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["complexity", "--guard-samples", "0"])
+    assert exc.value.code == 2
+    assert "--guard-samples" in capsys.readouterr().err
+
+
 def test_runtime_error_exits_1(tmp_path, capsys):
     d = tmp_path / "out"
     rc = main(_simulate_args(d, ["--subband-starts", "0,8",

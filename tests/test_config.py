@@ -2,19 +2,18 @@
 
 import pytest
 
-from fbmcqam.config import (ConfigError, RunConfig, SystemConfig,
-                            WORKER_ENV_VAR, apply_overrides, format_config,
-                            load_config_file, parse_config_text, worker_count)
+from fbmcqam.config import (ConfigError, RunConfig, WORKER_ENV_VAR,
+                            apply_overrides, format_config, load_config_file,
+                            parse_config_text, worker_count)
 
 
 def test_defaults_are_valid():
     cfg = RunConfig().validate()
-    assert cfg.system == SystemConfig()
+    assert cfg.violations() == []
 
 
 def test_resolved_defaults():
     cfg = RunConfig()
-    assert cfg.guard() == 4 * 64 + 7          # (K-1)N + L - 1
     assert cfg.cp() == 8
     assert cfg.band_width() == 16
     assert cfg.band_starts() == (4, 24, 44)
@@ -23,9 +22,8 @@ def test_resolved_defaults():
 
 
 def test_explicit_values_override_auto():
-    cfg = RunConfig(guard_samples=0, cp_len=16, subband_width=8,
+    cfg = RunConfig(cp_len=16, subband_width=8,
                     subband_starts=(0, 10, 20), subband_offsets=(1, 2, 3))
-    assert cfg.guard() == 0
     assert cfg.cp() == 16
     assert cfg.band_width() == 8
     assert cfg.band_starts() == (0, 10, 20)
@@ -82,6 +80,14 @@ def test_manifest_meta_keys_ignored():
     cfg = parse_config_text(text)
     assert cfg.n == 16
     assert cfg.seed == RunConfig().seed     # master_seed is bookkeeping only
+
+
+def test_retired_guard_samples_key_ignored():
+    # manifests written before the field was retired still load
+    old = format_config(RunConfig(n=16)) + "guard_samples = 263\n"
+    assert parse_config_text(old) == RunConfig(n=16)
+    assert apply_overrides(RunConfig(), {"guard_samples": "-1"}) == RunConfig()
+    assert "guard_samples" not in format_config(RunConfig())
 
 
 def test_unknown_key_rejected():

@@ -5,7 +5,7 @@ import pytest
 
 from fbmcqam.config import RunConfig
 from fbmcqam.simulator import (run_link_validation, run_multiservice,
-                               scheme_label, sweep, wilson_halfwidth,
+                               scheme_label, wilson_halfwidth,
                                wilson_interval)
 
 
@@ -170,13 +170,6 @@ def test_async_offsets_smoke():
 def test_eta_label_and_run():
     res = run_multiservice(_ms_cfg(eta=0.5), modes=("if",), chunk_trials=16)
     assert res.schemes == ("fbmc-if+eta0.5", "ofdm")
-
-
-def test_sweep_matches_individual_runs():
-    cfgs = [_ms_cfg(), _ms_cfg(seed=903)]
-    results = sweep(cfgs)
-    assert results[0] == run_multiservice(cfgs[0])
-    assert results[1] != results[0]
 
 
 def test_band_count_and_capacity_errors():
