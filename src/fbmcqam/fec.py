@@ -5,6 +5,18 @@ Constraint length 7, generators octal 133 and 171 (first output stream from
 trellis over a whole batch of codewords at once; soft mode consumes per-bit
 log-likelihood ratios (positive = bit 0 likelier), hard mode consumes bits.
 A global scaling of the LLRs cannot change the decoded path.
+
+The decoder keeps its path metrics states-major, one row per state and one
+column per codeword, in float64. Its rows follow a fixed permutation of the
+states (``_ROW``) chosen so that the LLR additions of each trellis step fall
+on a few contiguous row ranges. A branch's cost is formed as
+``(metric + lam0*c0) + lam1*c1`` in that order, skipping a term whose coded
+bit is 0 (adding a signed zero leaves a metric unchanged, and metrics are
+never -0). On a tie between the two predecessors of a state the even one
+(input history bit 0) survives: the odd branch wins only when its cost is
+strictly smaller. Any change of precision, order or layout must keep these
+decisions, ties included; the reference decoder in ``tests/helpers.py`` pins
+them.
 """
 
 from __future__ import annotations
@@ -42,7 +54,37 @@ def _transitions():
     return pred, out0, out1
 
 
-_PRED, _OUT0, _OUT1 = _transitions()
+def _runs(mask: np.ndarray) -> tuple[slice, ...]:
+    """The contiguous runs of True in a 1-D mask, as slices."""
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], mask.astype(int), [0]])))
+    return tuple(slice(int(a), int(b)) for a, b in zip(edges[0::2], edges[1::2]))
+
+
+def _layout():
+    """Row order of the states-major metrics and the per-step tables.
+
+    States are sorted by the coded-bit pair of their even-predecessor branch
+    in Gray order 00, 01, 11, 10; the odd branch carries the complement. A
+    step gathers both branches' predecessor metrics into a (128, B) cost
+    buffer (even branch in rows 0-63, odd in 64-127, both in metric row
+    order), so the rows that add lam0 or lam1 form a few runs each.
+    Returns row (state -> metric row), gather (128,) metric rows, the lam0
+    and lam1 row runs of the cost buffer, prev (64, 2) the metric row of
+    each predecessor, and the input bit that leads into each row's state.
+    """
+    pred, out0, out1 = _transitions()
+    gray_rank = np.array([0, 1, 3, 2])          # classes 00, 01, 10, 11
+    order = np.argsort(gray_rank[2 * out0[:, 0] + out1[:, 0]], kind="stable")
+    row = np.empty(_NSTATES, dtype=np.intp)
+    row[order] = np.arange(_NSTATES)
+    prev = row[pred[order]]
+    gather = np.concatenate([prev[:, 0], prev[:, 1]])
+    add0 = _runs(np.concatenate([out0[order, 0], out0[order, 1]]))
+    add1 = _runs(np.concatenate([out1[order, 0], out1[order, 1]]))
+    return row, gather, add0, add1, prev, order >> (_MEMORY - 1)
+
+
+_ROW, _GATHER, _ADD0, _ADD1, _PREV, _INPUT = _layout()
 
 
 def conv_encode(bits: np.ndarray) -> np.ndarray:
@@ -54,21 +96,24 @@ def conv_encode(bits: np.ndarray) -> np.ndarray:
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("message bits must be 0/1")
     b, length = bits.shape
-    padded = np.concatenate([bits, np.zeros((b, _MEMORY), dtype=np.int64)], axis=1)
-    out = np.empty((b, 2 * (length + _MEMORY)), dtype=np.int64)
-    state = np.zeros(b, dtype=np.int64)
-    for t in range(length + _MEMORY):
-        word = (padded[:, t] << _MEMORY) | state
-        out[:, 2 * t] = _parity(word & GENERATORS[0])
-        out[:, 2 * t + 1] = _parity(word & GENERATORS[1])
-        state = (padded[:, t] << (_MEMORY - 1)) | (state >> 1)
+    steps = length + _MEMORY
+    # output t sees message bit t - 6 + i through generator bit i
+    padded = np.zeros((b, length + 2 * _MEMORY), dtype=np.uint8)
+    padded[:, _MEMORY:_MEMORY + length] = bits
+    out = np.empty((b, 2 * steps), dtype=np.int64)
+    for stream, gen in enumerate(GENERATORS):
+        acc = np.zeros((b, steps), dtype=np.uint8)
+        for i in range(CONSTRAINT_LENGTH):
+            if gen >> i & 1:
+                acc ^= padded[:, i:i + steps]
+        out[:, stream::2] = acc
     return out[0] if squeeze else out
 
 
 def viterbi_decode(llrs_or_bits: np.ndarray, mode: str = "soft") -> np.ndarray:
     """Maximum-likelihood decode of zero-terminated codewords.
 
-    ``mode='soft'`` expects LLRs (positive favors bit 0); ``mode='hard'``
+    ``mode='soft'`` expects finite LLRs (positive favors bit 0); ``mode='hard'``
     expects 0/1 bits and applies the Hamming metric. Input shape (2*(L+6),)
     or (B, 2*(L+6)); returns the L message bits per codeword.
     """
@@ -86,27 +131,35 @@ def viterbi_decode(llrs_or_bits: np.ndarray, mode: str = "soft") -> np.ndarray:
         obs = 1.0 - 2.0 * obs
     elif mode != "soft":
         raise ValueError(f"unknown decoding mode {mode!r}")
+    elif not np.all(np.isfinite(obs)):
+        raise ValueError("soft mode expects finite LLRs (no NaN or inf)")
 
     steps = total // 2
     length = steps - _MEMORY
+    lam = np.ascontiguousarray(obs.T)                  # (2*steps, B)
     # path cost of hypothesizing coded bit c against LLR lam is lam * c
-    metrics = np.full((b, _NSTATES), np.inf)
-    metrics[:, 0] = 0.0
-    choices = np.empty((steps, b, _NSTATES), dtype=np.uint8)
+    metrics = np.full((_NSTATES, b), np.inf)
+    metrics[_ROW[0]] = 0.0
+    cost = np.empty((2 * _NSTATES, b))
+    cost0, cost1 = cost[:_NSTATES], cost[_NSTATES:]
+    choices = np.empty((steps, _NSTATES, b), dtype=bool)
     for t in range(steps):
-        lam0 = obs[:, 2 * t, None]
-        lam1 = obs[:, 2 * t + 1, None]
-        cost0 = metrics[:, _PRED[:, 0]] + lam0 * _OUT0[:, 0] + lam1 * _OUT1[:, 0]
-        cost1 = metrics[:, _PRED[:, 1]] + lam0 * _OUT0[:, 1] + lam1 * _OUT1[:, 1]
-        take1 = cost1 < cost0
-        choices[t] = take1
-        metrics = np.where(take1, cost1, cost0)
+        # mode="clip" writes straight into cost; "raise" would buffer
+        np.take(metrics, _GATHER, axis=0, out=cost, mode="clip")
+        lam0, lam1 = lam[2 * t], lam[2 * t + 1]
+        for rows in _ADD0:
+            cost[rows] += lam0
+        for rows in _ADD1:
+            cost[rows] += lam1
+        np.less(cost1, cost0, out=choices[t])
+        np.minimum(cost0, cost1, out=metrics)
 
     decoded = np.empty((b, steps), dtype=np.int64)
-    state = np.zeros(b, dtype=np.int64)
-    rows = np.arange(b)
+    rows = np.full(b, _ROW[0])
+    cols = np.arange(b)
     for t in range(steps - 1, -1, -1):
-        decoded[:, t] = state >> (_MEMORY - 1)
-        state = _PRED[state, choices[t, rows, state]]
+        decoded[:, t] = _INPUT[rows]
+        # the uint8 view makes the decisions an index, not a mask
+        rows = _PREV[rows, choices[t, rows, cols].view(np.uint8)]
     out = decoded[:, :length]
     return out[0] if squeeze else out

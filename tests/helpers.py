@@ -1,9 +1,12 @@
-"""Dense first-principles constructions shared by the structural tests, and
-the BER-curve comparison used by the acceptance suite.
+"""Dense first-principles constructions shared by the structural tests, the
+reference convolutional encoder and Viterbi decoder, and the BER-curve
+comparison used by the acceptance suite.
 
 The dense constructions are built by explicit loops from the definitions,
 never from the package's banded/stacked representations, so agreement is
-meaningful.
+meaningful. The coding references are the straightforward shift-register
+encoder and row-major (codeword, state) decoder that the package's
+vectorized versions must match exactly, tie decisions included.
 """
 
 import numpy as np
@@ -87,3 +90,80 @@ def snr_offset_db(ref_snr, ref_ber, snr, ber):
     at_ref = np.interp(np.log10(np.asarray(ber, dtype=float)), log_ref[::-1],
                        snr_ref[::-1], left=np.nan, right=np.nan)
     return np.asarray(snr, dtype=float) - at_ref
+
+
+# K=7 rate-1/2 code, generators octal 133 and 171, six flush bits
+_MEMORY = 6
+_NSTATES = 1 << _MEMORY
+_GENERATORS = (0o133, 0o171)
+
+
+def _parity(x):
+    x = x ^ (x >> 4)
+    x = x ^ (x >> 2)
+    x = x ^ (x >> 1)
+    return x & 1
+
+
+def _transitions():
+    """pred (64, 2) previous states of each next state s' and out0/out1
+    (64, 2) the coded bits of the transition from pred[s', j] into s'."""
+    nxt = np.arange(_NSTATES)
+    inp = nxt >> (_MEMORY - 1)
+    base = (nxt & ((_NSTATES >> 1) - 1)) << 1
+    pred = np.stack([base, base + 1], axis=1)
+    word = (inp[:, None] << _MEMORY) | pred
+    return pred, _parity(word & _GENERATORS[0]), _parity(word & _GENERATORS[1])
+
+
+def reference_conv_encode(bits):
+    """Shift-register encoder: one step per input bit, (L,) or (B, L)."""
+    bits = np.asarray(bits).astype(np.int64)
+    squeeze = bits.ndim == 1
+    if squeeze:
+        bits = bits[None, :]
+    b, length = bits.shape
+    padded = np.concatenate([bits, np.zeros((b, _MEMORY), dtype=np.int64)], axis=1)
+    out = np.empty((b, 2 * (length + _MEMORY)), dtype=np.int64)
+    state = np.zeros(b, dtype=np.int64)
+    for t in range(length + _MEMORY):
+        word = (padded[:, t] << _MEMORY) | state
+        out[:, 2 * t] = _parity(word & _GENERATORS[0])
+        out[:, 2 * t + 1] = _parity(word & _GENERATORS[1])
+        state = (padded[:, t] << (_MEMORY - 1)) | (state >> 1)
+    return out[0] if squeeze else out
+
+
+def reference_viterbi_decode(llrs_or_bits, mode="soft"):
+    """Row-major (codeword, state) Viterbi decoder of zero-terminated
+    codewords: a fancy-index gather of both predecessors per step, the
+    strict ``cost1 < cost0`` comparison (the even predecessor wins ties) and
+    ``np.where`` to keep the survivors."""
+    pred, out0, out1 = _transitions()
+    obs = np.asarray(llrs_or_bits, dtype=float)
+    squeeze = obs.ndim == 1
+    if squeeze:
+        obs = obs[None, :]
+    if mode == "hard":
+        obs = 1.0 - 2.0 * obs
+    b, total = obs.shape
+    steps = total // 2
+    metrics = np.full((b, _NSTATES), np.inf)
+    metrics[:, 0] = 0.0
+    choices = np.empty((steps, b, _NSTATES), dtype=np.uint8)
+    for t in range(steps):
+        lam0 = obs[:, 2 * t, None]
+        lam1 = obs[:, 2 * t + 1, None]
+        cost0 = metrics[:, pred[:, 0]] + lam0 * out0[:, 0] + lam1 * out1[:, 0]
+        cost1 = metrics[:, pred[:, 1]] + lam0 * out0[:, 1] + lam1 * out1[:, 1]
+        take1 = cost1 < cost0
+        choices[t] = take1
+        metrics = np.where(take1, cost1, cost0)
+    decoded = np.empty((b, steps), dtype=np.int64)
+    state = np.zeros(b, dtype=np.int64)
+    rows = np.arange(b)
+    for t in range(steps - 1, -1, -1):
+        decoded[:, t] = state >> (_MEMORY - 1)
+        state = pred[state, choices[t, rows, state]]
+    out = decoded[:, :steps - _MEMORY]
+    return out[0] if squeeze else out

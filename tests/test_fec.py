@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from fbmcqam.fec import CONSTRAINT_LENGTH, GENERATORS, conv_encode, viterbi_decode
 
+from helpers import reference_conv_encode, reference_viterbi_decode
+
 
 def test_code_parameters():
     assert CONSTRAINT_LENGTH == 7
@@ -97,3 +99,83 @@ def test_malformed_inputs():
         viterbi_decode(np.full(16, 0.5), mode="hard")
     with pytest.raises(ValueError, match="mode"):
         viterbi_decode(np.zeros(16), mode="firm")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_soft_rejects_non_finite_llrs(bad):
+    llrs = np.zeros((2, 16))
+    llrs[1, 5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        viterbi_decode(llrs)
+    with pytest.raises(ValueError, match="finite"):
+        viterbi_decode(llrs[1])
+
+
+def _noisy_llrs(rng, batch, length, sd=1.0):
+    coded = conv_encode(rng.integers(0, 2, (batch, length)))
+    return (1.0 - 2.0 * coded) + rng.normal(0, sd, coded.shape)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 256, 768])
+def test_decoder_matches_reference(batch):
+    llrs = _noisy_llrs(np.random.default_rng(45 + batch), batch, 448)
+    np.testing.assert_array_equal(viterbi_decode(llrs),
+                                  reference_viterbi_decode(llrs))
+
+
+def test_decoder_matches_reference_on_one_codeword():
+    llrs = _noisy_llrs(np.random.default_rng(46), 1, 90)[0]
+    decoded = viterbi_decode(llrs)
+    assert decoded.shape == (90,)
+    np.testing.assert_array_equal(decoded, reference_viterbi_decode(llrs))
+
+
+def test_decoder_matches_reference_on_ties():
+    # integer LLRs, many of them zero, make equal path costs common
+    rng = np.random.default_rng(47)
+    llrs = np.round(2.0 * _noisy_llrs(rng, 64, 200, sd=1.5))
+    assert np.count_nonzero(llrs == 0) > 0.05 * llrs.size
+    np.testing.assert_array_equal(viterbi_decode(llrs),
+                                  reference_viterbi_decode(llrs))
+    # with no information every path ties, and the even predecessor (input
+    # bit 0) survives each tie
+    flat = np.zeros((3, 40))
+    np.testing.assert_array_equal(viterbi_decode(flat), np.zeros((3, 14), dtype=int))
+    np.testing.assert_array_equal(reference_viterbi_decode(flat), np.zeros((3, 14)))
+
+
+def test_decoder_matches_reference_under_rounding():
+    # LLRs of mixed magnitude around 2**53 make (m + lam0) + lam1 round
+    # differently from (m + lam1) + lam0, so the addition order shows
+    rng = np.random.default_rng(50)
+    mags = np.array([1.0, 3.0, 2.0**52, 2.0**53 + 2])
+    llrs = rng.choice([-1.0, 1.0], (64, 240)) * rng.choice(mags, (64, 240))
+    np.testing.assert_array_equal(viterbi_decode(llrs),
+                                  reference_viterbi_decode(llrs))
+
+
+def test_decoder_matches_reference_in_hard_mode():
+    rng = np.random.default_rng(48)
+    bits = (_noisy_llrs(rng, 40, 120, sd=0.8) < 0).astype(int)
+    np.testing.assert_array_equal(viterbi_decode(bits, mode="hard"),
+                                  reference_viterbi_decode(bits, mode="hard"))
+
+
+def test_decoder_matches_reference_at_minimum_length():
+    rng = np.random.default_rng(49)
+    llrs = _noisy_llrs(rng, 50, 1, sd=1.2)
+    assert llrs.shape == (50, 14)
+    np.testing.assert_array_equal(viterbi_decode(llrs),
+                                  reference_viterbi_decode(llrs))
+    np.testing.assert_array_equal(viterbi_decode(np.round(llrs)),
+                                  reference_viterbi_decode(np.round(llrs)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_encoder_matches_reference(batch, length, seed):
+    msg = np.random.default_rng(seed).integers(0, 2, (batch, length))
+    coded = conv_encode(msg)
+    assert coded.dtype == np.int64
+    np.testing.assert_array_equal(coded, reference_conv_encode(msg))
+    np.testing.assert_array_equal(conv_encode(msg[0]), reference_conv_encode(msg[0]))
