@@ -22,6 +22,13 @@ covariance quadratic forms. The inverse-filter (``if``) breakdown multiplies
 fd/ibi/noise by the enhancement factor zeta, which is exact for white noise
 but understates the structured fd error; the exact R-transformed values are
 exposed separately as ``fd_exact``/``ibi_exact`` diagnostics.
+
+The fd/ibi covariances never form a matrix of size MN x MN. For a delay of
+l samples, block (j', j) of P^T B_l, with B_l the dispersion or the
+previous-block operator, is a diagonal times a cyclic shift by l, and so is
+its image under R, which is diagonal inside each block.
+:func:`displaced_covariances` therefore works on (L, M, M, N) tables of
+those diagonals and on the channel's tap second moments.
 """
 
 from __future__ import annotations
@@ -29,11 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .channel import PowerDelayProfile, draw_taps, freq_response
-from .filterbank import (autocorr_bands, displacement_matrix, kept_mask,
-                         sparse_filter_matrix, tail_matrix)
+from .filterbank import autocorr_bands, kept_mask
 from .transceiver import make_equalizer
 
 __all__ = [
@@ -116,31 +121,54 @@ def zeta_grid(inv: np.ndarray, gram: np.ndarray) -> np.ndarray:
 # Displaced-filter covariance forms
 # ---------------------------------------------------------------------------
 
-def _block_transform_diag(z: np.ndarray) -> np.ndarray:
-    """Diagonal of F Z F^H for an N x N block: ifft of the wrapped diagonal sums."""
-    n = z.shape[0]
-    idx = np.arange(n)
-    t = z[idx[:, None], (idx[:, None] + idx[None, :]) % n].sum(axis=0)
-    return np.fft.ifft(t).real
+def _delay_tables(segs: np.ndarray, m: int, n_delay: int):
+    """Per-subcarrier tables of A_l = P^T B_l for the dispersion and tail
+    operators B_l, delays l < ``n_delay`` <= N + 1.
 
+    Block (j', j) of A_l is diag(d_l[j', j]) Pi_l, where Pi_l moves sample v
+    to (v + l) mod N, so each operator is an (L, M, M, N) table d. With
+    seg(i, v) = segs[i, v] for 0 <= i < K (0 otherwise) and w = [v' < l]
+    (``crossed``) the flag of a delayed sample that crossed a segment edge:
 
-def _per_symbol_diags(w: np.ndarray, m: int, n: int,
-                      inv: np.ndarray | None) -> np.ndarray:
-    """Per-(m, n) transform-domain diagonals of a stacked covariance W (MN x MN).
+    * fd:   d_l[j', j][v'] = sum_i segs[i, v'] (seg(j'-j+i-w, (v'-l) mod N)
+                                                - seg(j'-j+i, v')),
+    * tail: only block (0, M-1) is nonzero,
+            d_l[0, M-1][v'] = w segs[0, v'] segs[K-1, (v'-l) mod N].
 
-    With ``inv`` given, the covariance is propagated through the inverse
-    filter first: block (m, m) of R W R^H.
+    Both are exactly zero at l = 0.
     """
-    wr = w.reshape(m, n, m, n)
-    out = np.empty((m, n))
-    for mm in range(m):
-        if inv is None:
-            z = wr[mm, :, mm, :]
-        else:
-            rm = inv[:, mm, :]                       # (N, M)
-            t1 = np.einsum("vi,ivjw->vjw", rm, wr)   # sum over donor block i
-            z = np.einsum("vjw,wj->vw", t1, rm)      # sum over donor block j
-        out[mm] = _block_transform_diag(z)
+    k, n = segs.shape
+    ext = np.zeros((2 * m + k, n))              # ext[x + m] = seg(x)
+    ext[m:m + k] = segs
+    v = np.arange(n)
+    lag = np.arange(n_delay)[:, None]
+    crossed = (v < lag).astype(int)              # (L, N)
+    src = (v - lag) % n                          # (L, N)
+    row = (np.arange(m)[:, None] - np.arange(m))[None, :, :, None] + m
+    fd = np.zeros((n_delay, m, m, n))
+    for i in range(k):
+        fd += segs[i] * (ext[row + i - crossed[:, None, None, :], src[:, None, None, :]]
+                         - ext[row + i, v])
+    tail = np.zeros_like(fd)
+    tail[:, 0, m - 1] = crossed * segs[0] * segs[k - 1, src]
+    return fd, tail
+
+
+def _diagonals(d: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """Per-(m, n) transform-domain diagonals of block (m, m) of
+    sum_{l,l'} moments[l, l'] A_l A_l'^H for a table d of the A_l.
+
+    With E_l = d_l rolled back by l along v and C[m, l, l'] the sum of
+    E_l E_l' over donor block and sample, entry n is
+    (1/N) Re sum_{l,l'} moments[l, l'] C[m, l, l'] e^{-2 pi i n (l - l') / N}.
+    """
+    n_delay, m, _, n = d.shape
+    e = np.stack([np.roll(d[l], -l, axis=-1) for l in range(n_delay)])
+    x = e.transpose(1, 0, 2, 3).reshape(m, n_delay, m * n)
+    c = x @ x.transpose(0, 2, 1)                                # (M, L, L)
+    phase = np.exp(-2j * np.pi * np.outer(np.arange(n_delay), np.arange(n)) / n)
+    t = (moments * c) @ phase.conj()                             # (M, L, N)
+    out = (phase * t).sum(axis=1).real / n
     return np.maximum(out, 0.0)
 
 
@@ -163,41 +191,26 @@ def displaced_covariances(segs: np.ndarray, m: int,
 
     Pass ``taps`` (complex h_l) for a fixed realization, or ``weights``
     (rho_l^2) for the channel-ensemble average. ``inv`` enables the
-    inverse-filter variants; zeros are returned for them otherwise.
+    inverse-filter variants; zeros are returned for them otherwise. Delays
+    up to N samples (N + 1 taps) are supported.
     """
     if (weights is None) == (taps is None):
         raise ValueError("exactly one of weights/taps must be given")
     n = segs.shape[1]
-    p = sparse_filter_matrix(segs, m)
-    n_delay = len(weights) if weights is not None else len(taps)
-
-    def accumulate(make_mat) -> np.ndarray:
-        if taps is not None:
-            b = None
-            for l in range(1, n_delay):
-                if taps[l] != 0:
-                    term = taps[l] * make_mat(l)
-                    b = term if b is None else b + term
-            if b is None:
-                return np.zeros((m * n, m * n))
-            bp = (p.T @ b).toarray() if sp.issparse(b) else p.T @ b
-            # Hermitian with complex off-diagonals; flattening to the real
-            # part would symmetrize the per-subcarrier profile
-            return bp @ bp.conj().T
-        w = np.zeros((m * n, m * n))
-        for l in range(1, n_delay):
-            if weights[l] != 0:
-                bp = (p.T @ make_mat(l)).toarray()
-                w += weights[l] * (bp @ bp.T)
-        return w
-
-    w_fd = accumulate(lambda l: displacement_matrix(segs, m, l))
-    w_ibi = accumulate(lambda l: tail_matrix(segs, m, l))
-    fd_nif = _per_symbol_diags(w_fd, m, n, None)
-    ibi_nif = _per_symbol_diags(w_ibi, m, n, None)
+    if taps is not None:
+        moments = np.outer(taps, np.conj(taps))
+    else:
+        moments = np.diag(weights)
+    if len(moments) > n + 1:
+        raise ValueError(f"channel of {len(moments)} taps exceeds N + 1 = {n + 1}")
+    fd, tail = _delay_tables(segs, m, len(moments))
+    fd_nif = _diagonals(fd, moments)
+    ibi_nif = _diagonals(tail, moments)
     if inv is not None:
-        fd_if = _per_symbol_diags(w_fd, m, n, inv)
-        ibi_if = _per_symbol_diags(w_ibi, m, n, inv)
+        # R is diagonal inside each block, so R A_l keeps the table form
+        propagate = lambda d: np.einsum("vai,lijv->lajv", inv, d)
+        fd_if = _diagonals(propagate(fd), moments)
+        ibi_if = _diagonals(propagate(tail), moments)
     else:
         fd_if = np.zeros((m, n))
         ibi_if = np.zeros((m, n))

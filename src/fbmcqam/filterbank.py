@@ -1,9 +1,9 @@
-"""Banded filter-bank matrices: P, G = P^H P, R = G^(-1), and displacements.
+"""Banded filter-bank operators: P, G = P^H P and R = G^(-1).
 
 The transmit matrix P is block-banded: block (i, j) is nonzero only for
 0 <= i - j <= K-1 and equals a diagonal N x N block carrying tap segment
-i - j. Everything here exploits that structure; nothing is materialized
-densely except on request through scipy sparse conversions.
+i - j. P is never materialized: ``apply_filter``/``apply_adjoint`` work on
+the (K, N) tap segments, and G and R on per-subcarrier stacks.
 
 Per-subcarrier decoupling: because every block of G is diagonal, G splits
 into N independent M x M symmetric banded Toeplitz systems, one per
@@ -17,7 +17,6 @@ rectangular filter gives G = I.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import PrototypeFilter
 
@@ -28,15 +27,12 @@ __all__ = [
     "apply_filter",
     "apply_adjoint",
     "apply_inverse",
-    "sparse_filter_matrix",
     "autocorr_bands",
     "gram_stack",
     "inverse_stack",
     "kept_mask",
     "sparsify_inverse",
     "inverse_nonzeros",
-    "displacement_matrix",
-    "tail_matrix",
 ]
 
 
@@ -102,21 +98,6 @@ def apply_adjoint(segs: np.ndarray, r: np.ndarray,
         counter.add(2 * k * m * n * rr.shape[2])
     x = out.reshape(m * n, -1)
     return x[:, 0] if squeeze else x
-
-
-def sparse_filter_matrix(segs: np.ndarray, m: int) -> sp.csr_matrix:
-    """P as a scipy CSR matrix of shape ((K+M-1)N, MN)."""
-    k, n = segs.shape
-    rows, cols, vals = [], [], []
-    v = np.arange(n)
-    for j in range(m):
-        for i in range(k):
-            rows.append((j + i) * n + v)
-            cols.append(j * n + v)
-            vals.append(segs[i])
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=((k + m - 1) * n, m * n))
 
 
 def autocorr_bands(segs: np.ndarray) -> np.ndarray:
@@ -198,45 +179,3 @@ def apply_inverse(inv: np.ndarray, x: np.ndarray,
         counter.add(2 * inverse_nonzeros(inv) * xb.shape[2])
     v = v.reshape(m * n, -1)
     return v[:, 0] if squeeze else v
-
-
-# ---------------------------------------------------------------------------
-# Channel-displaced variants
-# ---------------------------------------------------------------------------
-
-def _row_shifted(spm: sp.csr_matrix, l: int) -> sp.csr_matrix:
-    """Shift all rows down by l samples; rows pushed past the window are lost."""
-    if l == 0:
-        return spm.copy()
-    coo = spm.tocoo()
-    keep = coo.row + l < spm.shape[0]
-    return sp.csr_matrix((coo.data[keep], (coo.row[keep] + l, coo.col[keep])),
-                         shape=spm.shape)
-
-
-def _block_rolled(spm: sp.csr_matrix, n: int, l: int) -> sp.csr_matrix:
-    """P with its input cyclically delayed by l within each length-N segment."""
-    cols = spm.shape[1]
-    j = np.arange(cols) // n
-    v = np.arange(cols) % n
-    perm = j * n + (v + l) % n
-    return spm[:, perm].tocsr()
-
-
-def displacement_matrix(segs: np.ndarray, m: int, l: int) -> sp.csr_matrix:
-    """Delay-l filter perturbation: true delayed P minus its per-block
-    circular equivalent. Zero for l = 0."""
-    spm = sparse_filter_matrix(segs, m)
-    return (_row_shifted(spm, l) - _block_rolled(spm, segs.shape[1], l)).tocsr()
-
-
-def tail_matrix(segs: np.ndarray, m: int, l: int) -> sp.csr_matrix:
-    """Rows of the previous block's P that leak into the current window:
-    the last l rows, landing at the top of the window."""
-    k, n = segs.shape
-    t = (k + m - 1) * n
-    spm = sparse_filter_matrix(segs, m)
-    if l == 0:
-        return sp.csr_matrix(spm.shape)
-    tail = spm[t - l:, :]
-    return sp.vstack([tail, sp.csr_matrix((t - l, spm.shape[1]))]).tocsr()

@@ -18,7 +18,7 @@ from .analytics import (MseBreakdown, _circconv, averaged_breakdown,
                         displaced_covariances, interference_tables, zeta_factors)
 from .channel import (PowerDelayProfile, apply_taps, complex_noise, draw_taps,
                       freq_response, overlap_tail)
-from .config import RunConfig, worker_count
+from .config import ConfigError, RunConfig, worker_count
 from .core import (PrototypeFilter, design_prototype, load_prototype_file,
                    qam_demap, qam_llrs, qam_map)
 from .fec import conv_encode, viterbi_decode
@@ -55,7 +55,12 @@ def build_filter(cfg: RunConfig) -> PrototypeFilter:
 
 def _profile(cfg: RunConfig) -> PowerDelayProfile:
     if cfg.pdp_file:
-        return PowerDelayProfile.from_file(cfg.pdp_file, cfg.pdp_normalize)
+        pdp = PowerDelayProfile.from_file(cfg.pdp_file, cfg.pdp_normalize)
+        # the limit RunConfig.violations puts on channel_taps
+        if pdp.n_taps * 2 > cfg.n:
+            raise ConfigError(f"invalid configuration:\n  pdp_file: {cfg.pdp_file} "
+                              f"has {pdp.n_taps} taps, exceeds n/2 = {cfg.n // 2}")
+        return pdp
     return PowerDelayProfile.exponential(cfg.channel_taps, cfg.pdp_decay_db)
 
 

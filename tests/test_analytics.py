@@ -129,21 +129,25 @@ def test_zeta_is_transformed_diagonal():
 # displaced covariances
 # ---------------------------------------------------------------------------
 
-def _dense_covariances(segs, m, h=None, weights=None, r=None):
+def _dense_covariances(segs, m, taps=None, weights=None, r=None):
     n = segs.shape[1]
     p = dense_filter_matrix(segs, m)
-    if h is not None:
-        b_fd = sum(h[l] * dense_displacement(p, n, l) for l in range(1, len(h)))
-        b_ibi = sum(h[l] * dense_tail(p, l) for l in range(1, len(h)))
+    if taps is not None:
+        zero = np.zeros_like(p, dtype=complex)
+        b_fd = sum((taps[l] * dense_displacement(p, n, l)
+                    for l in range(1, len(taps))), zero)
+        b_ibi = sum((taps[l] * dense_tail(p, l) for l in range(1, len(taps))),
+                    zero)
         w_fd = (p.T @ b_fd) @ (p.T @ b_fd).conj().T
         w_ibi = (p.T @ b_ibi) @ (p.T @ b_ibi).conj().T
     else:
-        w_fd = sum(weights[l] * (p.T @ dense_displacement(p, n, l))
-                   @ (p.T @ dense_displacement(p, n, l)).T
-                   for l in range(1, len(weights)))
-        w_ibi = sum(weights[l] * (p.T @ dense_tail(p, l))
-                    @ (p.T @ dense_tail(p, l)).T
-                    for l in range(1, len(weights)))
+        zero = np.zeros((m * n, m * n))
+        w_fd = sum((weights[l] * (p.T @ dense_displacement(p, n, l))
+                    @ (p.T @ dense_displacement(p, n, l)).T
+                    for l in range(1, len(weights))), zero)
+        w_ibi = sum((weights[l] * (p.T @ dense_tail(p, l))
+                     @ (p.T @ dense_tail(p, l)).T
+                     for l in range(1, len(weights))), zero)
     return (_dense_block_diags(w_fd, n, m, r), _dense_block_diags(w_ibi, n, m, r))
 
 
@@ -154,8 +158,8 @@ def test_conditional_covariances_match_dense():
                   np.random.default_rng(31))
     cov = displaced_covariances(segs, m, taps=h, inv=inv)
     rd = stack_to_dense(inv)
-    fd_nif, ibi_nif = _dense_covariances(segs, m, h=h)
-    fd_if, ibi_if = _dense_covariances(segs, m, h=h, r=rd)
+    fd_nif, ibi_nif = _dense_covariances(segs, m, taps=h)
+    fd_if, ibi_if = _dense_covariances(segs, m, taps=h, r=rd)
     np.testing.assert_allclose(cov.fd_nif, fd_nif, atol=1e-12)
     np.testing.assert_allclose(cov.ibi_nif, ibi_nif, atol=1e-12)
     np.testing.assert_allclose(cov.fd_if, fd_if, atol=1e-12)
@@ -170,6 +174,43 @@ def test_averaged_covariances_match_dense():
     fd, ibi = _dense_covariances(segs, m, weights=pdp.powers)
     np.testing.assert_allclose(cov.fd_nif, fd, atol=1e-12)
     np.testing.assert_allclose(cov.ibi_nif, ibi, atol=1e-12)
+    fd_if, ibi_if = _dense_covariances(segs, m, weights=pdp.powers,
+                                       r=stack_to_dense(inv))
+    np.testing.assert_allclose(cov.fd_if, fd_if, atol=1e-12)
+    np.testing.assert_allclose(cov.ibi_if, ibi_if, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", ["taps", "weights"])
+@pytest.mark.parametrize("n,m,k,n_taps", [
+    (4, 1, 3, 2), (8, 2, 1, 4), (8, 3, 4, 4), (16, 2, 5, 8), (8, 5, 2, 3),
+    (16, 3, 3, 1), (4, 4, 8, 2), (4, 2, 2, 5)])
+def test_covariances_match_dense_oracle(n, m, k, n_taps, spec):
+    # random tap segments and inverse stack: no symmetry of a designed
+    # prototype can hide an index error; (4, 2, 2, 5) reaches a delay of N
+    rng = np.random.default_rng(n * 1000 + m * 100 + k * 10 + n_taps)
+    segs = rng.normal(size=(k, n))
+    inv = rng.normal(size=(n, m, m))
+    if spec == "taps":
+        chan = {"taps": rng.normal(size=n_taps) + 1j * rng.normal(size=n_taps)}
+    else:
+        chan = {"weights": rng.random(n_taps)}
+    cov = displaced_covariances(segs, m, inv=inv, **chan)
+    fd_nif, ibi_nif = _dense_covariances(segs, m, **chan)
+    fd_if, ibi_if = _dense_covariances(segs, m, r=stack_to_dense(inv), **chan)
+    np.testing.assert_allclose(cov.fd_nif, fd_nif, atol=1e-12)
+    np.testing.assert_allclose(cov.ibi_nif, ibi_nif, atol=1e-12)
+    np.testing.assert_allclose(cov.fd_if, fd_if, atol=1e-12)
+    np.testing.assert_allclose(cov.ibi_if, ibi_if, atol=1e-12)
+
+
+def test_covariances_reject_channels_longer_than_a_segment():
+    # delays beyond N samples reach two segments back, outside the tables
+    segs, _, _, _ = _setup(4, 2, 2)
+    with pytest.raises(ValueError, match="exceeds N"):
+        displaced_covariances(segs, 2, taps=np.ones(6))
+    with pytest.raises(ValueError, match="exceeds N"):
+        displaced_covariances(segs, 2, weights=np.ones(7))
+    displaced_covariances(segs, 2, taps=np.ones(5))
 
 
 def test_averaged_covariance_is_expectation_of_conditional():

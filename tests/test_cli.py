@@ -1,6 +1,8 @@
 """Command-line interface: file sets, exit codes, config resolution."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +30,17 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert fbmcqam.__version__ in capsys.readouterr().out
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency; the package must run without it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(fbmcqam.__file__)),
+         os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, fbmcqam.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_complexity_stdout(capsys):
@@ -157,6 +170,25 @@ def test_invalid_config_exits_2_without_outputs(tmp_path, capsys):
     assert main(["filter", "--out-dir", str(d), "--n", "12"]) == 2
     assert "power of two" in capsys.readouterr().err
     assert not d.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_long_loaded_profile_exits_2_without_outputs(tmp_path, capsys, command):
+    # a loaded profile obeys the same n/2 limit as --channel-taps
+    pdp = tmp_path / "taps.csv"
+    out = tmp_path / "out"
+    target = ["--out", str(out)] if command == "analyze" else ["--out-dir", str(out)]
+
+    def run(n_taps):
+        pdp.write_text("".join(f"{l},1\n" for l in range(n_taps)))
+        return main([command, *target, "--n", "16", "--m", "4", "--k", "2",
+                     "--trials", "20", "--theory-draws", "5", "--snr-db", "10",
+                     "--pdp-file", str(pdp)])
+
+    assert run(12) == 2
+    assert "pdp_file" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(8) == 0
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
