@@ -135,7 +135,12 @@ def _delay_tables(segs: np.ndarray, m: int, n_delay: int):
     * tail: only block (0, M-1) is nonzero,
             d_l[0, M-1][v'] = w segs[0, v'] segs[K-1, (v'-l) mod N].
 
-    Both are exactly zero at l = 0.
+    Both are exactly zero at l = 0. The fd entry depends on (j', j) only
+    through the block offset j' - j, so the K-term sum is taken once per
+    offset, into an (L, 2M - 1, N) table t with t[:, j' - j + M - 1] =
+    d_l[j', j], and then gathered into the blocks. Every entry goes through
+    the same floating-point operations, in the same order, as a sum taken
+    block by block.
     """
     k, n = segs.shape
     ext = np.zeros((2 * m + k, n))              # ext[x + m] = seg(x)
@@ -144,11 +149,12 @@ def _delay_tables(segs: np.ndarray, m: int, n_delay: int):
     lag = np.arange(n_delay)[:, None]
     crossed = (v < lag).astype(int)              # (L, N)
     src = (v - lag) % n                          # (L, N)
-    row = (np.arange(m)[:, None] - np.arange(m))[None, :, :, None] + m
-    fd = np.zeros((n_delay, m, m, n))
+    row = np.arange(1, 2 * m)[None, :, None]     # offset j' - j, plus M
+    t = np.zeros((n_delay, 2 * m - 1, n))
     for i in range(k):
-        fd += segs[i] * (ext[row + i - crossed[:, None, None, :], src[:, None, None, :]]
-                         - ext[row + i, v])
+        t += segs[i] * (ext[row + i - crossed[:, None, :], src[:, None, :]]
+                        - ext[row + i, v])
+    fd = np.take(t, np.arange(m)[:, None] - np.arange(m) + m - 1, axis=1)
     tail = np.zeros_like(fd)
     tail[:, 0, m - 1] = crossed * segs[0] * segs[k - 1, src]
     return fd, tail

@@ -101,12 +101,16 @@ def _csv_text(header: list[str], rows) -> str:
 
 
 def _db(value: float) -> str:
-    """Linear power to a dB field; exact zero becomes the -inf marker."""
+    """Linear power to a dB field with six decimals, or one of two markers:
+    ``-inf`` for a power of zero or below (an exactly cancelled component)
+    and ``inf`` for +inf (the sinr of a zero total). NaN raises ValueError."""
+    if 0.0 < value < math.inf:
+        return f"{10.0 * math.log10(value):.6f}"
     if value <= 0.0:
         return "-inf"
-    if math.isinf(value):
+    if value == math.inf:
         return "inf"
-    return f"{10.0 * math.log10(value):.6f}"
+    raise ValueError(f"cannot write {value!r} as a dB value")
 
 
 # ---------------------------------------------------------------------------
@@ -201,24 +205,28 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     mode_components = {"nif": ("resd", "ici", "isi", "fd", "ibi", "noise",
                                "total", "sinr"),
                        "if": ("resd", "fd", "ibi", "noise", "total", "sinr")}
-    rows = []
+    # rows run m, then n, then component, so a mode's (M, N, C) stack of
+    # grids ravels into row order and its "m,n,component," keys are shared
+    # by every SNR point
+    keys = {mode: [f"{mm},{nu},{name},"
+                   for mm in range(cfg.m) for nu in range(cfg.n) for name in names]
+            for mode, names in mode_components.items()}
+    blocks = ["snr_db,mode,m,n,component,value_db\n"]
     for snr_db in cfg.snr_db:
         sigma2 = cfg.symbol_power / 10.0 ** (snr_db / 10.0)
-        for mode in ("nif", "if"):
+        for mode, names in mode_components.items():
             cov = displaced_covariances(ctx.segs, cfg.m, weights=pdp.powers,
                                         inv=ctx.inv if mode == "if" else None)
             bd = averaged_breakdown(cfg, ctx, mode, taps, sigma2, cov, with_ibi=True)
-            grids = {name: bd.component(name) for name in mode_components[mode]}
-            for mm in range(cfg.m):
-                for nu in range(cfg.n):
-                    for name, grid in grids.items():
-                        rows.append((f"{snr_db:g}", mode, mm, nu, name,
-                                     _db(float(grid[mm, nu]))))
+            values = np.stack([bd.component(name) for name in names],
+                              axis=-1).ravel().tolist()
+            head = f"{snr_db:g},{mode},"
+            blocks.append("".join([f"{head}{key}{_db(v)}\n"
+                                   for key, v in zip(keys[mode], values)]))
         log.info("analyzed snr=%g dB", snr_db)
     out = _OutputSet()
     try:
-        out.write_text(args.out, _csv_text(
-            ["snr_db", "mode", "m", "n", "component", "value_db"], rows))
+        out.write_text(args.out, "".join(blocks))
     except BaseException:
         out.rollback()
         raise

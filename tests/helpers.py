@@ -1,15 +1,21 @@
 """Dense first-principles constructions shared by the structural tests, the
-reference convolutional encoder and Viterbi decoder, and the BER-curve
+reference convolutional encoder and Viterbi decoder, the straightforward
+forms of the delay tables and of the ``analyze`` CSV, and the BER-curve
 comparison used by the acceptance suite.
 
 The dense constructions are built by explicit loops from the definitions,
 never from the package's banded/stacked representations, so agreement is
 meaningful. The coding references are the straightforward shift-register
 encoder and row-major (codeword, state) decoder that the package's
-vectorized versions must match exactly, tie decisions included.
+vectorized versions must match exactly, tie decisions included. The same
+holds for the block-by-block delay tables and the row-by-row ``mse.csv``.
 """
 
 import numpy as np
+
+from fbmcqam.analytics import averaged_breakdown, displaced_covariances, ensemble_taps
+from fbmcqam.cli import _csv_text, _db
+from fbmcqam.simulator import _profile, make_context
 
 
 def dense_filter_matrix(segs, m):
@@ -72,6 +78,51 @@ def dense_tail(p, l):
     if l:
         out[:l] = p[p.shape[0] - l:]
     return out
+
+
+def reference_delay_tables(segs, m, n_delay):
+    """The (L, M, M, N) fd and tail tables of ``analytics._delay_tables``,
+    with the K-term fd sum gathered for every block (j', j) separately."""
+    k, n = segs.shape
+    ext = np.zeros((2 * m + k, n))              # ext[x + m] = seg(x)
+    ext[m:m + k] = segs
+    v = np.arange(n)
+    lag = np.arange(n_delay)[:, None]
+    crossed = (v < lag).astype(int)
+    src = (v - lag) % n
+    row = (np.arange(m)[:, None] - np.arange(m))[None, :, :, None] + m
+    fd = np.zeros((n_delay, m, m, n))
+    for i in range(k):
+        fd += segs[i] * (ext[row + i - crossed[:, None, None, :], src[:, None, None, :]]
+                         - ext[row + i, v])
+    tail = np.zeros_like(fd)
+    tail[:, 0, m - 1] = crossed * segs[0] * segs[k - 1, src]
+    return fd, tail
+
+
+def reference_mse_csv(cfg):
+    """The text of ``fbmcqam analyze``'s CSV for ``cfg``, one row tuple per
+    (SNR, mode, m, n, component), joined by ``cli._csv_text``."""
+    ctx = make_context(cfg)
+    pdp = _profile(cfg)
+    taps = ensemble_taps(pdp, cfg.theory_draws, cfg.seed)
+    mode_components = {"nif": ("resd", "ici", "isi", "fd", "ibi", "noise",
+                               "total", "sinr"),
+                       "if": ("resd", "fd", "ibi", "noise", "total", "sinr")}
+    rows = []
+    for snr_db in cfg.snr_db:
+        sigma2 = cfg.symbol_power / 10.0 ** (snr_db / 10.0)
+        for mode in ("nif", "if"):
+            cov = displaced_covariances(ctx.segs, cfg.m, weights=pdp.powers,
+                                        inv=ctx.inv if mode == "if" else None)
+            bd = averaged_breakdown(cfg, ctx, mode, taps, sigma2, cov, with_ibi=True)
+            grids = {name: bd.component(name) for name in mode_components[mode]}
+            for mm in range(cfg.m):
+                for nu in range(cfg.n):
+                    for name, grid in grids.items():
+                        rows.append((f"{snr_db:g}", mode, mm, nu, name,
+                                     _db(float(grid[mm, nu]))))
+    return _csv_text(["snr_db", "mode", "m", "n", "component", "value_db"], rows)
 
 
 def snr_offset_db(ref_snr, ref_ber, snr, ber):

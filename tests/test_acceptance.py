@@ -7,13 +7,15 @@ asserted as stated and the failure text carries the measured values (see the
 packaged README for the analysis). Criterion 7 checks that the inverse-filter
 coded BER curve sits the SNR offset predicted from zeta and the cyclic prefix
 to the right of the baseline's; a fast test beside it shows on synthetic
-curves that the check rejects a curve misplaced by 0.5 dB.
+curves that the check rejects a curve misplaced by 0.5 dB. The coded
+campaigns of criteria 7 and 8 carry the ``slow`` marker.
 """
 
 import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from fbmcqam.analytics import (averaged_breakdown, complexity_report,
                                displaced_covariances, ensemble_taps,
@@ -170,6 +172,7 @@ def _c07_offset_faults(snr, ofdm_ber, if_ber, delta_db):
     return snr[inside].tolist(), bad
 
 
+@pytest.mark.slow
 def test_c07_synchronous_coded_ber_comparability():
     t0 = time.monotonic()
     cfg = RunConfig(coded=True, min_info_bits=2_000_000)
@@ -225,6 +228,7 @@ def test_c07_offset_criterion_on_synthetic_curves():
         assert len(window) >= 3 and len(bad) == len(window), shift
 
 
+@pytest.mark.slow
 def test_c08_asynchronous_coded_ber_ordering():
     t0 = time.monotonic()
     base = RunConfig(coded=True, min_info_bits=2_000_000)

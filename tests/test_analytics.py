@@ -7,7 +7,7 @@ helpers.py straight from the definitions.
 import numpy as np
 import pytest
 
-from fbmcqam.analytics import (averaged_breakdown, complexity_report,
+from fbmcqam.analytics import (_delay_tables, averaged_breakdown, complexity_report,
                                displaced_covariances, ensemble_taps,
                                interference_tables, zeta_factors, zeta_grid)
 from fbmcqam.channel import PowerDelayProfile, draw_taps, freq_response
@@ -17,7 +17,7 @@ from fbmcqam.filterbank import autocorr_bands, gram_stack, inverse_stack, tap_se
 from fbmcqam.simulator import make_context
 from fbmcqam.transceiver import make_equalizer
 from helpers import (dense_displacement, dense_filter_matrix, dense_tail,
-                     stack_to_dense, unitary_dft)
+                     reference_delay_tables, stack_to_dense, unitary_dft)
 
 
 def _setup(n, m, k):
@@ -180,10 +180,12 @@ def test_averaged_covariances_match_dense():
     np.testing.assert_allclose(cov.ibi_if, ibi_if, atol=1e-12)
 
 
+_ORACLE_CASES = [(4, 1, 3, 2), (8, 2, 1, 4), (8, 3, 4, 4), (16, 2, 5, 8),
+                 (8, 5, 2, 3), (16, 3, 3, 1), (4, 4, 8, 2), (4, 2, 2, 5)]
+
+
 @pytest.mark.parametrize("spec", ["taps", "weights"])
-@pytest.mark.parametrize("n,m,k,n_taps", [
-    (4, 1, 3, 2), (8, 2, 1, 4), (8, 3, 4, 4), (16, 2, 5, 8), (8, 5, 2, 3),
-    (16, 3, 3, 1), (4, 4, 8, 2), (4, 2, 2, 5)])
+@pytest.mark.parametrize("n,m,k,n_taps", _ORACLE_CASES)
 def test_covariances_match_dense_oracle(n, m, k, n_taps, spec):
     # random tap segments and inverse stack: no symmetry of a designed
     # prototype can hide an index error; (4, 2, 2, 5) reaches a delay of N
@@ -201,6 +203,19 @@ def test_covariances_match_dense_oracle(n, m, k, n_taps, spec):
     np.testing.assert_allclose(cov.ibi_nif, ibi_nif, atol=1e-12)
     np.testing.assert_allclose(cov.fd_if, fd_if, atol=1e-12)
     np.testing.assert_allclose(cov.ibi_if, ibi_if, atol=1e-12)
+
+
+@pytest.mark.parametrize("n,m,k,n_taps",
+                         _ORACLE_CASES + [(8, 1, 2, 9), (16, 14, 5, 17)])
+def test_delay_tables_equal_blockwise_reference(n, m, k, n_taps):
+    # one K-term sum per block offset, gathered into the blocks, must give
+    # the block-by-block tables bit for bit: mse.csv is byte-identical only
+    # if they are
+    segs = np.random.default_rng(7 * n + m + k + n_taps).normal(size=(k, n))
+    fd, tail = _delay_tables(segs, m, n_taps)
+    ref_fd, ref_tail = reference_delay_tables(segs, m, n_taps)
+    assert np.array_equal(fd, ref_fd)
+    assert np.array_equal(tail, ref_tail)
 
 
 def test_covariances_reject_channels_longer_than_a_segment():

@@ -1,5 +1,7 @@
 """Command-line interface: file sets, exit codes, config resolution."""
 
+from dataclasses import replace
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +10,10 @@ import numpy as np
 import pytest
 
 import fbmcqam
+from fbmcqam import cli
 from fbmcqam.cli import main
-from fbmcqam.config import RunConfig, parse_config_text
+from fbmcqam.config import RunConfig, apply_overrides, parse_config_text
+from helpers import reference_mse_csv
 
 SMALL = ["--n", "16", "--m", "4", "--k", "2", "--channel-taps", "4"]
 
@@ -111,6 +115,53 @@ def test_analyze_schema(tmp_path):
     flat = {(mode, comp) for _, mode, _, _, comp, val in rows if val == "-inf"}
     assert ("nif", "fd") in flat and ("nif", "resd") in flat
     assert ("if", "ibi") in flat
+
+
+ORACLE_GRID = {"n": "16", "m": "4", "k": "3", "theory_draws": "40",
+               "snr_db": "10,30"}
+
+
+def _flags(settings):
+    return [arg for key, value in settings.items()
+            for arg in ("--" + key.replace("_", "-"), value)]
+
+
+@pytest.mark.parametrize("equalizer", ["zf", "mmse"])
+@pytest.mark.parametrize("eta", ["0", "0.5"])
+def test_analyze_csv_matches_row_by_row_reference(tmp_path, equalizer, eta):
+    path = tmp_path / "mse.csv"
+    settings = dict(ORACLE_GRID, equalizer=equalizer, eta=eta)
+    assert main(["analyze", "--out", str(path)] + _flags(settings)) == 0
+    text = _read(path)
+    assert text == reference_mse_csv(apply_overrides(RunConfig(), settings).validate())
+    if equalizer == "zf":
+        # ZF has no bias error, so every resd row carries the -inf marker
+        assert "10,nif,0,0,resd,-inf\n" in text
+
+
+@pytest.mark.parametrize("value,field", [
+    (0.0, "-inf"), (-0.0, "-inf"), (math.inf, "inf"), (1e-3, "-30.000000")])
+def test_db_markers(value, field):
+    assert cli._db(value) == field
+
+
+def test_db_rejects_nan():
+    with pytest.raises(ValueError, match="nan"):
+        cli._db(math.nan)
+
+
+def test_analyze_nan_grid_exits_1_without_output(tmp_path, capsys, monkeypatch):
+    real = cli.averaged_breakdown
+
+    def nan_fd(*args, **kwargs):
+        bd = real(*args, **kwargs)
+        return replace(bd, fd=np.full_like(bd.fd, np.nan))
+
+    monkeypatch.setattr(cli, "averaged_breakdown", nan_fd)
+    path = tmp_path / "out" / "mse.csv"
+    assert main(["analyze", "--out", str(path)] + _flags(ORACLE_GRID)) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not path.exists()
 
 
 def _simulate_args(out_dir, extra=()):
