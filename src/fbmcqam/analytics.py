@@ -92,9 +92,11 @@ def interference_tables(bands: np.ndarray, m: int) -> InterferenceTables:
     return InterferenceTables(power, alpha_ici, alpha_isi)
 
 
-def _circconv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a * b)[n] = sum_q a[(n - q) mod N] b[q], vectorized over leading axes of b."""
-    return np.fft.ifft(np.fft.fft(a) * np.fft.fft(b, axis=-1), axis=-1).real
+def _circconv(a: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """(a * b)[n] = sum_q a[(n - q) mod N] b[q], vectorized over leading axes
+    of b, given ``fb = np.fft.fft(b, axis=-1)`` so that one transform of b
+    serves several ``a``."""
+    return np.fft.ifft(np.fft.fft(a) * fb, axis=-1).real
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +302,12 @@ def averaged_breakdown(cfg, ctx, mode: str, taps: np.ndarray, sigma2: float,
     zgrid = zeta_grid(ctx.inv, ctx.gram)
 
     if mode == "nif":
-        ici_n = delta2 * (abse2 * (_circconv(tables.power[0], absc2)
+        fc = np.fft.fft(absc2, axis=-1)
+        ici_n = delta2 * (abse2 * (_circconv(tables.power[0], fc)
                                    - tables.power[0, 0] * absc2)).mean(axis=0)
         ici = np.repeat(ici_n[None, :], m, axis=0)
         isi = np.zeros((m, n))
-        conv_d = [None] + [(abse2 * _circconv(tables.power[d], absc2)).mean(axis=0)
+        conv_d = [None] + [(abse2 * _circconv(tables.power[d], fc)).mean(axis=0)
                            for d in range(1, k)]
         for ref in range(m):
             acc = np.zeros(n)

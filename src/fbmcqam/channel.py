@@ -136,4 +136,10 @@ def complex_noise(rng: np.random.Generator, shape, sigma2: float) -> np.ndarray:
     if sigma2 < 0:
         raise ValueError("noise variance must be >= 0")
     scale = np.sqrt(sigma2 / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    # draw straight into the two halves: real parts first, then imaginary
+    out = np.empty(shape, dtype=complex)
+    draw = rng.standard_normal(shape)
+    np.multiply(draw, scale, out=out.real)
+    rng.standard_normal(shape, out=draw)
+    np.multiply(draw, scale, out=out.imag)
+    return out

@@ -24,8 +24,8 @@ from .core import (PrototypeFilter, design_prototype, load_prototype_file,
 from .fec import conv_encode, viterbi_decode
 from .filterbank import (autocorr_bands, gram_stack, inverse_stack, kept_mask,
                          sparsify_inverse, tap_segments, window_length)
-from .transceiver import (fbmc_receive, fbmc_transmit, make_equalizer,
-                          ofdm_demodulate, ofdm_modulate)
+from .transceiver import (_equalize, fbmc_demodulate, fbmc_receive, fbmc_transmit,
+                          make_equalizer, ofdm_demodulate, ofdm_modulate)
 
 __all__ = [
     "build_filter",
@@ -153,6 +153,13 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
     previous-block-only feed when block overlap is enabled. With a sparsified
     inverse (eta > 0) the cancelled-interference predictions are no longer
     exact; validation is meant for eta = 0.
+
+    Only the one-tap equalizer depends on the SNR. The four noise-free feeds
+    (single active symbol, single active subcarrier, dispersion only and the
+    previous-block tail) are therefore demodulated once, before the SNR loop,
+    and each point multiplies the stored grids by its coefficients. The
+    noise-only feed and the full feed draw fresh noise at every point, so
+    they are demodulated per point.
     """
     cfg.validate()
     mode = cfg.receiver_mode
@@ -181,22 +188,27 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
         S = qam_map(bits, cfg.mod_order, delta2).reshape(trials, m, n)
         return np.moveaxis(S, 0, 2).swapaxes(0, 1)          # (N, M, B)
 
+    inv_rx = ctx.inv_rx if mode == "if" else None
+
+    def demodulate(r):
+        return fbmc_demodulate(r, ctx.segs, inv_rx)
+
     S = draw_grid()
-    o = fbmc_transmit(S, ctx.segs)
-    o_circ = fbmc_transmit(c[:, None, None] * S, ctx.segs)
-    r_lin = apply_taps(h, o)
-    r_fd = r_lin - o_circ
-    tails = None
+    r_lin = apply_taps(h, fbmc_transmit(S, ctx.segs))
+    # dispersion only: the true channel output minus its circular equivalent
+    y_fd = demodulate(r_lin - fbmc_transmit(c[:, None, None] * S, ctx.segs))
+    tails = y_ibi = None
     if with_ibi:
         # overlap_tail applies the channel; feed it the unfaded previous block
         tails = overlap_tail(h, fbmc_transmit(draw_grid(), ctx.segs), t_len)
+        y_ibi = demodulate(tails)
 
     # single-active-symbol stimulus, round robin over block positions
     stim_col = np.arange(trials) % m
     S_stim = np.zeros_like(S)
     sel = (np.arange(n)[:, None], stim_col[None, :], np.arange(trials)[None, :])
     S_stim[sel] = S[sel]
-    r_stim = fbmc_transmit(c[:, None, None] * S_stim, ctx.segs)
+    y_stim = demodulate(fbmc_transmit(c[:, None, None] * S_stim, ctx.segs))
 
     # single-active-subcarrier stimulus, round robin over subcarriers of the
     # middle symbol; measures per-donor leakage sums
@@ -205,9 +217,8 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
     sub_sel = (sub_q, np.full(trials, m0), np.arange(trials))
     S_sub = np.zeros_like(S)
     S_sub[sub_sel] = S[sub_sel]
-    r_sub = fbmc_transmit(c[:, None, None] * S_sub, ctx.segs)
+    y_sub = demodulate(fbmc_transmit(c[:, None, None] * S_sub, ctx.segs))
     tables = interference_tables(autocorr_bands(ctx.segs), m)
-    inv_rx = ctx.inv_rx if mode == "if" else None
 
     points = []
     for snr_db in cfg.snr_db:
@@ -215,13 +226,13 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
         bd = averaged_breakdown(cfg, ctx, mode, h, sigma2, cov, with_ibi=with_ibi)
         eq = make_equalizer(c, cfg.equalizer, sigma2, delta2)
 
-        def receive(r):
-            return fbmc_receive(r, ctx.segs, eq.coeffs, inv_rx)
+        def equalize(y):
+            return _equalize(eq.coeffs, y)
 
         noise = complex_noise(rng_noise, (t_len, trials), sigma2)
-        meas_noise = np.mean(np.abs(receive(noise)) ** 2, axis=(0, 1))
+        meas_noise = np.mean(np.abs(equalize(demodulate(noise))) ** 2, axis=(0, 1))
 
-        est_stim = receive(r_stim)
+        est_stim = equalize(y_stim)
         own = np.abs((est_stim - eq.beta[:, None, None] * S_stim)[sel]) ** 2
         meas_ici = own.mean(axis=0)                          # per trial
         cross = np.abs(est_stim) ** 2
@@ -229,9 +240,9 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
         # one stimulus cycle accumulates the full cross-symbol error per block
         meas_isi = cross.sum(axis=(0, 1)).reshape(-1, m).sum(axis=1) / (n * m)
 
-        meas_fd = np.mean(np.abs(receive(r_fd)) ** 2, axis=(0, 1))
+        meas_fd = np.mean(np.abs(equalize(y_fd)) ** 2, axis=(0, 1))
 
-        est_sub = receive(r_sub)
+        est_sub = equalize(y_sub)
         col = np.abs(est_sub[:, m0, :]) ** 2
         meas_ici_sub = col.sum(axis=0) - col[sub_q, np.arange(trials)]
         rest = np.abs(est_sub) ** 2
@@ -245,12 +256,13 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
             pq_ici = np.zeros(n)
             pq_isi = np.zeros(n)
         else:
-            pq_ici = cq2 * (_circconv(tables.power[0], gain2)
+            fg = np.fft.fft(gain2)
+            pq_ici = cq2 * (_circconv(tables.power[0], fg)
                             - tables.power[0, 0] * gain2)
             pq_isi = np.zeros(n)
             for d in range(1, cfg.k):
                 count = (m0 - d >= 0) + (m0 + d < m)
-                pq_isi += count * cq2 * _circconv(tables.power[d], gain2)
+                pq_isi += count * cq2 * _circconv(tables.power[d], fg)
 
         pred_ici_m = bd.ici.mean(axis=1)                     # per stimulus position
         pred_fd = bd.fd_exact if bd.mode == "if" else bd.fd
@@ -269,12 +281,13 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
         pred_total = float((bd.resd + bd.ici + bd.isi + pred_fd + bd.noise).mean())
         if with_ibi:
             pred_ibi = bd.ibi_exact if bd.mode == "if" else bd.ibi
-            meas_ibi = np.mean(np.abs(receive(tails)) ** 2, axis=(0, 1))
+            meas_ibi = np.mean(np.abs(equalize(y_ibi)) ** 2, axis=(0, 1))
             checks.append(_check("ibi", meas_ibi, float(pred_ibi.mean()), atol))
             pred_total += float(pred_ibi.mean())
 
         r_full = r_lin + noise if tails is None else r_lin + tails + noise
-        meas_total = np.mean(np.abs(receive(r_full) - S) ** 2, axis=(0, 1))
+        meas_total = np.mean(np.abs(equalize(demodulate(r_full)) - S) ** 2,
+                             axis=(0, 1))
         total_measured = float(meas_total.mean())
         gap_db = abs(10 * np.log10(total_measured / pred_total))
         points.append(LinkValidationPoint(

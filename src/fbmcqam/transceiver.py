@@ -1,5 +1,10 @@
 """End-to-end chains: filter-bank transmit/receive and the CP-OFDM baseline.
 
+The filter-bank receiver is split in two: :func:`fbmc_demodulate` is the
+SNR-independent front end (matched filter, optional inverse, per-symbol DFT),
+the counterpart of :func:`ofdm_demodulate`, and :func:`fbmc_receive` applies
+the equalizer to its grid.
+
 Both receivers apply one-tap frequency-domain equalization with genie channel
 knowledge. The OFDM baseline charges itself the cyclic-prefix energy overhead
 by scaling its noise variance by (N + cp) / N, so the two systems compare at
@@ -19,6 +24,7 @@ __all__ = [
     "Equalizer",
     "make_equalizer",
     "fbmc_transmit",
+    "fbmc_demodulate",
     "fbmc_receive",
     "ofdm_modulate",
     "ofdm_demodulate",
@@ -66,22 +72,35 @@ def fbmc_transmit(S: np.ndarray, segs: np.ndarray,
     return apply_filter(segs, idft_block(S), counter)
 
 
-def fbmc_receive(r: np.ndarray, segs: np.ndarray, coeffs: np.ndarray,
-                 inv: np.ndarray | None = None,
-                 counter: MultiplyCounter | None = None) -> np.ndarray:
-    """Matched filter, optional inverse filter, per-symbol DFT, equalize.
+def fbmc_demodulate(r: np.ndarray, segs: np.ndarray, inv: np.ndarray | None = None,
+                    counter: MultiplyCounter | None = None) -> np.ndarray:
+    """Matched filter, optional inverse filter, per-symbol DFT.
 
-    ``coeffs`` holds the one-tap equalizer coefficients, shared (N,) or per
-    trial (N, B). ``inv`` is the (N, M, M) inverse stack; passing None
-    selects the matched-filter-only receiver.
+    Returns the unequalized N x M (x batch) grid. ``inv`` is the (N, M, M)
+    inverse stack; passing None selects the matched-filter-only receiver.
     """
-    n = segs.shape[1]
     x = apply_adjoint(segs, r, counter)
     if inv is not None:
         x = apply_inverse(inv, x, counter)
-    y = dft_segments(x, n)
+    return dft_segments(x, segs.shape[1])
+
+
+def _equalize(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Apply one-tap coefficients, shared (N,) or per trial (N, B), to an
+    N x M (x B) grid."""
     e = np.expand_dims(coeffs, tuple(range(1, y.ndim - coeffs.ndim + 1)))
     return e * y
+
+
+def fbmc_receive(r: np.ndarray, segs: np.ndarray, coeffs: np.ndarray,
+                 inv: np.ndarray | None = None,
+                 counter: MultiplyCounter | None = None) -> np.ndarray:
+    """Demodulate (:func:`fbmc_demodulate`), then equalize.
+
+    ``coeffs`` holds the one-tap equalizer coefficients, shared (N,) or per
+    trial (N, B).
+    """
+    return _equalize(coeffs, fbmc_demodulate(r, segs, inv, counter))
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,29 @@
 """Dense first-principles constructions shared by the structural tests, the
 reference convolutional encoder and Viterbi decoder, the straightforward
-forms of the delay tables and of the ``analyze`` CSV, and the BER-curve
-comparison used by the acceptance suite.
+forms of the delay tables, of the ``analyze`` CSV and of link validation,
+and the BER-curve comparison used by the acceptance suite.
 
 The dense constructions are built by explicit loops from the definitions,
 never from the package's banded/stacked representations, so agreement is
 meaningful. The coding references are the straightforward shift-register
 encoder and row-major (codeword, state) decoder that the package's
 vectorized versions must match exactly, tie decisions included. The same
-holds for the block-by-block delay tables and the row-by-row ``mse.csv``.
+holds for the block-by-block delay tables, the row-by-row ``mse.csv`` and
+the validator that receives every feed at every SNR point.
 """
 
 import numpy as np
 
-from fbmcqam.analytics import averaged_breakdown, displaced_covariances, ensemble_taps
+from fbmcqam.analytics import (_circconv, averaged_breakdown, displaced_covariances,
+                               ensemble_taps, interference_tables)
+from fbmcqam.channel import (apply_taps, complex_noise, draw_taps, freq_response,
+                             overlap_tail)
 from fbmcqam.cli import _csv_text, _db
-from fbmcqam.simulator import _profile, make_context
+from fbmcqam.core import qam_map
+from fbmcqam.filterbank import autocorr_bands, window_length
+from fbmcqam.simulator import (LinkValidationPoint, _check, _profile, _sigma2,
+                               make_context)
+from fbmcqam.transceiver import fbmc_receive, fbmc_transmit, make_equalizer
 
 
 def dense_filter_matrix(segs, m):
@@ -123,6 +131,142 @@ def reference_mse_csv(cfg):
                         rows.append((f"{snr_db:g}", mode, mm, nu, name,
                                      _db(float(grid[mm, nu]))))
     return _csv_text(["snr_db", "mode", "m", "n", "component", "value_db"], rows)
+
+
+def reference_link_validation(cfg):
+    """``simulator.run_link_validation`` with every feed received (matched
+    filter, inverse, DFT and equalizer) at every SNR point."""
+    cfg.validate()
+    mode = cfg.receiver_mode
+    ctx = make_context(cfg)
+    n, m = cfg.n, cfg.m
+    delta2 = cfg.symbol_power
+    bps = int(np.log2(cfg.mod_order))
+    t_len = window_length(n, m, cfg.k)
+    with_ibi = cfg.overlap_blocks
+
+    master = np.random.SeedSequence(cfg.seed)
+    ss_channel, ss_data, ss_noise = master.spawn(3)
+    h = draw_taps(_profile(cfg), np.random.default_rng(ss_channel))
+    c = freq_response(h, n)
+
+    trials = cfg.trials or max(int(np.ceil(1e5 / (n * m))), 16 * m)
+    trials = int(np.ceil(trials / m)) * m   # whole round-robin cycles
+    rng_data = np.random.default_rng(ss_data)
+    rng_noise = np.random.default_rng(ss_noise)
+
+    inv_arg = ctx.inv if mode == "if" else None
+    cov = displaced_covariances(ctx.segs, m, taps=h, inv=inv_arg)
+
+    def draw_grid():
+        bits = rng_data.integers(0, 2, size=trials * n * m * bps)
+        S = qam_map(bits, cfg.mod_order, delta2).reshape(trials, m, n)
+        return np.moveaxis(S, 0, 2).swapaxes(0, 1)          # (N, M, B)
+
+    S = draw_grid()
+    o = fbmc_transmit(S, ctx.segs)
+    o_circ = fbmc_transmit(c[:, None, None] * S, ctx.segs)
+    r_lin = apply_taps(h, o)
+    r_fd = r_lin - o_circ
+    tails = None
+    if with_ibi:
+        # overlap_tail applies the channel; feed it the unfaded previous block
+        tails = overlap_tail(h, fbmc_transmit(draw_grid(), ctx.segs), t_len)
+
+    # single-active-symbol stimulus, round robin over block positions
+    stim_col = np.arange(trials) % m
+    S_stim = np.zeros_like(S)
+    sel = (np.arange(n)[:, None], stim_col[None, :], np.arange(trials)[None, :])
+    S_stim[sel] = S[sel]
+    r_stim = fbmc_transmit(c[:, None, None] * S_stim, ctx.segs)
+
+    # single-active-subcarrier stimulus, round robin over subcarriers of the
+    # middle symbol; measures per-donor leakage sums
+    m0 = m // 2
+    sub_q = np.arange(trials) % n
+    sub_sel = (sub_q, np.full(trials, m0), np.arange(trials))
+    S_sub = np.zeros_like(S)
+    S_sub[sub_sel] = S[sub_sel]
+    r_sub = fbmc_transmit(c[:, None, None] * S_sub, ctx.segs)
+    tables = interference_tables(autocorr_bands(ctx.segs), m)
+    inv_rx = ctx.inv_rx if mode == "if" else None
+
+    points = []
+    for snr_db in cfg.snr_db:
+        sigma2 = _sigma2(cfg, snr_db)
+        bd = averaged_breakdown(cfg, ctx, mode, h, sigma2, cov, with_ibi=with_ibi)
+        eq = make_equalizer(c, cfg.equalizer, sigma2, delta2)
+
+        def receive(r):
+            return fbmc_receive(r, ctx.segs, eq.coeffs, inv_rx)
+
+        noise = complex_noise(rng_noise, (t_len, trials), sigma2)
+        meas_noise = np.mean(np.abs(receive(noise)) ** 2, axis=(0, 1))
+
+        est_stim = receive(r_stim)
+        own = np.abs((est_stim - eq.beta[:, None, None] * S_stim)[sel]) ** 2
+        meas_ici = own.mean(axis=0)                          # per trial
+        cross = np.abs(est_stim) ** 2
+        cross[sel] = 0.0
+        # one stimulus cycle accumulates the full cross-symbol error per block
+        meas_isi = cross.sum(axis=(0, 1)).reshape(-1, m).sum(axis=1) / (n * m)
+
+        meas_fd = np.mean(np.abs(receive(r_fd)) ** 2, axis=(0, 1))
+
+        est_sub = receive(r_sub)
+        col = np.abs(est_sub[:, m0, :]) ** 2
+        meas_ici_sub = col.sum(axis=0) - col[sub_q, np.arange(trials)]
+        rest = np.abs(est_sub) ** 2
+        rest[:, m0, :] = 0.0
+        meas_isi_sub = rest.sum(axis=(0, 1))
+        # per-donor-subcarrier leakage sums over receivers; the profiles are
+        # symmetric in the lag, so the correlation is a circular convolution
+        gain2 = np.abs(eq.coeffs) ** 2
+        fg = np.fft.fft(gain2)
+        cq2 = delta2 * np.abs(c) ** 2
+        if bd.mode == "if":
+            pq_ici = np.zeros(n)
+            pq_isi = np.zeros(n)
+        else:
+            pq_ici = cq2 * (_circconv(tables.power[0], fg)
+                            - tables.power[0, 0] * gain2)
+            pq_isi = np.zeros(n)
+            for d in range(1, cfg.k):
+                count = (m0 - d >= 0) + (m0 + d < m)
+                pq_isi += count * cq2 * _circconv(tables.power[d], fg)
+
+        pred_ici_m = bd.ici.mean(axis=1)                     # per stimulus position
+        pred_fd = bd.fd_exact if bd.mode == "if" else bd.fd
+        atol = 1e-15 * delta2     # exactly-cancelled components measure as roundoff
+        checks = [
+            _check("noise", meas_noise, float(bd.noise.mean())),
+            _check("ici", meas_ici - pred_ici_m[stim_col] + pred_ici_m.mean(),
+                   float(pred_ici_m.mean()), atol),
+            _check("isi", meas_isi, float(bd.isi.mean()), atol),
+            _check("fd", meas_fd, float(pred_fd.mean()), atol),
+            _check("ici_sub", meas_ici_sub - pq_ici[sub_q] + pq_ici[sub_q].mean(),
+                   float(pq_ici[sub_q].mean()), atol),
+            _check("isi_sub", meas_isi_sub - pq_isi[sub_q] + pq_isi[sub_q].mean(),
+                   float(pq_isi[sub_q].mean()), atol),
+        ]
+        pred_total = float((bd.resd + bd.ici + bd.isi + pred_fd + bd.noise).mean())
+        if with_ibi:
+            pred_ibi = bd.ibi_exact if bd.mode == "if" else bd.ibi
+            meas_ibi = np.mean(np.abs(receive(tails)) ** 2, axis=(0, 1))
+            checks.append(_check("ibi", meas_ibi, float(pred_ibi.mean()), atol))
+            pred_total += float(pred_ibi.mean())
+
+        r_full = r_lin + noise if tails is None else r_lin + tails + noise
+        meas_total = np.mean(np.abs(receive(r_full) - S) ** 2, axis=(0, 1))
+        total_measured = float(meas_total.mean())
+        gap_db = abs(10 * np.log10(total_measured / pred_total))
+        points.append(LinkValidationPoint(
+            snr_db=snr_db, checks=tuple(checks),
+            total_measured=total_measured, total_predicted=pred_total,
+            total_gap_db=gap_db,
+            sinr_db=float(10 * np.log10(delta2 / total_measured)),
+            breakdown=bd))
+    return points
 
 
 def snr_offset_db(ref_snr, ref_ber, snr, ber):

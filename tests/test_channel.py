@@ -122,3 +122,16 @@ def test_complex_noise_moments():
     assert complex_noise(rng, (4,), 0.0).tolist() == [0, 0, 0, 0]
     with pytest.raises(ValueError):
         complex_noise(rng, (4,), -1.0)
+
+
+@pytest.mark.parametrize("shape", [(257,), (33, 7)])
+def test_complex_noise_matches_two_draw_expression(shape):
+    # same draws in the same order as scale * (real + 1j * imag), bit for bit
+    sigma2 = 0.37
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    z = complex_noise(rng, shape, sigma2)
+    scale = np.sqrt(sigma2 / 2.0)
+    ref = scale * (ref_rng.standard_normal(shape) + 1j * ref_rng.standard_normal(shape))
+    assert z.shape == ref.shape and z.dtype == ref.dtype
+    assert z.tobytes() == ref.tobytes()
+    assert rng.standard_normal() == ref_rng.standard_normal()

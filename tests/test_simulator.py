@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from fbmcqam import simulator
 from fbmcqam.config import RunConfig
 from fbmcqam.simulator import (run_link_validation, run_multiservice,
                                scheme_label, wilson_halfwidth,
                                wilson_interval)
+
+from helpers import reference_link_validation
 
 
 def _val_cfg(**kw):
@@ -98,6 +101,43 @@ def test_validation_flat_channel_has_no_dispersion():
     assert fd.predicted == 0.0 and fd.measured < 1e-12
     assert np.all(pt.breakdown.fd == 0.0)
     assert all(c.within_3sigma for c in pt.checks)
+
+
+@pytest.mark.parametrize("equalizer", ["mmse", "zf"])
+@pytest.mark.parametrize("eta", [0.0, 0.5])
+@pytest.mark.parametrize("overlap", [True, False])
+@pytest.mark.parametrize("mode", ["nif", "if"])
+def test_validation_equals_per_point_reference(mode, overlap, eta, equalizer):
+    # demodulating the noise-free feeds once changes no bit of any check
+    cfg = _val_cfg(receiver_mode=mode, overlap_blocks=overlap, eta=eta,
+                   equalizer=equalizer, snr_db=(10.0, 30.0))
+    pts = run_link_validation(cfg)
+    refs = reference_link_validation(cfg)
+    assert len(pts) == len(refs) == 2
+    for pt, ref in zip(pts, refs):
+        assert pt.checks == ref.checks
+        assert pt.total_measured == ref.total_measured
+        assert pt.total_predicted == ref.total_predicted
+        assert pt.sinr_db == ref.sinr_db
+
+
+@pytest.mark.parametrize("overlap, fixed", [(True, 4), (False, 3)])
+@pytest.mark.parametrize("points", [1, 3])
+def test_validation_demodulates_noise_free_feeds_once(monkeypatch, overlap, fixed,
+                                                      points):
+    # the noise-free feeds are demodulated once per run; only the noise-only
+    # and full feeds are demodulated at every SNR point
+    calls = []
+    demodulate = simulator.fbmc_demodulate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return demodulate(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "fbmc_demodulate", counted)
+    snr = tuple(10.0 * (i + 1) for i in range(points))
+    run_link_validation(_val_cfg(overlap_blocks=overlap, snr_db=snr, trials=16))
+    assert len(calls) == fixed + 2 * points
 
 
 # ---------------------------------------------------------------------------
