@@ -1,9 +1,14 @@
 """Command-line front end: configuration, experiments, CSV emission.
 
-Resolution order for settings: built-in defaults, then ``--config`` file,
-then a ``--preset``, then individual field flags (flags win). Every output
-file is written atomically; if a command aborts, files it already wrote are
-removed so a zero exit status means the full output set exists.
+Every subcommand runs through one skeleton in ``main``. It resolves the
+configuration once (built-in defaults, then a ``--config`` file, then a
+``--preset``, then individual field flags, which win), answers
+``--print-config``, and calls ``cmd_<name>(args, cfg)``, which holds only
+the command's own work. A command writes its files inside ``with
+_OutputSet() as out:``: each file is written atomically, and if the command
+aborts, the files it already wrote are removed, so a zero exit status means
+the full output set exists. Exit status 2 flags an invalid configuration,
+1 an I/O or runtime failure.
 """
 
 from __future__ import annotations
@@ -38,12 +43,12 @@ _FIELD_HELP = {
     "mod_order": "QAM order: 4, 16 or 64",
     "eta": "inverse-filter sparsification fraction in [0, 1]",
     "equalizer": "one-tap equalizer: zf or mmse",
-    "receiver_mode": "receiver: if (inverse filter) or nif (matched only)",
+    "receiver_mode": "run_link_validation only: if (inverse) or nif (matched)",
     "channel_taps": "channel length L",
     "pdp_decay_db": "first-to-last tap decay of the default profile",
     "pdp_file": "l,rho2 CSV overriding the default profile",
     "pdp_normalize": "normalize a loaded profile to unit power",
-    "overlap_blocks": "model previous-block leakage instead of a guard",
+    "overlap_blocks": "run_link_validation only: model previous-block leakage",
     "cp_len": "OFDM cyclic prefix; -1 selects N/8",
     "filter_file": "prototype coefficients file overriding the design",
     "snr_db": "comma-separated SNR grid in dB",
@@ -64,10 +69,26 @@ _FIELD_HELP = {
 # ---------------------------------------------------------------------------
 
 class _OutputSet:
-    """Atomic writes with rollback of everything written so far."""
+    """Atomic writes, used as ``with _OutputSet() as out:``. A clean exit
+    logs each written path in write order; an exception removes every file
+    written so far and propagates."""
 
     def __init__(self):
         self.written: list[str] = []
+
+    def __enter__(self) -> "_OutputSet":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            for path in self.written:
+                log.info("wrote %s", path)
+            return
+        for path in self.written:
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
 
     def write_text(self, path: str, text: str) -> None:
         directory = os.path.dirname(os.path.abspath(path))
@@ -82,14 +103,6 @@ class _OutputSet:
                 os.unlink(tmp)
             raise
         self.written.append(path)
-
-    def rollback(self) -> None:
-        for path in self.written:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        self.written.clear()
 
 
 def _csv_text(header: list[str], rows) -> str:
@@ -127,20 +140,14 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     for f in fields(RunConfig):
         group.add_argument("--" + f.name.replace("_", "-"),
                            dest="opt_" + f.name, metavar="VALUE",
-                           help=_FIELD_HELP.get(f.name, f.name))
+                           help=_FIELD_HELP[f.name])
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        cfg = load_config_file(args.config, cfg)
-    overrides = {}
-    for f in fields(RunConfig):
-        raw = getattr(args, "opt_" + f.name, None)
-        if raw is not None:
-            overrides[f.name] = raw
-    if overrides:
-        cfg = apply_overrides(cfg, overrides)
+    cfg = load_config_file(args.config) if args.config else RunConfig()
+    overrides = {f.name: raw for f in fields(RunConfig)
+                 if (raw := getattr(args, "opt_" + f.name)) is not None}
+    cfg = apply_overrides(cfg, overrides)
     preset = getattr(args, "preset", None)
     if preset and "subband_offsets" not in overrides:
         delta = cfg.async_offset() if preset == "async3band" else 0
@@ -148,26 +155,20 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg.validate()
 
 
-def _maybe_print_config(args: argparse.Namespace, cfg: RunConfig) -> bool:
-    if args.print_config:
-        sys.stdout.write(format_config(cfg))
-        return True
-    return False
-
-
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each gets the parsed arguments and the resolved configuration
 # ---------------------------------------------------------------------------
 
-def cmd_filter(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    if _maybe_print_config(args, cfg):
-        return 0
-    ctx = make_context(cfg)
+def _complexity_rows(cfg: RunConfig) -> list[tuple[str, object]]:
+    """The complexity report as (metric, value) rows, ``big_o`` last."""
     report = complexity_report(cfg.n, cfg.m, cfg.k, cfg.eta)
-    out = _OutputSet()
-    try:
-        join = lambda name: os.path.join(args.out_dir, name)
+    return report.rows() + [("big_o", report.big_o)]
+
+
+def cmd_filter(args: argparse.Namespace, cfg: RunConfig) -> int:
+    ctx = make_context(cfg)
+    join = lambda name: os.path.join(args.out_dir, name)
+    with _OutputSet() as out:
         out.write_text(join("prototype.txt"), "".join(
             f"{w:.17g}\n" for w in ctx.filt.coeffs))
         bands = autocorr_bands(ctx.segs)
@@ -185,20 +186,12 @@ def cmd_filter(args: argparse.Namespace) -> int:
             ["m", "n", "zeta"],
             ((mm, nu, f"{zeta[mm, nu]:.12g}")
              for mm in range(cfg.m) for nu in range(cfg.n))))
-        out.write_text(join("complexity.csv"), _csv_text(
-            ["metric", "value"], report.rows() + [("big_o", report.big_o)]))
-    except BaseException:
-        out.rollback()
-        raise
-    for path in out.written:
-        log.info("wrote %s", path)
+        out.write_text(join("complexity.csv"),
+                       _csv_text(["metric", "value"], _complexity_rows(cfg)))
     return 0
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    if _maybe_print_config(args, cfg):
-        return 0
+def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
     ctx = make_context(cfg)
     pdp = _profile(cfg)
     taps = ensemble_taps(pdp, cfg.theory_draws, cfg.seed)
@@ -224,20 +217,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             blocks.append("".join([f"{head}{key}{_db(v)}\n"
                                    for key, v in zip(keys[mode], values)]))
         log.info("analyzed snr=%g dB", snr_db)
-    out = _OutputSet()
-    try:
+    with _OutputSet() as out:
         out.write_text(args.out, "".join(blocks))
-    except BaseException:
-        out.rollback()
-        raise
-    log.info("wrote %s", args.out)
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    if _maybe_print_config(args, cfg):
-        return 0
+def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
     start = time.monotonic()
     result = run_multiservice(cfg)
     rows = []
@@ -247,9 +232,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         rows.append((f"{p.snr_db:g}", p.scheme, p.subband, "info_bits",
                      p.info_bits, 0))
     ber_path = os.path.join(args.out_dir, "ber.csv")
-    manifest_path = os.path.join(args.out_dir, "manifest.txt")
-    out = _OutputSet()
-    try:
+    with _OutputSet() as out:
         out.write_text(ber_path, _csv_text(
             ["snr_db", "scheme", "subband", "metric", "value", "ci_halfwidth"],
             rows))
@@ -263,32 +246,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ]
         if result.decision_snr_db is not None:
             manifest.insert(1, f"# decision_snr_db = {result.decision_snr_db:g}")
-        out.write_text(manifest_path, "\n".join(manifest) + "\n")
-    except BaseException:
-        out.rollback()
-        raise
-    for path in out.written:
-        log.info("wrote %s", path)
+        out.write_text(os.path.join(args.out_dir, "manifest.txt"),
+                       "\n".join(manifest) + "\n")
     return 0
 
 
-def cmd_complexity(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    if _maybe_print_config(args, cfg):
-        return 0
-    report = complexity_report(cfg.n, cfg.m, cfg.k, cfg.eta)
-    lines = [f"{name} = {value}" for name, value in report.rows()]
-    lines.append(f"big_o = {report.big_o}")
-    sys.stdout.write("\n".join(lines) + "\n")
+def cmd_complexity(args: argparse.Namespace, cfg: RunConfig) -> int:
+    rows = _complexity_rows(cfg)
+    sys.stdout.write("".join(f"{name} = {value}\n" for name, value in rows))
     if args.out:
-        out = _OutputSet()
-        try:
-            out.write_text(args.out, _csv_text(
-                ["metric", "value"], report.rows() + [("big_o", report.big_o)]))
-        except BaseException:
-            out.rollback()
-            raise
-        log.info("wrote %s", args.out)
+        with _OutputSet() as out:
+            out.write_text(args.out, _csv_text(["metric", "value"], rows))
     return 0
 
 
@@ -335,7 +303,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _resolve_config(args)
+        if args.print_config:
+            sys.stdout.write(format_config(cfg))
+            return 0
+        return args.func(args, cfg)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2

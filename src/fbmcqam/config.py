@@ -136,6 +136,8 @@ class RunConfig:
     def _band_violations(self) -> list[str]:
         errs = []
         starts, w = self.band_starts(), self.band_width()
+        if len(starts) != 3:
+            errs.append(f"subband_starts: {len(starts)} bands given, exactly 3 required")
         if w < 1:
             errs.append(f"subband_width: {w} must be >= 1")
             return errs
@@ -174,41 +176,17 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_int_tuple(text: str) -> tuple[int, ...]:
+def _parse_tuple(text: str, kind) -> tuple:
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(v) for v in text.split(","))
+    return tuple(kind(v) for v in text.split(","))
 
 
-def _parse_float_tuple(text: str) -> tuple[float, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(float(v) for v in text.split(","))
-
-
-def _coerce(name: str, kind, text: str):
-    text = text.strip()
-    if kind is bool:
-        return _parse_bool(text)
-    if kind is int:
-        return int(text)
-    if kind is float:
-        return float(text)
-    if kind is str:
-        return text
-    if kind is tuple:
-        return text  # resolved per-field below
-    raise AssertionError(name)
-
-
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_TUPLE_PARSERS = {
-    "snr_db": _parse_float_tuple,
-    "subband_starts": _parse_int_tuple,
-    "subband_offsets": _parse_int_tuple,
-}
+_FIELD_NAMES = {f.name for f in fields(RunConfig)}
+# element type of each tuple field; every other field parses as the type of
+# its default value
+_TUPLE_KINDS = {"snr_db": float, "subband_starts": int, "subband_offsets": int}
 
 
 def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:
@@ -218,15 +196,15 @@ def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:
     for key, raw in overrides.items():
         if key in _META_KEYS or key in _RETIRED_KEYS:
             continue
-        if key not in _FIELD_TYPES:
+        if key not in _FIELD_NAMES:
             errs.append(f"{key}: unknown configuration key")
             continue
         try:
-            if key in _TUPLE_PARSERS:
-                updates[key] = _TUPLE_PARSERS[key](raw)
+            if key in _TUPLE_KINDS:
+                updates[key] = _parse_tuple(raw, _TUPLE_KINDS[key])
             else:
-                ftype = type(getattr(cfg, key))
-                updates[key] = _coerce(key, ftype, raw)
+                kind = type(getattr(cfg, key))
+                updates[key] = (_parse_bool if kind is bool else kind)(raw.strip())
         except ValueError as exc:
             errs.append(f"{key}: {exc}")
     if errs:

@@ -377,29 +377,23 @@ class _MultiserviceEngine:
 
     def __init__(self, cfg: RunConfig, ctx: LinkContext, modes: tuple[str, ...]):
         cfg.validate()
-        starts = cfg.band_starts()
-        if len(starts) != 3:
-            raise ValueError(f"exactly 3 sub-bands are required, got {len(starts)}")
         self.cfg = cfg
         self.ctx = ctx
         self.modes = modes
         self.n, self.m = cfg.n, cfg.m
         self.width = cfg.band_width()
-        self.starts = starts
+        self.starts = cfg.band_starts()
         self.offsets = cfg.band_offsets()
         self.cp = cfg.cp()
         self.bps = int(np.log2(cfg.mod_order))
         self.t_len = window_length(self.n, self.m, cfg.k)
         self.pdp = _profile(cfg)
-        cap_bits = self.width * self.m * self.bps
-        if cfg.coded:
-            if cap_bits % 2:
-                raise ValueError("coded operation needs an even per-band bit capacity")
-            self.info_len = cap_bits // 2 - 6
-            if self.info_len < 1:
-                raise ValueError("sub-band too small for the zero-terminated code")
-        else:
-            self.info_len = cap_bits
+        cap_bits = self.width * self.m * self.bps   # even: bps is 2, 4 or 6
+        self.info_len = cap_bits // 2 - 6 if cfg.coded else cap_bits
+        if self.info_len < 1:
+            raise ConfigError("invalid configuration:\n  subband_width: sub-band too "
+                              f"small for the zero-terminated code ({cap_bits} coded "
+                              "bits per block, at least 14 needed)")
 
     def _band_symbols(self, rng: np.random.Generator, batch: int):
         """Fresh info bits and mapped symbol grids for all three users."""
@@ -442,9 +436,7 @@ class _MultiserviceEngine:
         sigma2_ofdm = sigma2 * step / n
         buf = np.zeros(((m + 2) * step, batch), dtype=complex)
         for u in range(3):
-            scale = np.sqrt(cfg.symbol_power / 2.0)
-            dummy = scale * (rng.standard_normal((self.width, 2, batch))
-                             + 1j * rng.standard_normal((self.width, 2, batch)))
+            dummy = complex_noise(rng, (self.width, 2, batch), cfg.symbol_power)
             train = np.concatenate([dummy[:, :1], grids[u], dummy[:, 1:]], axis=1)
             stream = ofdm_modulate(_band_grid(train, n, self.starts[u]), self.cp)
             buf += _shift_window(apply_taps(taps[u], stream), self.offsets[u])

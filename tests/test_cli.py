@@ -1,6 +1,6 @@
 """Command-line interface: file sets, exit codes, config resolution."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 import math
 import os
 import subprocess
@@ -258,11 +258,66 @@ def test_retired_guard_samples_flag_rejected(capsys):
 
 def test_runtime_error_exits_1(tmp_path, capsys):
     d = tmp_path / "out"
-    rc = main(_simulate_args(d, ["--subband-starts", "0,8",
-                                 "--subband-offsets", "0,0"]))
+    rc = main(_simulate_args(d, ["--filter-file", str(tmp_path / "missing.txt")]))
     assert rc == 1
     assert "error:" in capsys.readouterr().err
     assert not d.exists()
+
+
+@pytest.mark.parametrize("layout,message", [
+    (["--subband-starts", "0,32", "--subband-offsets", "0,0"], "exactly 3"),
+    (["--n", "8", "--m", "3", "--k", "2", "--channel-taps", "2",
+      "--mod-order", "4", "--subband-width", "1", "--subband-starts", "0,3,6"],
+     "too small"),
+])
+def test_invalid_band_layout_exits_2_without_outputs(tmp_path, capsys, layout,
+                                                     message):
+    d = tmp_path / "out"
+    assert main(["simulate", "--out-dir", str(d), *layout]) == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and message in err
+    assert not d.exists()
+
+
+def test_filter_failure_removes_files_already_written(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("zeta failed")
+
+    # zeta.csv comes after three files that are already in place
+    monkeypatch.setattr(cli, "zeta_grid", broken)
+    d = tmp_path / "out"
+    assert main(["filter", "--out-dir", str(d)] + SMALL) == 1
+    captured = capsys.readouterr()
+    assert "error: zeta failed" in captured.err and "wrote" not in captured.err
+    assert list(d.iterdir()) == []
+
+
+def test_simulate_failure_after_ber_csv_removes_it(tmp_path, capsys, monkeypatch):
+    def broken(cfg):
+        raise OSError("manifest failed")
+
+    # the manifest is built from format_config after ber.csv is written
+    monkeypatch.setattr(cli, "format_config", broken)
+    d = tmp_path / "out"
+    assert main(_simulate_args(d)) == 1
+    assert "error: manifest failed" in capsys.readouterr().err
+    assert list(d.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,target", [
+    ("filter", "--out-dir"), ("analyze", "--out"), ("simulate", "--out-dir"),
+    ("complexity", "--out")])
+def test_print_config_for_every_command(tmp_path, capsys, command, target):
+    path = tmp_path / "out"
+    assert main([command, target, str(path), "--print-config"] + SMALL) == 0
+    expected = apply_overrides(RunConfig(), {"n": "16", "m": "4", "k": "2",
+                                             "channel_taps": "4"})
+    assert parse_config_text(capsys.readouterr().out) == expected
+    assert not path.exists()
+
+
+def test_every_config_field_has_help():
+    assert set(cli._FIELD_HELP) == {f.name for f in fields(RunConfig)}
 
 
 def test_missing_config_file_exits_1(capsys):

@@ -50,6 +50,8 @@ def test_band_violations():
         RunConfig(subband_offsets=(0, 0)).validate()
     with pytest.raises(ConfigError, match="subband_offsets"):
         RunConfig(subband_offsets=(0, 0, 64 * 14)).validate()
+    with pytest.raises(ConfigError, match="2 bands given, exactly 3 required"):
+        RunConfig(subband_starts=(0, 32), subband_offsets=(0, 0)).validate()
 
 
 def test_channel_longer_than_half_symbol_rejected():
@@ -100,6 +102,15 @@ def test_bad_values_report_field():
         apply_overrides(RunConfig(), {"trials": "many"})
     with pytest.raises(ConfigError, match="coded"):
         apply_overrides(RunConfig(), {"coded": "maybe"})
+
+
+def test_scalar_fields_parse_as_their_default_type():
+    cfg = apply_overrides(RunConfig(), {"n": " 32 ", "eta": "0.5",
+                                        "equalizer": " zf ", "pdp_normalize": "no"})
+    assert (cfg.n, cfg.eta, cfg.equalizer, cfg.pdp_normalize) == (32, 0.5, "zf", False)
+    assert type(cfg.n) is int and type(cfg.eta) is float
+    with pytest.raises(ConfigError, match="eta: could not convert string to float"):
+        apply_overrides(RunConfig(), {"eta": "half"})
 
 
 def test_bool_spellings():
