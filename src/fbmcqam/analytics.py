@@ -23,6 +23,13 @@ fd/ibi/noise by the enhancement factor zeta, which is exact for white noise
 but understates the structured fd error; the exact R-transformed values are
 exposed separately as ``fd_exact``/``ibi_exact`` diagnostics.
 
+The matched-filter leakage closed form lives in one place:
+:func:`leakage_sums` correlates the :class:`InterferenceTables` (built once
+per link, in ``simulator.make_context``) with a per-subcarrier weight, and
+:func:`neighbor_counts` says how many symbols sit at each band distance
+inside the block. The breakdown weights the receiver side by |C|^2; the
+link validator weights the donor side by |E|^2.
+
 The fd/ibi covariances never form a matrix of size MN x MN. For a delay of
 l samples, block (j', j) of P^T B_l, with B_l the dispersion or the
 previous-block operator, is a diagonal times a cyclic shift by l, and so is
@@ -38,12 +45,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import PowerDelayProfile, draw_taps, freq_response
-from .filterbank import autocorr_bands, kept_mask
+from .filterbank import kept_mask
 from .transceiver import make_equalizer
 
 __all__ = [
     "InterferenceTables",
     "interference_tables",
+    "neighbor_counts",
+    "leakage_sums",
     "zeta_factors",
     "MseBreakdown",
     "DisplacedCovariances",
@@ -82,14 +91,16 @@ def interference_tables(bands: np.ndarray, m: int) -> InterferenceTables:
     # own band: main circulant diagonal is mean(g_0) = 1 exactly; leakage is
     # everything off it
     alpha_ici = float(power[0].sum() - power[0, 0] + (prof[0, 0].real - 1.0) ** 2)
-    alpha_isi = np.zeros(m)
-    for ref in range(m):
-        for d in range(1, k):
-            if ref - d >= 0:
-                alpha_isi[ref] += power[d].sum()
-            if ref + d < m:
-                alpha_isi[ref] += power[d].sum()
+    alpha_isi = neighbor_counts(m, k) @ power[1:].sum(axis=1)
     return InterferenceTables(power, alpha_ici, alpha_isi)
+
+
+def neighbor_counts(m: int, k: int) -> np.ndarray:
+    """(M, K - 1) counts: entry [ref, d - 1] is how many symbols of an M-symbol
+    block sit at distance d from symbol ``ref`` (0, 1 or 2)."""
+    ref = np.arange(m)[:, None]
+    d = np.arange(1, k)[None, :]
+    return (ref - d >= 0).astype(int) + (ref + d < m)
 
 
 def _circconv(a: np.ndarray, fb: np.ndarray) -> np.ndarray:
@@ -97,6 +108,24 @@ def _circconv(a: np.ndarray, fb: np.ndarray) -> np.ndarray:
     of b, given ``fb = np.fft.fft(b, axis=-1)`` so that one transform of b
     serves several ``a``."""
     return np.fft.ifft(np.fft.fft(a) * fb, axis=-1).real
+
+
+def leakage_sums(tables: InterferenceTables, w: np.ndarray):
+    """Matched-filter leakage of the tables correlated with a weight ``w``
+    (..., N).
+
+    Returns ``own``, the same-symbol sum circconv(power[0], w) - power[0, 0] w
+    (the main circulant diagonal is the desired symbol, not leakage), and
+    ``per_d``, an iterator over the cross-symbol sums circconv(power[d], w)
+    at band distances d = 1, ..., K - 1, made one at a time so that a
+    caller reducing each holds one (..., N) array, not K - 1. The profiles
+    are symmetric in the lag, so these are also the correlations. All have
+    the shape of ``w``; :func:`neighbor_counts` says how many symbols sit at
+    each distance.
+    """
+    fw = np.fft.fft(w, axis=-1)
+    own = _circconv(tables.power[0], fw) - tables.power[0, 0] * w
+    return own, (_circconv(p, fw) for p in tables.power[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +199,7 @@ def _diagonals(d: np.ndarray, moments: np.ndarray) -> np.ndarray:
     E_l E_l' over donor block and sample, entry n is
     (1/N) Re sum_{l,l'} moments[l, l'] C[m, l, l'] e^{-2 pi i n (l - l') / N}.
     """
+    d = np.ascontiguousarray(d)    # the summation order follows the layout
     n_delay, m, _, n = d.shape
     e = np.stack([np.roll(d[l], -l, axis=-1) for l in range(n_delay)])
     x = e.transpose(1, 0, 2, 3).reshape(m, n_delay, m * n)
@@ -283,9 +313,9 @@ def averaged_breakdown(cfg, ctx, mode: str, taps: np.ndarray, sigma2: float,
     equalizer-dependent terms are averaged. ``cov`` holds the displaced
     covariances for the same channel: ``taps=`` for one realization, the
     ensemble ``weights=`` for a stack; the inverse-filter variants are needed
-    for ``mode="if"``. ``ctx`` supplies the filter bank (``segs``, ``gram``
-    and the exact inverse ``inv``); ``cfg`` the numerology, symbol power and
-    equalizer.
+    for ``mode="if"``. ``ctx`` supplies the filter bank (the interference
+    ``tables``, ``gram`` and the exact inverse ``inv``); ``cfg`` the
+    numerology, symbol power and equalizer.
     """
     n, m = cfg.n, cfg.m
     delta2 = cfg.symbol_power
@@ -295,26 +325,21 @@ def averaged_breakdown(cfg, ctx, mode: str, taps: np.ndarray, sigma2: float,
     abse2 = np.abs(eq.coeffs) ** 2
     abse2_bar = abse2.mean(axis=0)
 
-    k = ctx.segs.shape[0]
-    tables = interference_tables(autocorr_bands(ctx.segs), m)
     # equalizer bias delta^2 (1 - beta_n)^2; zero for ZF
     resd = np.repeat((delta2 * ((1.0 - eq.beta) ** 2).mean(axis=0))[None, :], m, axis=0)
     zgrid = zeta_grid(ctx.inv, ctx.gram)
 
     if mode == "nif":
-        fc = np.fft.fft(absc2, axis=-1)
-        ici_n = delta2 * (abse2 * (_circconv(tables.power[0], fc)
-                                   - tables.power[0, 0] * absc2)).mean(axis=0)
+        own, per_d = leakage_sums(ctx.tables, absc2)
+        ici_n = delta2 * (abse2 * own).mean(axis=0)
         ici = np.repeat(ici_n[None, :], m, axis=0)
         isi = np.zeros((m, n))
-        conv_d = [None] + [(abse2 * _circconv(tables.power[d], fc)).mean(axis=0)
-                           for d in range(1, k)]
-        for ref in range(m):
+        conv_d = [(abse2 * conv).mean(axis=0) for conv in per_d]
+        for ref, counts in enumerate(neighbor_counts(m, cfg.k)):
             acc = np.zeros(n)
-            for d in range(1, k):
-                count = (ref - d >= 0) + (ref + d < m)
+            for count, conv in zip(counts, conv_d):
                 if count:
-                    acc += count * conv_d[d]
+                    acc += count * conv
             isi[ref] = delta2 * acc
         fd = delta2 * abse2_bar * cov.fd_nif
         ibi = delta2 * abse2_bar * cov.ibi_nif if with_ibi else np.zeros((m, n))

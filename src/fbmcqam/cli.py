@@ -6,9 +6,9 @@ configuration once (built-in defaults, then a ``--config`` file, then a
 ``--print-config``, and calls ``cmd_<name>(args, cfg)``, which holds only
 the command's own work. A command writes its files inside ``with
 _OutputSet() as out:``: each file is written atomically, and if the command
-aborts, the files it already wrote are removed, so a zero exit status means
-the full output set exists. Exit status 2 flags an invalid configuration,
-1 an I/O or runtime failure.
+aborts, the files it already wrote and the directories it created are
+removed, so a zero exit status means the full output set exists. Exit
+status 2 flags an invalid configuration, 1 an I/O or runtime failure.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from .analytics import (averaged_breakdown, complexity_report, displaced_covaria
                         ensemble_taps, zeta_grid)
 from .config import (ConfigError, RunConfig, apply_overrides, format_config,
                      load_config_file, WORKER_ENV_VAR)
-from .filterbank import autocorr_bands
-from .simulator import _profile, make_context, run_multiservice
+from .simulator import channel_profile, make_context, run_multiservice
 
 log = logging.getLogger("fbmcqam")
 
@@ -71,10 +70,12 @@ _FIELD_HELP = {
 class _OutputSet:
     """Atomic writes, used as ``with _OutputSet() as out:``. A clean exit
     logs each written path in write order; an exception removes every file
-    written so far and propagates."""
+    written so far, then every directory the set created (deepest first),
+    and propagates."""
 
     def __init__(self):
         self.written: list[str] = []
+        self.created: list[str] = []
 
     def __enter__(self) -> "_OutputSet":
         return self
@@ -89,10 +90,21 @@ class _OutputSet:
                 os.unlink(path)
             except OSError:
                 pass
+        for directory in reversed(self.created):
+            try:
+                os.rmdir(directory)
+            except OSError:
+                pass
 
     def write_text(self, path: str, text: str) -> None:
         directory = os.path.dirname(os.path.abspath(path))
+        missing = []
+        parent = directory
+        while not os.path.isdir(parent):
+            missing.append(parent)
+            parent = os.path.dirname(parent)
         os.makedirs(directory, exist_ok=True)
+        self.created.extend(reversed(missing))
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fbmcqam-")
         try:
             with os.fdopen(fd, "w") as fh:
@@ -171,10 +183,9 @@ def cmd_filter(args: argparse.Namespace, cfg: RunConfig) -> int:
     with _OutputSet() as out:
         out.write_text(join("prototype.txt"), "".join(
             f"{w:.17g}\n" for w in ctx.filt.coeffs))
-        bands = autocorr_bands(ctx.segs)
         out.write_text(join("gram_bands.csv"), _csv_text(
             ["d", "nu", "value"],
-            ((d, nu, f"{bands[d, nu]:.12g}")
+            ((d, nu, f"{ctx.bands[d, nu]:.12g}")
              for d in range(cfg.k) for nu in range(cfg.n))))
         norms = np.sqrt(np.sum(ctx.inv_rx ** 2, axis=0))
         out.write_text(join("inverse_block_norms.csv"), _csv_text(
@@ -193,7 +204,7 @@ def cmd_filter(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
     ctx = make_context(cfg)
-    pdp = _profile(cfg)
+    pdp = channel_profile(cfg)
     taps = ensemble_taps(pdp, cfg.theory_draws, cfg.seed)
     mode_components = {"nif": ("resd", "ici", "isi", "fd", "ibi", "noise",
                                "total", "sinr"),

@@ -215,6 +215,7 @@ def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:
 def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
     cfg = base or RunConfig()
     overrides: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     errs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -224,7 +225,13 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
             errs.append(f"line {lineno}: expected 'key = value', got {stripped!r}")
             continue
         key, _, value = stripped.partition("=")
-        overrides[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first_line:
+            errs.append(f"line {lineno}: key {key!r} already set on line "
+                        f"{first_line[key]}")
+            continue
+        first_line[key] = lineno
+        overrides[key] = value.strip()
     if errs:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errs))
     return apply_overrides(cfg, overrides)

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "dft",
-    "idft",
     "idft_block",
     "dft_segments",
     "qam_map",
@@ -34,16 +32,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Transforms
 # ---------------------------------------------------------------------------
-
-def dft(x: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Unitary DFT along ``axis``."""
-    return np.fft.fft(x, axis=axis, norm="ortho")
-
-
-def idft(x: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Unitary inverse DFT along ``axis``."""
-    return np.fft.ifft(x, axis=axis, norm="ortho")
-
 
 def idft_block(S: np.ndarray) -> np.ndarray:
     """Stack per-symbol unitary IDFTs of an N x M (x batch) symbol grid.

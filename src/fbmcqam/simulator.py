@@ -14,8 +14,9 @@ import logging
 
 import numpy as np
 
-from .analytics import (MseBreakdown, _circconv, averaged_breakdown,
-                        displaced_covariances, interference_tables, zeta_factors)
+from .analytics import (InterferenceTables, MseBreakdown, averaged_breakdown,
+                        displaced_covariances, interference_tables, leakage_sums,
+                        neighbor_counts, zeta_factors)
 from .channel import (PowerDelayProfile, apply_taps, complex_noise, draw_taps,
                       freq_response, overlap_tail)
 from .config import ConfigError, RunConfig, worker_count
@@ -24,11 +25,12 @@ from .core import (PrototypeFilter, design_prototype, load_prototype_file,
 from .fec import conv_encode, viterbi_decode
 from .filterbank import (autocorr_bands, gram_stack, inverse_stack, kept_mask,
                          sparsify_inverse, tap_segments, window_length)
-from .transceiver import (_equalize, fbmc_demodulate, fbmc_receive, fbmc_transmit,
+from .transceiver import (equalize, fbmc_demodulate, fbmc_receive, fbmc_transmit,
                           make_equalizer, ofdm_demodulate, ofdm_modulate)
 
 __all__ = [
     "build_filter",
+    "channel_profile",
     "LinkContext",
     "make_context",
     "ComponentCheck",
@@ -53,7 +55,9 @@ def build_filter(cfg: RunConfig) -> PrototypeFilter:
     return design_prototype(cfg.k, cfg.n)
 
 
-def _profile(cfg: RunConfig) -> PowerDelayProfile:
+def channel_profile(cfg: RunConfig) -> PowerDelayProfile:
+    """The configured power-delay profile: ``pdp_file`` if given, else the
+    exponential default."""
     if cfg.pdp_file:
         pdp = PowerDelayProfile.from_file(cfg.pdp_file, cfg.pdp_normalize)
         # the limit RunConfig.violations puts on channel_taps
@@ -70,6 +74,8 @@ class LinkContext:
 
     filt: PrototypeFilter
     segs: np.ndarray
+    bands: np.ndarray        # (K, N) autocorrelation bands of the filter
+    tables: InterferenceTables   # matched-filter leakage profiles of ``bands``
     gram: np.ndarray
     inv: np.ndarray          # exact inverse stack
     inv_rx: np.ndarray       # inverse actually applied (masked when eta > 0)
@@ -79,10 +85,12 @@ class LinkContext:
 def make_context(cfg: RunConfig) -> LinkContext:
     filt = build_filter(cfg)
     segs = tap_segments(filt)
-    gram = gram_stack(autocorr_bands(segs), cfg.m)
+    bands = autocorr_bands(segs)
+    gram = gram_stack(bands, cfg.m)
     inv = inverse_stack(gram)
     inv_rx = sparsify_inverse(inv, kept_mask(cfg.n, cfg.eta)) if cfg.eta > 0 else inv
-    return LinkContext(filt, segs, gram, inv, inv_rx, zeta_factors(inv_rx, gram))
+    return LinkContext(filt, segs, bands, interference_tables(bands, cfg.m), gram,
+                       inv, inv_rx, zeta_factors(inv_rx, gram))
 
 
 def _sigma2(cfg: RunConfig, snr_db: float) -> float:
@@ -172,7 +180,7 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
 
     master = np.random.SeedSequence(cfg.seed)
     ss_channel, ss_data, ss_noise = master.spawn(3)
-    h = draw_taps(_profile(cfg), np.random.default_rng(ss_channel))
+    h = draw_taps(channel_profile(cfg), np.random.default_rng(ss_channel))
     c = freq_response(h, n)
 
     trials = cfg.trials or max(int(np.ceil(1e5 / (n * m))), 16 * m)
@@ -218,21 +226,17 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
     S_sub = np.zeros_like(S)
     S_sub[sub_sel] = S[sub_sel]
     y_sub = demodulate(fbmc_transmit(c[:, None, None] * S_sub, ctx.segs))
-    tables = interference_tables(autocorr_bands(ctx.segs), m)
 
     points = []
     for snr_db in cfg.snr_db:
         sigma2 = _sigma2(cfg, snr_db)
         bd = averaged_breakdown(cfg, ctx, mode, h, sigma2, cov, with_ibi=with_ibi)
         eq = make_equalizer(c, cfg.equalizer, sigma2, delta2)
-
-        def equalize(y):
-            return _equalize(eq.coeffs, y)
-
         noise = complex_noise(rng_noise, (t_len, trials), sigma2)
-        meas_noise = np.mean(np.abs(equalize(demodulate(noise))) ** 2, axis=(0, 1))
+        meas_noise = np.mean(np.abs(equalize(eq.coeffs, demodulate(noise))) ** 2,
+                             axis=(0, 1))
 
-        est_stim = equalize(y_stim)
+        est_stim = equalize(eq.coeffs, y_stim)
         own = np.abs((est_stim - eq.beta[:, None, None] * S_stim)[sel]) ** 2
         meas_ici = own.mean(axis=0)                          # per trial
         cross = np.abs(est_stim) ** 2
@@ -240,29 +244,23 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
         # one stimulus cycle accumulates the full cross-symbol error per block
         meas_isi = cross.sum(axis=(0, 1)).reshape(-1, m).sum(axis=1) / (n * m)
 
-        meas_fd = np.mean(np.abs(equalize(y_fd)) ** 2, axis=(0, 1))
+        meas_fd = np.mean(np.abs(equalize(eq.coeffs, y_fd)) ** 2, axis=(0, 1))
 
-        est_sub = equalize(y_sub)
+        est_sub = equalize(eq.coeffs, y_sub)
         col = np.abs(est_sub[:, m0, :]) ** 2
         meas_ici_sub = col.sum(axis=0) - col[sub_q, np.arange(trials)]
         rest = np.abs(est_sub) ** 2
         rest[:, m0, :] = 0.0
         meas_isi_sub = rest.sum(axis=(0, 1))
-        # per-donor-subcarrier leakage sums over receivers; the profiles are
-        # symmetric in the lag, so the correlation is a circular convolution
-        gain2 = np.abs(eq.coeffs) ** 2
+        # per-donor-subcarrier leakage sums over receivers
         cq2 = delta2 * np.abs(c) ** 2
-        if bd.mode == "if":
-            pq_ici = np.zeros(n)
-            pq_isi = np.zeros(n)
-        else:
-            fg = np.fft.fft(gain2)
-            pq_ici = cq2 * (_circconv(tables.power[0], fg)
-                            - tables.power[0, 0] * gain2)
-            pq_isi = np.zeros(n)
-            for d in range(1, cfg.k):
-                count = (m0 - d >= 0) + (m0 + d < m)
-                pq_isi += count * cq2 * _circconv(tables.power[d], fg)
+        pq_ici = np.zeros(n)
+        pq_isi = np.zeros(n)
+        if bd.mode == "nif":
+            own, per_d = leakage_sums(ctx.tables, np.abs(eq.coeffs) ** 2)
+            pq_ici = cq2 * own
+            for count, cross_d in zip(neighbor_counts(m, cfg.k)[m0], per_d):
+                pq_isi += count * cq2 * cross_d
 
         pred_ici_m = bd.ici.mean(axis=1)                     # per stimulus position
         pred_fd = bd.fd_exact if bd.mode == "if" else bd.fd
@@ -281,12 +279,12 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
         pred_total = float((bd.resd + bd.ici + bd.isi + pred_fd + bd.noise).mean())
         if with_ibi:
             pred_ibi = bd.ibi_exact if bd.mode == "if" else bd.ibi
-            meas_ibi = np.mean(np.abs(equalize(y_ibi)) ** 2, axis=(0, 1))
+            meas_ibi = np.mean(np.abs(equalize(eq.coeffs, y_ibi)) ** 2, axis=(0, 1))
             checks.append(_check("ibi", meas_ibi, float(pred_ibi.mean()), atol))
             pred_total += float(pred_ibi.mean())
 
         r_full = r_lin + noise if tails is None else r_lin + tails + noise
-        meas_total = np.mean(np.abs(equalize(demodulate(r_full)) - S) ** 2,
+        meas_total = np.mean(np.abs(equalize(eq.coeffs, demodulate(r_full)) - S) ** 2,
                              axis=(0, 1))
         total_measured = float(meas_total.mean())
         gap_db = abs(10 * np.log10(total_measured / pred_total))
@@ -387,7 +385,7 @@ class _MultiserviceEngine:
         self.cp = cfg.cp()
         self.bps = int(np.log2(cfg.mod_order))
         self.t_len = window_length(self.n, self.m, cfg.k)
-        self.pdp = _profile(cfg)
+        self.pdp = channel_profile(cfg)
         cap_bits = self.width * self.m * self.bps   # even: bps is 2, 4 or 6
         self.info_len = cap_bits // 2 - 6 if cfg.coded else cap_bits
         if self.info_len < 1:
@@ -443,7 +441,7 @@ class _MultiserviceEngine:
         buf += complex_noise(rng, buf.shape, sigma2_ofdm)
         grid_rx = ofdm_demodulate(buf, n, self.cp)[:, 1:m + 1]
         eqo = make_equalizer(mid_c, cfg.equalizer, sigma2_ofdm, cfg.symbol_power)
-        esto = eqo.coeffs.T[:, None, :] * grid_rx
+        esto = equalize(eqo.coeffs.T, grid_rx)
         nvo = sigma2_ofdm * np.abs(eqo.coeffs.T[:, None, :]) ** 2 * np.ones((1, m, 1))
         out["ofdm"] = self._tally(esto, nvo, infos[1])
         return out

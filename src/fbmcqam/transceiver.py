@@ -23,6 +23,7 @@ from .filterbank import MultiplyCounter, apply_adjoint, apply_filter, apply_inve
 __all__ = [
     "Equalizer",
     "make_equalizer",
+    "equalize",
     "fbmc_transmit",
     "fbmc_demodulate",
     "fbmc_receive",
@@ -85,7 +86,7 @@ def fbmc_demodulate(r: np.ndarray, segs: np.ndarray, inv: np.ndarray | None = No
     return dft_segments(x, segs.shape[1])
 
 
-def _equalize(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
+def equalize(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Apply one-tap coefficients, shared (N,) or per trial (N, B), to an
     N x M (x B) grid."""
     e = np.expand_dims(coeffs, tuple(range(1, y.ndim - coeffs.ndim + 1)))
@@ -100,7 +101,7 @@ def fbmc_receive(r: np.ndarray, segs: np.ndarray, coeffs: np.ndarray,
     ``coeffs`` holds the one-tap equalizer coefficients, shared (N,) or per
     trial (N, B).
     """
-    return _equalize(coeffs, fbmc_demodulate(r, segs, inv, counter))
+    return equalize(coeffs, fbmc_demodulate(r, segs, inv, counter))
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from fbmcqam.channel import (apply_taps, complex_noise, draw_taps, freq_response
 from fbmcqam.cli import _csv_text, _db
 from fbmcqam.core import qam_map
 from fbmcqam.filterbank import autocorr_bands, window_length
-from fbmcqam.simulator import (LinkValidationPoint, _check, _profile, _sigma2,
-                               make_context)
+from fbmcqam.simulator import (LinkValidationPoint, _check, _sigma2,
+                               channel_profile, make_context)
 from fbmcqam.transceiver import fbmc_receive, fbmc_transmit, make_equalizer
 
 
@@ -112,7 +112,7 @@ def reference_mse_csv(cfg):
     """The text of ``fbmcqam analyze``'s CSV for ``cfg``, one row tuple per
     (SNR, mode, m, n, component), joined by ``cli._csv_text``."""
     ctx = make_context(cfg)
-    pdp = _profile(cfg)
+    pdp = channel_profile(cfg)
     taps = ensemble_taps(pdp, cfg.theory_draws, cfg.seed)
     mode_components = {"nif": ("resd", "ici", "isi", "fd", "ibi", "noise",
                                "total", "sinr"),
@@ -147,7 +147,7 @@ def reference_link_validation(cfg):
 
     master = np.random.SeedSequence(cfg.seed)
     ss_channel, ss_data, ss_noise = master.spawn(3)
-    h = draw_taps(_profile(cfg), np.random.default_rng(ss_channel))
+    h = draw_taps(channel_profile(cfg), np.random.default_rng(ss_channel))
     c = freq_response(h, n)
 
     trials = cfg.trials or max(int(np.ceil(1e5 / (n * m))), 16 * m)

@@ -7,9 +7,10 @@ helpers.py straight from the definitions.
 import numpy as np
 import pytest
 
-from fbmcqam.analytics import (_delay_tables, averaged_breakdown, complexity_report,
-                               displaced_covariances, ensemble_taps,
-                               interference_tables, zeta_factors, zeta_grid)
+from fbmcqam.analytics import (_delay_tables, _diagonals, averaged_breakdown,
+                               complexity_report, displaced_covariances, ensemble_taps,
+                               interference_tables, leakage_sums, neighbor_counts,
+                               zeta_factors, zeta_grid)
 from fbmcqam.channel import PowerDelayProfile, draw_taps, freq_response
 from fbmcqam.config import RunConfig
 from fbmcqam.core import design_prototype
@@ -91,6 +92,41 @@ def test_rectangular_filter_has_no_leakage():
     np.testing.assert_allclose(gram, np.broadcast_to(np.eye(4), (16, 4, 4)),
                                atol=1e-12)
     np.testing.assert_allclose(zeta_factors(inv, gram), 1.0, atol=1e-12)
+
+
+def test_neighbor_counts_follow_the_block_edges():
+    counts = neighbor_counts(5, 4)
+    assert counts.shape == (5, 3)
+    # symbol 0 has neighbors only on its right, symbol 2 on both sides up to
+    # distance 2, and nobody sits 3 away from the middle of five
+    np.testing.assert_array_equal(counts[0], [1, 1, 1])
+    np.testing.assert_array_equal(counts[2], [2, 2, 0])
+    np.testing.assert_array_equal(counts, counts[::-1])
+    assert neighbor_counts(3, 1).shape == (3, 0)
+
+
+def test_leakage_sums_match_explicit_sums():
+    n, m, k = 8, 5, 3
+    _, bands, _, _ = _setup(n, m, k)
+    tables = interference_tables(bands, m)
+    w = np.random.default_rng(33).uniform(0.5, 2.0, size=(2, n))
+    own, per_d = leakage_sums(tables, w)
+    per_d = list(per_d)
+    assert own.shape == w.shape and len(per_d) == k - 1
+    lag = (np.arange(n)[:, None] - np.arange(n)) % n        # (n, q)
+    off = ~np.eye(n, dtype=bool)
+    for row in range(2):
+        for nu in range(n):
+            want = np.sum((tables.power[0][lag[nu]] * w[row])[off[nu]])
+            assert own[row, nu] == pytest.approx(want, rel=1e-12)
+            for d in range(1, k):
+                want = np.sum(tables.power[d][lag[nu]] * w[row])
+                assert per_d[d - 1][row, nu] == pytest.approx(want, rel=1e-12)
+    # a flat weight collapses onto the tables' totals
+    own, per_d = leakage_sums(tables, np.ones(n))
+    np.testing.assert_allclose(own, tables.alpha_ici, rtol=1e-12)
+    np.testing.assert_allclose(neighbor_counts(m, k) @ [p[0] for p in per_d],
+                               tables.alpha_isi, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +252,26 @@ def test_delay_tables_equal_blockwise_reference(n, m, k, n_taps):
     ref_fd, ref_tail = reference_delay_tables(segs, m, n_taps)
     assert np.array_equal(fd, ref_fd)
     assert np.array_equal(tail, ref_tail)
+
+
+def test_diagonals_depend_on_values_not_layout():
+    # the inverse-filter tables come out of an einsum whose output layout is
+    # numpy's choice; equal values must give equal bits whatever the strides
+    n, m, k, n_taps = 16, 6, 4, 5
+    segs, _, _, inv = _setup(n, m, k)
+    fd, tail = _delay_tables(segs, m, n_taps)
+    taps = np.random.default_rng(34).normal(size=(n_taps, 2)) @ [1, 1j]
+    moments = np.outer(taps, np.conj(taps))
+    for d in (fd, tail):
+        table = np.einsum("vai,lijv->lajv", inv, d)
+        c_order = np.ascontiguousarray(table)
+        wide = np.zeros(table.shape + (2,))
+        wide[..., 1] = table
+        for other in (table, np.asfortranarray(table), wide[..., 1]):
+            assert np.array_equal(other, c_order)
+            assert np.array_equal(_diagonals(other, moments),
+                                  _diagonals(c_order, moments))
+        assert not wide[..., 1].flags.c_contiguous
 
 
 def test_covariances_reject_channels_longer_than_a_segment():

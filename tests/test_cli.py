@@ -242,6 +242,15 @@ def test_long_loaded_profile_exits_2_without_outputs(tmp_path, capsys, command):
     assert run(8) == 0
 
 
+def test_repeated_config_key_exits_2_without_outputs(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("n = 16\nm = 4\nn = 32\n")
+    out = tmp_path / "out"
+    assert main(["filter", "--config", str(path), "--out-dir", str(out)]) == 2
+    assert "line 3: key 'n' already set on line 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text("bogus = 3\n")
@@ -286,9 +295,14 @@ def test_filter_failure_removes_files_already_written(tmp_path, capsys, monkeypa
     # zeta.csv comes after three files that are already in place
     monkeypatch.setattr(cli, "zeta_grid", broken)
     d = tmp_path / "out"
-    assert main(["filter", "--out-dir", str(d)] + SMALL) == 1
+    assert main(["filter", "--out-dir", str(d / "run")] + SMALL) == 1
     captured = capsys.readouterr()
     assert "error: zeta failed" in captured.err and "wrote" not in captured.err
+    assert not d.exists()
+    # a directory that was there before the command survives, emptied of
+    # what the command wrote; only the directory the command made goes
+    d.mkdir()
+    assert main(["filter", "--out-dir", str(d / "run")] + SMALL) == 1
     assert list(d.iterdir()) == []
 
 
@@ -301,7 +315,7 @@ def test_simulate_failure_after_ber_csv_removes_it(tmp_path, capsys, monkeypatch
     d = tmp_path / "out"
     assert main(_simulate_args(d)) == 1
     assert "error: manifest failed" in capsys.readouterr().err
-    assert list(d.iterdir()) == []
+    assert not d.exists()
 
 
 @pytest.mark.parametrize("command,target", [

@@ -76,6 +76,14 @@ def test_parse_reports_malformed_line_number():
         parse_config_text("n = 16\nnot a key value pair\n")
 
 
+def test_repeated_key_rejected_with_both_line_numbers():
+    with pytest.raises(ConfigError, match=r"line 3: key 'n' already set on line 1"):
+        parse_config_text("n = 16\nseed = 7\nn = 32\n")
+    # spacing around the key does not hide a repeat
+    with pytest.raises(ConfigError, match="line 2: key 'seed'"):
+        parse_config_text("seed = 7\n  seed=8\n")
+
+
 def test_manifest_meta_keys_ignored():
     text = ("n = 16\nmaster_seed = 5\ntool_version = 9.9\n"
             "wall_time_s = 1.25\noutputs = ber.csv\n")

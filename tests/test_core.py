@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbmcqam.core import (SUPPORTED_OVERLAPS, PrototypeFilter, design_prototype,
-                          dft, dft_segments, idft, idft_block,
-                          load_prototype_file, qam_demap, qam_levels, qam_llrs,
-                          qam_map)
+                          dft_segments, idft_block, load_prototype_file,
+                          qam_demap, qam_levels, qam_llrs, qam_map)
+from helpers import unitary_dft
 
 
 # ---------------------------------------------------------------------------
@@ -16,18 +16,23 @@ from fbmcqam.core import (SUPPORTED_OVERLAPS, PrototypeFilter, design_prototype,
 # ---------------------------------------------------------------------------
 
 def test_dft_matches_naive_sum():
+    # each segment's transform is the unitary DFT matrix applied to it
     rng = np.random.default_rng(0)
     n = 12
-    x = rng.normal(size=n) + 1j * rng.normal(size=n)
-    grid = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
-    np.testing.assert_allclose(dft(x), grid @ x / np.sqrt(n), atol=1e-12)
+    x = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+    f = unitary_dft(n)
+    np.testing.assert_allclose(dft_segments(x, n),
+                               np.stack([f @ x[:n], f @ x[n:]], axis=1), atol=1e-12)
 
 
 def test_dft_idft_unitary():
     rng = np.random.default_rng(1)
-    x = rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3))
-    np.testing.assert_allclose(idft(dft(x)), x, atol=1e-12)
-    assert np.linalg.norm(dft(x)) == pytest.approx(np.linalg.norm(x))
+    S = rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3))
+    b = idft_block(S)
+    np.testing.assert_allclose(dft_segments(b, 16), S, atol=1e-12)
+    assert np.linalg.norm(b) == pytest.approx(np.linalg.norm(S))
+    assert np.linalg.norm(dft_segments(S.ravel(), 16)) == pytest.approx(
+        np.linalg.norm(S))
 
 
 def test_idft_block_layout():
@@ -36,7 +41,8 @@ def test_idft_block_layout():
     S = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
     b = idft_block(S)
     assert b.shape == (24,)
-    np.testing.assert_allclose(b[8:16], idft(S[:, 1]), atol=1e-12)
+    np.testing.assert_allclose(b[8:16], unitary_dft(8).conj().T @ S[:, 1],
+                               atol=1e-12)
     np.testing.assert_allclose(dft_segments(b, 8), S, atol=1e-12)
 
 
