@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .analytics import (averaged_breakdown, complexity_report, displaced_covariances,
-                        ensemble_taps, zeta_grid)
+                        ensemble_taps)
 from .config import (ConfigError, RunConfig, apply_overrides, format_config,
                      load_config_file, WORKER_ENV_VAR)
 from .simulator import channel_profile, make_context, run_multiservice
@@ -192,7 +192,7 @@ def cmd_filter(args: argparse.Namespace, cfg: RunConfig) -> int:
             ["m", "i", "frobenius"],
             ((mm, i, f"{norms[mm, i]:.12g}")
              for mm in range(cfg.m) for i in range(cfg.m))))
-        zeta = zeta_grid(ctx.inv_rx, ctx.gram)
+        zeta = np.repeat(ctx.zeta_m[:, None], cfg.n, axis=1)
         out.write_text(join("zeta.csv"), _csv_text(
             ["m", "n", "zeta"],
             ((mm, nu, f"{zeta[mm, nu]:.12g}")

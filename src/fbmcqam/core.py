@@ -116,9 +116,22 @@ def qam_map(bits: np.ndarray, order: int, power: float = 1.0) -> np.ndarray:
 
 
 def _axis_decide(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Nearest level per sample; ties resolve to the smallest label (argmin order)."""
-    d = np.abs(x[..., None] - levels)
-    return np.argmin(d, axis=-1)
+    """Nearest level per sample; ties resolve to the smallest label (argmin order).
+
+    One pass per level over the samples: a label moves only where the new
+    distance is strictly smaller than the best so far.
+    """
+    best = np.abs(x - levels[0])
+    labels = np.zeros(best.shape, dtype=np.intp)
+    d = np.empty_like(best)
+    closer = np.empty(best.shape, dtype=bool)
+    for j in range(1, levels.size):
+        np.subtract(x, levels[j], out=d)
+        np.abs(d, out=d)
+        np.less(d, best, out=closer)
+        np.copyto(labels, j, where=closer)
+        np.minimum(best, d, out=best)
+    return labels
 
 
 def qam_demap(symbols: np.ndarray, order: int, power: float = 1.0) -> np.ndarray:

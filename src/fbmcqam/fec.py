@@ -154,12 +154,20 @@ def viterbi_decode(llrs_or_bits: np.ndarray, mode: str = "soft") -> np.ndarray:
         np.less(cost1, cost0, out=choices[t])
         np.minimum(cost0, cost1, out=metrics)
 
-    decoded = np.empty((b, steps), dtype=np.int64)
-    rows = np.full(b, _ROW[0])
+    # traceback through flat indices: the decision of (row, codeword) at
+    # step t is flat[t, row * B + codeword], its predecessor _PREV[row, bit]
+    flat = choices.reshape(steps, -1)
+    prev = _PREV.ravel()
+    path = np.empty((steps, b), dtype=np.intp)   # metric row at each step
+    path[-1] = _ROW[0]
     cols = np.arange(b)
-    for t in range(steps - 1, -1, -1):
-        decoded[:, t] = _INPUT[rows]
-        # the uint8 view makes the decisions an index, not a mask
-        rows = _PREV[rows, choices[t, rows, cols].view(np.uint8)]
-    out = decoded[:, :length]
+    idx = np.empty(b, dtype=np.intp)
+    for t in range(steps - 1, 0, -1):
+        np.multiply(path[t], b, out=idx)
+        idx += cols
+        bit = flat[t].take(idx)
+        np.multiply(path[t], 2, out=idx)
+        idx += bit
+        prev.take(idx, out=path[t - 1])
+    out = _INPUT.take(path[:length].T)
     return out[0] if squeeze else out

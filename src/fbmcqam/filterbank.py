@@ -12,6 +12,15 @@ subcarrier. ``gram_stack``/``inverse_stack`` work on that (N, M, M) stack.
 All taps are at matrix scale (``PrototypeFilter.matrix_taps``), so the
 matched-filter main band averages to exactly 1 per subcarrier and the K=1
 rectangular filter gives G = I.
+
+Order contract of ``apply_filter``, ``apply_adjoint`` and ``apply_inverse``:
+each output segment (N, B) is a zeroed buffer that receives the same
+products as the textbook sum, ``segs[i] * b[j - i]``, ``segs[i] * r[j + i]``
+or ``R[:, a, i] * x[i]``, added in ascending ``i``, with the multiply and
+the add rounded separately as two ufunc calls into one preallocated scratch
+segment. They are blocked by segment only so that the working set fits in
+cache; the results are bit-identical to the whole-window loops (the inverse
+also to ``einsum("nmi,inb->mnb")``, which a ``matmul`` is not).
 """
 
 from __future__ import annotations
@@ -73,8 +82,11 @@ def apply_filter(segs: np.ndarray, b: np.ndarray,
         raise ValueError(f"input length {b2.shape[0]} not a multiple of N={n}")
     bb = b2.reshape(m, n, -1)
     out = np.zeros((k + m - 1, n, bb.shape[2]), dtype=np.result_type(b2, float))
-    for i in range(k):
-        out[i:i + m] += segs[i][None, :, None] * bb
+    tmp = np.empty(out.shape[1:], dtype=out.dtype)
+    for j in range(k + m - 1):
+        for i in range(max(0, j - m + 1), min(k, j + 1)):
+            np.multiply(segs[i][:, None], bb[j - i], out=tmp)
+            np.add(out[j], tmp, out=out[j])
     if counter is not None:
         counter.add(2 * k * m * n * bb.shape[2])
     o = out.reshape((k + m - 1) * n, -1)
@@ -92,8 +104,11 @@ def apply_adjoint(segs: np.ndarray, r: np.ndarray,
     m = km - k + 1
     rr = r2.reshape(km, n, -1)
     out = np.zeros((m, n, rr.shape[2]), dtype=r2.dtype)
-    for i in range(k):
-        out += segs[i][None, :, None] * rr[i:i + m]
+    tmp = np.empty(out.shape[1:], dtype=np.result_type(segs, r2))
+    for j in range(m):
+        for i in range(k):
+            np.multiply(segs[i][:, None], rr[j + i], out=tmp)
+            np.add(out[j], tmp, out=out[j])
     if counter is not None:
         counter.add(2 * k * m * n * rr.shape[2])
     x = out.reshape(m * n, -1)
@@ -174,7 +189,12 @@ def apply_inverse(inv: np.ndarray, x: np.ndarray,
     if x2.shape[0] != m * n:
         raise ValueError(f"input length {x2.shape[0]} != M*N = {m * n}")
     xb = x2.reshape(m, n, -1)
-    v = np.einsum("nmi,inb->mnb", inv, xb)
+    v = np.zeros(xb.shape, dtype=np.result_type(inv, xb))
+    tmp = np.empty(xb.shape[1:], dtype=v.dtype)
+    for a in range(m):
+        for i in range(m):
+            np.multiply(inv[:, a, i, None], xb[i], out=tmp)
+            np.add(v[a], tmp, out=v[a])
     if counter is not None:
         counter.add(2 * inverse_nonzeros(inv) * xb.shape[2])
     v = v.reshape(m * n, -1)

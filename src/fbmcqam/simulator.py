@@ -20,12 +20,13 @@ from .analytics import (InterferenceTables, MseBreakdown, averaged_breakdown,
 from .channel import (PowerDelayProfile, apply_taps, complex_noise, draw_taps,
                       freq_response, overlap_tail)
 from .config import ConfigError, RunConfig, worker_count
-from .core import (PrototypeFilter, design_prototype, load_prototype_file,
-                   qam_demap, qam_llrs, qam_map)
+from .core import (PrototypeFilter, design_prototype, dft_segments,
+                   load_prototype_file, qam_demap, qam_llrs, qam_map)
 from .fec import conv_encode, viterbi_decode
-from .filterbank import (autocorr_bands, gram_stack, inverse_stack, kept_mask,
-                         sparsify_inverse, tap_segments, window_length)
-from .transceiver import (equalize, fbmc_demodulate, fbmc_receive, fbmc_transmit,
+from .filterbank import (apply_adjoint, apply_inverse, autocorr_bands, gram_stack,
+                         inverse_stack, kept_mask, sparsify_inverse, tap_segments,
+                         window_length)
+from .transceiver import (equalize, fbmc_demodulate, fbmc_transmit,
                           make_equalizer, ofdm_demodulate, ofdm_modulate)
 
 __all__ = [
@@ -352,13 +353,11 @@ def _band_grid(symbols: np.ndarray, n: int, start: int) -> np.ndarray:
     return grid
 
 
-def _shift_window(x: np.ndarray, offset: int) -> np.ndarray:
-    """Delay a sample stream by ``offset`` within its own window length."""
-    if offset == 0:
-        return x
-    out = np.zeros_like(x)
-    out[offset:] = x[:-offset]
-    return out
+# bytes of one column block's received window (complex128): at the default
+# N = 64 a block is 56 trials. Small windows keep the sample chain's arrays
+# in cache and let each block reuse the heap memory of the one before; run
+# at its full 256-trial width, a chunk took ~14k page faults (getrusage).
+_WINDOW_BYTES = 1 << 20
 
 
 class _MultiserviceEngine:
@@ -381,10 +380,13 @@ class _MultiserviceEngine:
         self.n, self.m = cfg.n, cfg.m
         self.width = cfg.band_width()
         self.starts = cfg.band_starts()
+        self.band = slice(self.starts[1], self.starts[1] + self.width)  # scored user
         self.offsets = cfg.band_offsets()
         self.cp = cfg.cp()
         self.bps = int(np.log2(cfg.mod_order))
         self.t_len = window_length(self.n, self.m, cfg.k)
+        # trials per column block: one received window of at most _WINDOW_BYTES
+        self.block_trials = max(_WINDOW_BYTES // (16 * self.t_len), 1)
         self.pdp = channel_profile(cfg)
         cap_bits = self.width * self.m * self.bps   # even: bps is 2, 4 or 6
         self.info_len = cap_bits // 2 - 6 if cfg.coded else cap_bits
@@ -407,53 +409,84 @@ class _MultiserviceEngine:
 
     def run_chunk(self, seed: np.random.SeedSequence, batch: int,
                   sigma2: float) -> dict[str, _Tally]:
-        cfg, ctx = self.cfg, self.ctx
-        n, m = self.n, self.m
+        cfg, n, m = self.cfg, self.n, self.m
         rng = np.random.default_rng(seed)
         infos, grids = self._band_symbols(rng, batch)
         taps = draw_taps(self.pdp, rng, (3, batch))          # per user, per trial
         mid_c = freq_response(taps[1], n)                    # (B, N)
+        sigma2_ofdm = sigma2 * (n + self.cp) / n
+        # every draw of the chunk up front, in the order of the full-width chain
+        noise = complex_noise(rng, (self.t_len, batch), sigma2)
+        dummies = [complex_noise(rng, (self.width, 2, batch), cfg.symbol_power)
+                   for _ in range(3)]
+        noise_ofdm = complex_noise(rng, ((m + 2) * (n + self.cp), batch), sigma2_ofdm)
+
+        coeffs = make_equalizer(mid_c, cfg.equalizer, sigma2,
+                                cfg.symbol_power).coeffs.T[self.band]    # (width, B)
+        coeffs_ofdm = make_equalizer(mid_c, cfg.equalizer, sigma2_ofdm,
+                                     cfg.symbol_power).coeffs.T[self.band]
+        schemes = [scheme_label(mode, cfg.eta) for mode in self.modes]
+        est = {s: np.empty((self.width, m, batch), dtype=complex)
+               for s in schemes + ["ofdm"]}
+        # trials are independent, so the chain runs on column blocks whose
+        # windows stay small; each block's filter-bank buffers are gone
+        # before its OFDM buffers exist
+        for lo in range(0, batch, self.block_trials):
+            cols = slice(lo, min(lo + self.block_trials, batch))
+            self._fbmc_block(grids, taps, noise, coeffs, cols, est)
+            self._ofdm_block(grids, taps, dummies, noise_ofdm, coeffs_ofdm, cols,
+                             est["ofdm"])
+
         out: dict[str, _Tally] = {}
-
-        r = np.zeros((self.t_len, batch), dtype=complex)
-        for u in range(3):
-            tx = fbmc_transmit(_band_grid(grids[u], n, self.starts[u]), ctx.segs)
-            r += _shift_window(apply_taps(taps[u], tx), self.offsets[u])
-        r += complex_noise(rng, r.shape, sigma2)
-
-        eq = make_equalizer(mid_c, cfg.equalizer, sigma2, cfg.symbol_power)
-        coeffs = eq.coeffs.T                                 # (N, B)
-        for mode in self.modes:
-            est = fbmc_receive(r, ctx.segs, coeffs, ctx.inv_rx if mode == "if" else None)
-            zeta = ctx.zeta_m if mode == "if" else np.ones(m)
+        for mode, scheme in zip(self.modes, schemes):
+            zeta = self.ctx.zeta_m if mode == "if" else np.ones(m)
             nv = sigma2 * np.abs(coeffs[:, None, :]) ** 2 * zeta[None, :, None]
-            out[scheme_label(mode, cfg.eta)] = self._tally(est, nv, infos[1])
-
-        # CP-OFDM baseline under the same offsets and energy accounting
-        step = n + self.cp
-        sigma2_ofdm = sigma2 * step / n
-        buf = np.zeros(((m + 2) * step, batch), dtype=complex)
-        for u in range(3):
-            dummy = complex_noise(rng, (self.width, 2, batch), cfg.symbol_power)
-            train = np.concatenate([dummy[:, :1], grids[u], dummy[:, 1:]], axis=1)
-            stream = ofdm_modulate(_band_grid(train, n, self.starts[u]), self.cp)
-            buf += _shift_window(apply_taps(taps[u], stream), self.offsets[u])
-        buf += complex_noise(rng, buf.shape, sigma2_ofdm)
-        grid_rx = ofdm_demodulate(buf, n, self.cp)[:, 1:m + 1]
-        eqo = make_equalizer(mid_c, cfg.equalizer, sigma2_ofdm, cfg.symbol_power)
-        esto = equalize(eqo.coeffs.T, grid_rx)
-        nvo = sigma2_ofdm * np.abs(eqo.coeffs.T[:, None, :]) ** 2 * np.ones((1, m, 1))
-        out["ofdm"] = self._tally(esto, nvo, infos[1])
+            out[scheme] = self._tally(est[scheme], nv, infos[1])
+        nvo = sigma2_ofdm * np.abs(coeffs_ofdm[:, None, :]) ** 2 * np.ones((1, m, 1))
+        out["ofdm"] = self._tally(est["ofdm"], nvo, infos[1])
         return out
 
+    def _fbmc_block(self, grids, taps, noise, coeffs, cols: slice, est) -> None:
+        """Filter-bank windows of all users on trials ``cols``, one matched
+        filter, then the middle band of both receiver modes into ``est``."""
+        ctx, n = self.ctx, self.n
+        r = np.zeros((self.t_len, cols.stop - cols.start), dtype=complex)
+        for u in range(3):
+            grid = _band_grid(grids[u][:, :, cols], n, self.starts[u])
+            y = apply_taps(taps[u, cols], fbmc_transmit(grid, ctx.segs))
+            off = self.offsets[u]
+            r[off:] += y[:self.t_len - off]             # delayed within the window
+        r += noise[:, cols]
+        x = apply_adjoint(ctx.segs, r)
+        for mode in self.modes:
+            y = apply_inverse(ctx.inv_rx, x) if mode == "if" else x
+            est[scheme_label(mode, self.cfg.eta)][:, :, cols] = equalize(
+                coeffs[:, cols], dft_segments(y, n)[self.band])
+
+    def _ofdm_block(self, grids, taps, dummies, noise, coeffs, cols: slice,
+                    est: np.ndarray) -> None:
+        """CP-OFDM baseline on trials ``cols`` under the same offsets and
+        energy accounting, middle band into ``est``."""
+        n, m = self.n, self.m
+        buf = np.zeros(((m + 2) * (n + self.cp), cols.stop - cols.start), dtype=complex)
+        for u in range(3):
+            dummy = dummies[u][:, :, cols]
+            train = np.concatenate([dummy[:, :1], grids[u][:, :, cols], dummy[:, 1:]],
+                                   axis=1)
+            stream = ofdm_modulate(_band_grid(train, n, self.starts[u]), self.cp)
+            y = apply_taps(taps[u, cols], stream)
+            off = self.offsets[u]
+            buf[off:] += y[:buf.shape[0] - off]
+        buf += noise[:, cols]
+        est[:, :, cols] = equalize(coeffs[:, cols],
+                                   ofdm_demodulate(buf, n, self.cp)[self.band, 1:m + 1])
+
     def _tally(self, est: np.ndarray, nv: np.ndarray, info: np.ndarray) -> _Tally:
-        """Demap the middle band, decode, count info-bit errors."""
+        """Demap the middle band (width, M, B), decode, count info-bit errors."""
         cfg = self.cfg
-        start = self.starts[1]
         batch = info.shape[0]
 
-        def to_codeword_order(a):
-            band = a[start:start + self.width]               # (width, M, B)
+        def to_codeword_order(band):
             return np.moveaxis(band.swapaxes(0, 1), 2, 0).reshape(batch, -1)
 
         flat = to_codeword_order(est)

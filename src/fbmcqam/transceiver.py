@@ -113,9 +113,12 @@ def ofdm_modulate(S: np.ndarray, cp_len: int) -> np.ndarray:
     if cp_len < 0:
         raise ValueError("cp_len must be >= 0")
     n, nsym = S.shape[0], S.shape[1]
-    body = np.fft.ifft(S, axis=0, norm="ortho")
-    sym = np.concatenate([body[n - cp_len:], body], axis=0) if cp_len else body
-    return np.moveaxis(sym, 1, 0).reshape((nsym * (n + cp_len),) + S.shape[2:])
+    body = np.moveaxis(np.fft.ifft(S, axis=0, norm="ortho"), 1, 0)
+    # one (nsym, N + cp, ...) write: the prefix, then the body
+    out = np.empty((nsym, n + cp_len) + S.shape[2:], dtype=body.dtype)
+    out[:, :cp_len] = body[:, n - cp_len:]
+    out[:, cp_len:] = body
+    return out.reshape((nsym * (n + cp_len),) + S.shape[2:])
 
 
 def ofdm_demodulate(y: np.ndarray, n: int, cp_len: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Dense first-principles constructions shared by the structural tests, the
 reference convolutional encoder and Viterbi decoder, the straightforward
-forms of the delay tables, of the ``analyze`` CSV and of link validation,
-and the BER-curve comparison used by the acceptance suite.
+forms of the delay tables, of the ``analyze`` CSV, of link validation, of
+the whole-window sample kernels and of one campaign chunk, and the
+BER-curve comparison used by the acceptance suite.
 
 The dense constructions are built by explicit loops from the definitions,
 never from the package's banded/stacked representations, so agreement is
@@ -9,7 +10,9 @@ meaningful. The coding references are the straightforward shift-register
 encoder and row-major (codeword, state) decoder that the package's
 vectorized versions must match exactly, tie decisions included. The same
 holds for the block-by-block delay tables, the row-by-row ``mse.csv`` and
-the validator that receives every feed at every SNR point.
+the validator that receives every feed at every SNR point, and for the
+whole-window tap, filter, adjoint, inverse, OFDM and QAM-decision kernels
+that the blocked ones must match byte for byte.
 """
 
 import numpy as np
@@ -19,11 +22,12 @@ from fbmcqam.analytics import (_circconv, averaged_breakdown, displaced_covarian
 from fbmcqam.channel import (apply_taps, complex_noise, draw_taps, freq_response,
                              overlap_tail)
 from fbmcqam.cli import _csv_text, _db
-from fbmcqam.core import qam_map
+from fbmcqam.core import dft_segments, idft_block, qam_map
 from fbmcqam.filterbank import autocorr_bands, window_length
-from fbmcqam.simulator import (LinkValidationPoint, _check, _sigma2,
-                               channel_profile, make_context)
-from fbmcqam.transceiver import fbmc_receive, fbmc_transmit, make_equalizer
+from fbmcqam.simulator import (LinkValidationPoint, _band_grid, _check, _sigma2,
+                               channel_profile, make_context, scheme_label)
+from fbmcqam.transceiver import (equalize, fbmc_receive, fbmc_transmit,
+                                 make_equalizer, ofdm_demodulate)
 
 
 def dense_filter_matrix(segs, m):
@@ -267,6 +271,138 @@ def reference_link_validation(cfg):
             sinr_db=float(10 * np.log10(delta2 / total_measured)),
             breakdown=bd))
     return points
+
+
+# ---------------------------------------------------------------------------
+# Whole-window sample kernels and one campaign chunk, as the package had them
+# before they were blocked for cache
+# ---------------------------------------------------------------------------
+
+def reference_apply_taps(h, x):
+    """y[t] = sum_l h[l] x[t-l] over the whole window, one tap at a time."""
+    x = np.asarray(x)
+    h = np.asarray(h)
+    y = np.zeros(x.shape, dtype=np.result_type(x, h))
+    for l in range(h.shape[-1]):
+        hl = h[..., l] if h.ndim > 1 else h[l]
+        if l == 0:
+            y += hl * x
+        else:
+            y[l:] += hl * x[:-l]
+    return y
+
+
+def _promote(x):
+    x = np.asarray(x)
+    return (x[:, None], True) if x.ndim == 1 else (x, False)
+
+
+def reference_apply_filter(segs, b):
+    """o = P b, one tap segment at a time over all M input segments."""
+    k, n = segs.shape
+    b2, squeeze = _promote(b)
+    m = b2.shape[0] // n
+    bb = b2.reshape(m, n, -1)
+    out = np.zeros((k + m - 1, n, bb.shape[2]), dtype=np.result_type(b2, float))
+    for i in range(k):
+        out[i:i + m] += segs[i][None, :, None] * bb
+    o = out.reshape((k + m - 1) * n, -1)
+    return o[:, 0] if squeeze else o
+
+
+def reference_apply_adjoint(segs, r):
+    """x = P^H r, one tap segment at a time over all M output segments."""
+    k, n = segs.shape
+    r2, squeeze = _promote(r)
+    m = r2.shape[0] // n - k + 1
+    rr = r2.reshape(m + k - 1, n, -1)
+    out = np.zeros((m, n, rr.shape[2]), dtype=r2.dtype)
+    for i in range(k):
+        out += segs[i][None, :, None] * rr[i:i + m]
+    x = out.reshape(m * n, -1)
+    return x[:, 0] if squeeze else x
+
+
+def reference_apply_inverse(inv, x):
+    """v = R x as one einsum over the (N, M, M) stack."""
+    n, m, _ = inv.shape
+    x2, squeeze = _promote(x)
+    v = np.einsum("nmi,inb->mnb", inv, x2.reshape(m, n, -1)).reshape(m * n, -1)
+    return v[:, 0] if squeeze else v
+
+
+def reference_ofdm_modulate(S, cp_len):
+    """Prefix by concatenation, then serialize through moveaxis and reshape."""
+    n, nsym = S.shape[0], S.shape[1]
+    body = np.fft.ifft(S, axis=0, norm="ortho")
+    sym = np.concatenate([body[n - cp_len:], body], axis=0) if cp_len else body
+    return np.moveaxis(sym, 1, 0).reshape((nsym * (n + cp_len),) + S.shape[2:])
+
+
+def reference_axis_decide(x, levels):
+    """Nearest level by argmin over the (samples, levels) distance table."""
+    return np.argmin(np.abs(x[..., None] - levels), axis=-1)
+
+
+def _reference_shift_window(x, offset):
+    if offset == 0:
+        return x
+    out = np.zeros_like(x)
+    out[offset:] = x[:-offset]
+    return out
+
+
+def reference_run_chunk(engine, seed, batch, sigma2):
+    """``_MultiserviceEngine.run_chunk`` on the whole-window kernels over the
+    full batch at once: each user's window shifted into a fresh zeroed copy,
+    noise drawn as the chain reaches it, and the matched filter applied again
+    for each receiver mode. Only the engine's symbol draws and its
+    demap/decode tally of the middle band are shared with the package."""
+    cfg, ctx = engine.cfg, engine.ctx
+    n, m = engine.n, engine.m
+    rng = np.random.default_rng(seed)
+    infos, grids = engine._band_symbols(rng, batch)
+    taps = draw_taps(engine.pdp, rng, (3, batch))
+    mid_c = freq_response(taps[1], n)
+    band = slice(engine.starts[1], engine.starts[1] + engine.width)
+    out = {}
+
+    r = np.zeros((engine.t_len, batch), dtype=complex)
+    for u in range(3):
+        grid = _band_grid(grids[u], n, engine.starts[u])
+        tx = reference_apply_filter(ctx.segs, idft_block(grid))
+        r += _reference_shift_window(reference_apply_taps(taps[u], tx),
+                                     engine.offsets[u])
+    r += complex_noise(rng, r.shape, sigma2)
+
+    eq = make_equalizer(mid_c, cfg.equalizer, sigma2, cfg.symbol_power)
+    coeffs = eq.coeffs.T
+    for mode in engine.modes:
+        x = reference_apply_adjoint(ctx.segs, r)
+        if mode == "if":
+            x = reference_apply_inverse(ctx.inv_rx, x)
+        est = equalize(coeffs, dft_segments(x, n))
+        zeta = ctx.zeta_m if mode == "if" else np.ones(m)
+        nv = sigma2 * np.abs(coeffs[:, None, :]) ** 2 * zeta[None, :, None]
+        out[scheme_label(mode, cfg.eta)] = engine._tally(est[band], nv[band], infos[1])
+
+    step = n + engine.cp
+    sigma2_ofdm = sigma2 * step / n
+    buf = np.zeros(((m + 2) * step, batch), dtype=complex)
+    for u in range(3):
+        dummy = complex_noise(rng, (engine.width, 2, batch), cfg.symbol_power)
+        train = np.concatenate([dummy[:, :1], grids[u], dummy[:, 1:]], axis=1)
+        stream = reference_ofdm_modulate(_band_grid(train, n, engine.starts[u]),
+                                         engine.cp)
+        buf += _reference_shift_window(reference_apply_taps(taps[u], stream),
+                                       engine.offsets[u])
+    buf += complex_noise(rng, buf.shape, sigma2_ofdm)
+    grid_rx = ofdm_demodulate(buf, n, engine.cp)[:, 1:m + 1]
+    eqo = make_equalizer(mid_c, cfg.equalizer, sigma2_ofdm, cfg.symbol_power)
+    esto = equalize(eqo.coeffs.T, grid_rx)
+    nvo = sigma2_ofdm * np.abs(eqo.coeffs.T[:, None, :]) ** 2 * np.ones((1, m, 1))
+    out["ofdm"] = engine._tally(esto[band], nvo[band], infos[1])
+    return out
 
 
 def snr_offset_db(ref_snr, ref_ber, snr, ber):

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from fbmcqam import channel
 from fbmcqam.channel import (PowerDelayProfile, apply_taps, complex_noise,
                              draw_taps, freq_response, overlap_tail)
+
+from helpers import reference_apply_taps
 
 
 def test_exponential_profile():
@@ -135,3 +138,32 @@ def test_complex_noise_matches_two_draw_expression(shape):
     assert z.shape == ref.shape and z.dtype == ref.dtype
     assert z.tobytes() == ref.tobytes()
     assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+def _cplx(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("t, cols, per_column", [
+    (1000, 256, True),     # several row blocks, the last one partial
+    (1000, 256, False),
+    (5, 3, True),          # window shorter than the channel memory
+    (777, None, False),    # a single (T,) stream
+    (300, 1, True),        # one column
+])
+@pytest.mark.parametrize("real_input", [False, True])
+def test_apply_taps_bit_equal_to_whole_window_loop(t, cols, per_column, real_input):
+    rng = np.random.default_rng(t)
+    x = _cplx(rng, (t,) if cols is None else (t, cols))
+    if real_input:
+        x = x.real.copy()
+    h = _cplx(rng, (cols, 8) if per_column else (8,))
+    assert apply_taps(h, x).tobytes() == reference_apply_taps(h, x).tobytes()
+
+
+def test_apply_taps_blocks_shorter_than_the_channel_memory(monkeypatch):
+    # three-row blocks against eight taps: most products start in an earlier block
+    rng = np.random.default_rng(11)
+    x, h = _cplx(rng, (50, 4)), _cplx(rng, (4, 8))
+    monkeypatch.setattr(channel, "_BLOCK_BYTES", 3 * x[:1].nbytes)
+    assert apply_taps(h, x).tobytes() == reference_apply_taps(h, x).tobytes()

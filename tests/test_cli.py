@@ -292,8 +292,8 @@ def test_filter_failure_removes_files_already_written(tmp_path, capsys, monkeypa
     def broken(*args, **kwargs):
         raise ValueError("zeta failed")
 
-    # zeta.csv comes after three files that are already in place
-    monkeypatch.setattr(cli, "zeta_grid", broken)
+    # complexity.csv comes after four files that are already in place
+    monkeypatch.setattr(cli, "_complexity_rows", broken)
     d = tmp_path / "out"
     assert main(["filter", "--out-dir", str(d / "run")] + SMALL) == 1
     captured = capsys.readouterr()

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbmcqam.core import (SUPPORTED_OVERLAPS, PrototypeFilter, design_prototype,
-                          dft_segments, idft_block, load_prototype_file,
-                          qam_demap, qam_levels, qam_llrs, qam_map)
-from helpers import unitary_dft
+from fbmcqam.core import (SUPPORTED_OVERLAPS, PrototypeFilter, _axis_decide,
+                          design_prototype, dft_segments, idft_block,
+                          load_prototype_file, qam_demap, qam_levels, qam_llrs,
+                          qam_map)
+from helpers import reference_axis_decide, unitary_dft
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +99,20 @@ def test_qam_roundtrip_all_labels():
 def test_qam_demap_tie_prefers_smallest_label():
     # exact midpoint between the QPSK levels on both axes
     np.testing.assert_array_equal(qam_demap(np.array([0.0 + 0.0j]), 4), [0, 0])
+
+
+@pytest.mark.parametrize("order", [4, 16, 64])
+def test_axis_decision_equals_argmin_over_levels(order):
+    # random samples, samples on every level and on every midpoint (exact
+    # ties, which go to the smaller label), and the extremes
+    levels = qam_levels(order, 1.7)
+    srt = np.sort(levels)
+    rng = np.random.default_rng(order)
+    x = np.concatenate([rng.standard_normal(4096) * srt[-1], levels,
+                        (srt[1:] + srt[:-1]) / 2, [0.0, -0.0, 1e300, -1e300]])
+    got, want = _axis_decide(x, levels), reference_axis_decide(x, levels)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
 
 
 def test_qam_llr_signs_match_hard_decisions():

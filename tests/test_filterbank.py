@@ -9,7 +9,8 @@ from fbmcqam.filterbank import (MultiplyCounter, apply_adjoint, apply_filter,
                                 apply_inverse, autocorr_bands, gram_stack,
                                 inverse_stack, inverse_nonzeros, kept_mask,
                                 sparsify_inverse, tap_segments, window_length)
-from helpers import dense_filter_matrix, dense_gram_blocks, stack_to_dense
+from helpers import (dense_filter_matrix, dense_gram_blocks, reference_apply_adjoint,
+                     reference_apply_filter, reference_apply_inverse, stack_to_dense)
 
 SMALL_SHAPES = [(4, 2, 2), (8, 3, 3), (8, 4, 4), (4, 1, 3), (8, 2, 1)]
 
@@ -178,3 +179,32 @@ def test_inverse_multiply_count_scales_with_nonzeros():
     assert c_full.count == 2 * inverse_nonzeros(inv)
     assert c_sparse.count == 2 * inverse_nonzeros(sparse)
     assert c_sparse.count < c_full.count
+
+
+@pytest.mark.parametrize("n, m, k, cols", [
+    (64, 14, 4, 64),
+    (16, 14, 5, 1),        # one column
+    (16, 3, 1, 5),         # rectangular filter, K = 1
+    (32, 2, 4, 7),         # fewer symbols than tap segments
+    (16, 14, 4, None),     # (M*N,) input
+])
+def test_blocked_kernels_bit_equal_to_whole_window_loops(n, m, k, cols):
+    rng = np.random.default_rng(n * m + k)
+    segs = _segs(n, k)
+
+    def draw(rows):
+        shape = (rows,) if cols is None else (rows, cols)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def same(kernel, reference, a, x):
+        return kernel(a, x).tobytes() == reference(a, x).tobytes()
+
+    b, r = draw(m * n), draw(window_length(n, m, k))
+    for bb in (b, b.real.copy()):
+        assert same(apply_filter, reference_apply_filter, segs, bb)
+    for rr in (r, r.real.copy()):
+        assert same(apply_adjoint, reference_apply_adjoint, segs, rr)
+    inv = inverse_stack(gram_stack(autocorr_bands(segs), m))
+    for eta in (0.0, 0.5):
+        inv_rx = sparsify_inverse(inv, kept_mask(n, eta)) if eta else inv
+        assert same(apply_inverse, reference_apply_inverse, inv_rx, b)

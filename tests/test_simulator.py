@@ -1,15 +1,17 @@
 """Monte-Carlo harness: link validation, BER campaigns, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fbmcqam import simulator
 from fbmcqam.config import RunConfig
-from fbmcqam.simulator import (run_link_validation, run_multiservice,
+from fbmcqam.simulator import (make_context, run_link_validation, run_multiservice,
                                scheme_label, wilson_halfwidth,
                                wilson_interval)
 
-from helpers import reference_link_validation
+from helpers import reference_link_validation, reference_run_chunk
 
 
 def _val_cfg(**kw):
@@ -210,6 +212,61 @@ def test_async_offsets_smoke():
 def test_eta_label_and_run():
     res = run_multiservice(_ms_cfg(eta=0.5), modes=("if",), chunk_trials=16)
     assert res.schemes == ("fbmc-if+eta0.5", "ofdm")
+
+
+def _engine(preset, coded, eta):
+    cfg = RunConfig(n=16, coded=coded, eta=eta, seed=77)
+    delta = cfg.async_offset() if preset == "async3band" else 0
+    cfg = replace(cfg, subband_offsets=(delta, 0, delta))
+    return simulator._MultiserviceEngine(cfg, make_context(cfg), ("nif", "if"))
+
+
+@pytest.mark.parametrize("preset, coded", [("sync3band", True), ("async3band", False)])
+@pytest.mark.parametrize("eta", [0.0, 0.5])
+@pytest.mark.parametrize("block_trials", [None, 10])
+def test_chunk_equals_whole_window_reference(preset, coded, eta, block_trials):
+    # None keeps the engine's own block width (one block here); 10 splits a
+    # 24-trial chunk into blocks of 10, 10 and 4 trials. Both sides score
+    # through the engine's tally, which records what each scheme hands it.
+    engine = _engine(preset, coded, eta)
+    if block_trials:
+        engine.block_trials = block_trials
+    handed = []
+    tally = engine._tally
+
+    def recording(est, nv, info):
+        handed.append((est.tobytes(), np.broadcast_to(nv, est.shape).tobytes()))
+        return tally(est, nv, info)
+
+    engine._tally = recording
+    for snr_db in (0.0, 10.0):
+        sigma2 = 10.0 ** (-snr_db / 10.0)
+        seed = np.random.SeedSequence(31)
+        handed.clear()
+        got = engine.run_chunk(seed, 24, sigma2)
+        blocked = handed[:]
+        handed.clear()
+        assert got == reference_run_chunk(engine, seed, 24, sigma2)
+        assert blocked == handed            # estimates and noise variances, bit for bit
+        assert sum(t.errors for t in got.values()) > 0
+
+
+@pytest.mark.parametrize("batch, widths", [(8, [8]), (24, [10, 10, 4])])
+def test_chunk_applies_matched_filter_once_per_trial(monkeypatch, batch, widths):
+    # both receiver modes start from one matched-filter output; a chunk
+    # wider than a column block filters each block's window once
+    widths_seen = []
+    adjoint = simulator.apply_adjoint
+
+    def counted(segs, r, *args, **kwargs):
+        widths_seen.append(r.shape[1])
+        return adjoint(segs, r, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "apply_adjoint", counted)
+    engine = _engine("async3band", False, 0.0)
+    engine.block_trials = 10
+    engine.run_chunk(np.random.SeedSequence(3), batch, 0.1)
+    assert widths_seen == widths
 
 
 def test_band_count_and_capacity_errors():

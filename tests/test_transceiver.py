@@ -13,6 +13,8 @@ from fbmcqam.filterbank import (MultiplyCounter, autocorr_bands, gram_stack,
 from fbmcqam.transceiver import (fbmc_demodulate, fbmc_receive, fbmc_transmit,
                                  make_equalizer, ofdm_demodulate, ofdm_modulate)
 
+from helpers import reference_ofdm_modulate
+
 
 def _chain(n, m, k):
     segs = tap_segments(design_prototype(k, n))
@@ -160,6 +162,14 @@ def test_ofdm_modulate_roundtrip():
         ofdm_demodulate(y[:-1], 16, 4)
     with pytest.raises(ValueError):
         ofdm_modulate(S, -1)
+
+
+@pytest.mark.parametrize("shape, cp", [((64, 16, 32), 8), ((16, 5), 2),
+                                       ((16, 5, 3), 0), ((8, 1, 1), 8)])
+def test_ofdm_modulate_bit_equal_to_concatenated_prefix(shape, cp):
+    rng = np.random.default_rng(cp + len(shape))
+    S = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert ofdm_modulate(S, cp).tobytes() == reference_ofdm_modulate(S, cp).tobytes()
 
 
 def test_cp_absorbs_multipath():
