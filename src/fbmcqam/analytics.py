@@ -16,26 +16,33 @@ Every breakdown carries six per-(m, n) linear-power components:
 One routine, :func:`averaged_breakdown`, gives both the conditional breakdown
 of one channel realization and the average over a stack of draws. The
 matched-filter (``nif``) components are exact conditional second moments
-given the channel realization (or its ensemble average): ici/isi from circular
-correlations of the interference tables with |C|^2, fd/ibi from structured
-covariance quadratic forms. The inverse-filter (``if``) breakdown multiplies
-fd/ibi/noise by the enhancement factor zeta, which is exact for white noise
-but understates the structured fd error; the exact R-transformed values are
-exposed separately as ``fd_exact``/``ibi_exact`` diagnostics.
+given the channel realization (or its ensemble average): ici/isi from the
+interference tables weighted by the cross moment E[|E_n|^2 |C_q|^2] of
+equalizer and channel, fd/ibi from structured covariance quadratic forms.
+The inverse-filter (``if``) breakdown multiplies fd/ibi/noise by the
+enhancement factor zeta, which is exact for white noise but understates the
+structured fd error; the exact R-transformed values are exposed separately
+as ``fd_exact``/``ibi_exact`` diagnostics.
 
 The matched-filter leakage closed form lives in one place:
-:func:`leakage_sums` correlates the :class:`InterferenceTables` (built once
-per link, in ``simulator.make_context``) with a per-subcarrier weight, and
-:func:`neighbor_counts` says how many symbols sit at each band distance
-inside the block. The breakdown weights the receiver side by |C|^2; the
-link validator weights the donor side by |E|^2.
+:func:`leakage_sums` weights the :class:`InterferenceTables` (built once per
+link, in ``simulator.make_context``) by an (N, N) cross-moment matrix
+x[n, q], the weight of the path from donor subcarrier q to receiver
+subcarrier n. It gathers x by lag once and takes one matrix product with
+the tables, and :func:`neighbor_counts` says how many symbols sit at each
+band distance inside the block. The breakdown passes
+x[n, q] = E[|E_n|^2 |C_q|^2], one (N x D)(D x N) product over the D channel
+draws; the link validator passes its fixed |E|^2 broadcast over rows, the
+donor index, which the lag-symmetric profiles allow. A closed form of the
+cross moment plugs in at the same place.
 
 The fd/ibi covariances never form a matrix of size MN x MN. For a delay of
 l samples, block (j', j) of P^T B_l, with B_l the dispersion or the
 previous-block operator, is a diagonal times a cyclic shift by l, and so is
 its image under R, which is diagonal inside each block.
 :func:`displaced_covariances` therefore works on (L, M, M, N) tables of
-those diagonals and on the channel's tap second moments.
+those diagonals and on the channel's tap second moments; R acts on a table
+as one batched (M, M) x (M, L M) product per sample.
 """
 
 from __future__ import annotations
@@ -103,29 +110,24 @@ def neighbor_counts(m: int, k: int) -> np.ndarray:
     return (ref - d >= 0).astype(int) + (ref + d < m)
 
 
-def _circconv(a: np.ndarray, fb: np.ndarray) -> np.ndarray:
-    """(a * b)[n] = sum_q a[(n - q) mod N] b[q], vectorized over leading axes
-    of b, given ``fb = np.fft.fft(b, axis=-1)`` so that one transform of b
-    serves several ``a``."""
-    return np.fft.ifft(np.fft.fft(a) * fb, axis=-1).real
+def leakage_sums(tables: InterferenceTables, x: np.ndarray):
+    """Matched-filter leakage of the tables weighted by an (N, N)
+    cross-moment matrix ``x``, where ``x[n, q]`` weights the path from
+    donor subcarrier q to receiver subcarrier n.
 
-
-def leakage_sums(tables: InterferenceTables, w: np.ndarray):
-    """Matched-filter leakage of the tables correlated with a weight ``w``
-    (..., N).
-
-    Returns ``own``, the same-symbol sum circconv(power[0], w) - power[0, 0] w
-    (the main circulant diagonal is the desired symbol, not leakage), and
-    ``per_d``, an iterator over the cross-symbol sums circconv(power[d], w)
-    at band distances d = 1, ..., K - 1, made one at a time so that a
-    caller reducing each holds one (..., N) array, not K - 1. The profiles
-    are symmetric in the lag, so these are also the correlations. All have
-    the shape of ``w``; :func:`neighbor_counts` says how many symbols sit at
-    each distance.
+    Returns ``own`` (N,), the same-symbol sums sum_q power[0, (n - q) mod N]
+    x[n, q] without the desired term q = n (the main circulant diagonal),
+    and ``per_d`` (N, K - 1), whose column d - 1 holds the cross-symbol sums
+    sum_q power[d, (n - q) mod N] x[n, q] at band distance d.
+    :func:`neighbor_counts` says how many symbols sit at each distance. The
+    lag-ordered gather ``xd[n, j] = x[n, (n - j) mod N]`` turns all K sums
+    into one (N, N) x (N, K) product.
     """
-    fw = np.fft.fft(w, axis=-1)
-    own = _circconv(tables.power[0], fw) - tables.power[0, 0] * w
-    return own, (_circconv(p, fw) for p in tables.power[1:])
+    n = x.shape[0]
+    lag = (np.arange(n)[:, None] - np.arange(n)) % n
+    sums = np.take_along_axis(x, lag, axis=1) @ tables.power.T      # (N, K)
+    own = sums[:, 0] - tables.power[0, 0] * np.diagonal(x)
+    return own, sums[:, 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +201,29 @@ def _diagonals(d: np.ndarray, moments: np.ndarray) -> np.ndarray:
     E_l E_l' over donor block and sample, entry n is
     (1/N) Re sum_{l,l'} moments[l, l'] C[m, l, l'] e^{-2 pi i n (l - l') / N}.
     """
-    d = np.ascontiguousarray(d)    # the summation order follows the layout
     n_delay, m, _, n = d.shape
-    e = np.stack([np.roll(d[l], -l, axis=-1) for l in range(n_delay)])
+    # the summation order follows the layout, so E lands in C order whatever
+    # the layout of d; each roll is two slice copies
+    e = np.empty(d.shape, dtype=d.dtype)
+    for l in range(n_delay):
+        e[l, ..., :n - l] = d[l, ..., l:]
+        e[l, ..., n - l:] = d[l, ..., :l]
     x = e.transpose(1, 0, 2, 3).reshape(m, n_delay, m * n)
     c = x @ x.transpose(0, 2, 1)                                # (M, L, L)
     phase = np.exp(-2j * np.pi * np.outer(np.arange(n_delay), np.arange(n)) / n)
     t = (moments * c) @ phase.conj()                             # (M, L, N)
     out = (phase * t).sum(axis=1).real / n
     return np.maximum(out, 0.0)
+
+
+def _propagate(inv: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The table of R A_l from the table d of A_l. R is diagonal inside each
+    block, so R A_l keeps the table form: at sample v, block row a of the
+    result is sum_i inv[v, a, i] d[l, i, :, v], one (M, M) x (M, L M)
+    product per sample."""
+    n_delay, m, _, n = d.shape
+    rows = d.transpose(3, 1, 0, 2).reshape(n, m, n_delay * m)     # [v, i, (l, j)]
+    return (inv @ rows).reshape(n, m, n_delay, m).transpose(2, 1, 3, 0)
 
 
 @dataclass(frozen=True)
@@ -245,10 +261,8 @@ def displaced_covariances(segs: np.ndarray, m: int,
     fd_nif = _diagonals(fd, moments)
     ibi_nif = _diagonals(tail, moments)
     if inv is not None:
-        # R is diagonal inside each block, so R A_l keeps the table form
-        propagate = lambda d: np.einsum("vai,lijv->lajv", inv, d)
-        fd_if = _diagonals(propagate(fd), moments)
-        ibi_if = _diagonals(propagate(tail), moments)
+        fd_if = _diagonals(_propagate(inv, fd), moments)
+        ibi_if = _diagonals(_propagate(inv, tail), moments)
     else:
         fd_if = np.zeros((m, n))
         ibi_if = np.zeros((m, n))
@@ -330,17 +344,10 @@ def averaged_breakdown(cfg, ctx, mode: str, taps: np.ndarray, sigma2: float,
     zgrid = zeta_grid(ctx.inv, ctx.gram)
 
     if mode == "nif":
-        own, per_d = leakage_sums(ctx.tables, absc2)
-        ici_n = delta2 * (abse2 * own).mean(axis=0)
-        ici = np.repeat(ici_n[None, :], m, axis=0)
-        isi = np.zeros((m, n))
-        conv_d = [(abse2 * conv).mean(axis=0) for conv in per_d]
-        for ref, counts in enumerate(neighbor_counts(m, cfg.k)):
-            acc = np.zeros(n)
-            for count, conv in zip(counts, conv_d):
-                if count:
-                    acc += count * conv
-            isi[ref] = delta2 * acc
+        # x[n, q] = E[|E_n|^2 |C_q|^2] over the draws
+        own, per_d = leakage_sums(ctx.tables, abse2.T @ absc2 / len(absc2))
+        ici = np.repeat((delta2 * own)[None, :], m, axis=0)
+        isi = delta2 * (neighbor_counts(m, cfg.k) @ per_d.T)
         fd = delta2 * abse2_bar * cov.fd_nif
         ibi = delta2 * abse2_bar * cov.ibi_nif if with_ibi else np.zeros((m, n))
         noise = np.repeat((sigma2 * abse2_bar)[None, :], m, axis=0)

@@ -90,16 +90,12 @@ def qam_levels(order: int, power: float = 1.0) -> np.ndarray:
     return levels * scale
 
 
-def _bits_to_axis_labels(bits: np.ndarray, bpa: int) -> np.ndarray:
-    weights = 1 << np.arange(bpa - 1, -1, -1)
-    return bits.reshape(-1, bpa) @ weights
-
-
 def qam_map(bits: np.ndarray, order: int, power: float = 1.0) -> np.ndarray:
     """Map a bit vector to Gray-labelled square QAM symbols of mean power ``power``.
 
     Each log2(order)-bit group is split MSB-first into the in-phase label then
-    the quadrature label.
+    the quadrature label; the group, read as one integer, indexes the table
+    of all ``order`` symbols.
     """
     bits = np.asarray(bits).astype(np.int64).ravel()
     bps = int(np.log2(order))
@@ -109,10 +105,9 @@ def qam_map(bits: np.ndarray, order: int, power: float = 1.0) -> np.ndarray:
         raise ValueError("bits must be 0/1")
     bpa = bps // 2
     levels = qam_levels(order, power)
-    groups = bits.reshape(-1, bps)
-    i_lab = _bits_to_axis_labels(groups[:, :bpa], bpa)
-    q_lab = _bits_to_axis_labels(groups[:, bpa:], bpa)
-    return levels[i_lab] + 1j * levels[q_lab]
+    group = np.arange(order)
+    table = levels[group >> bpa] + 1j * levels[group & ((1 << bpa) - 1)]
+    return table[bits.reshape(-1, bps) @ (1 << np.arange(bps - 1, -1, -1))]
 
 
 def _axis_decide(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -165,13 +160,21 @@ def qam_llrs(symbols: np.ndarray, order: int, noise_var: np.ndarray | float,
     labels = np.arange(levels.size)
     llrs = np.empty((symbols.size, bps))
     for axis, x in ((0, symbols.real), (1, symbols.imag)):
-        d2 = (x[:, None] - levels) ** 2
+        d2 = [(x - level) ** 2 for level in levels]       # one array per label
         for j in range(bpa):
             bit = (labels >> (bpa - 1 - j)) & 1
-            m0 = d2[:, bit == 0].min(axis=1)
-            m1 = d2[:, bit == 1].min(axis=1)
+            m0 = _min_over(d2, labels[bit == 0])
+            m1 = _min_over(d2, labels[bit == 1])
             llrs[:, axis * bpa + j] = (m1 - m0) / nv
     return llrs.ravel()
+
+
+def _min_over(arrays: list[np.ndarray], labels: np.ndarray) -> np.ndarray:
+    """Elementwise minimum of ``arrays[i]`` over the labels i."""
+    best = arrays[labels[0]]
+    for i in labels[1:]:
+        best = np.minimum(best, arrays[i])
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -258,9 +258,12 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
         pq_ici = np.zeros(n)
         pq_isi = np.zeros(n)
         if bd.mode == "nif":
-            own, per_d = leakage_sums(ctx.tables, np.abs(eq.coeffs) ** 2)
+            # the profiles are symmetric in the lag, so rows may index the
+            # donor q: x[q, n] = |E_n|^2 sums each donor's leakage over receivers
+            gain2 = np.broadcast_to(np.abs(eq.coeffs) ** 2, (n, n))
+            own, per_d = leakage_sums(ctx.tables, gain2)
             pq_ici = cq2 * own
-            for count, cross_d in zip(neighbor_counts(m, cfg.k)[m0], per_d):
+            for count, cross_d in zip(neighbor_counts(m, cfg.k)[m0], per_d.T):
                 pq_isi += count * cq2 * cross_d
 
         pred_ici_m = bd.ici.mean(axis=1)                     # per stimulus position
@@ -396,22 +399,25 @@ class _MultiserviceEngine:
                               "bits per block, at least 14 needed)")
 
     def _band_symbols(self, rng: np.random.Generator, batch: int):
-        """Fresh info bits and mapped symbol grids for all three users."""
-        infos, grids = [], []
-        for _ in range(3):
+        """Fresh mapped symbol grids for all three users, and the info bits
+        of the scored middle user; the others' bits are drawn in the same
+        order but dropped once mapped."""
+        grids = []
+        for u in range(3):
             info = rng.integers(0, 2, size=(batch, self.info_len))
             coded = conv_encode(info) if self.cfg.coded else info
             sym = qam_map(coded.ravel(), self.cfg.mod_order, self.cfg.symbol_power)
             sym = sym.reshape(batch, self.m, self.width)
-            infos.append(info)
+            if u == 1:
+                scored = info
             grids.append(np.moveaxis(sym, 0, 2).swapaxes(0, 1))  # (width, M, B)
-        return infos, grids
+        return scored, grids
 
     def run_chunk(self, seed: np.random.SeedSequence, batch: int,
                   sigma2: float) -> dict[str, _Tally]:
         cfg, n, m = self.cfg, self.n, self.m
         rng = np.random.default_rng(seed)
-        infos, grids = self._band_symbols(rng, batch)
+        info, grids = self._band_symbols(rng, batch)
         taps = draw_taps(self.pdp, rng, (3, batch))          # per user, per trial
         mid_c = freq_response(taps[1], n)                    # (B, N)
         sigma2_ofdm = sigma2 * (n + self.cp) / n
@@ -441,9 +447,9 @@ class _MultiserviceEngine:
         for mode, scheme in zip(self.modes, schemes):
             zeta = self.ctx.zeta_m if mode == "if" else np.ones(m)
             nv = sigma2 * np.abs(coeffs[:, None, :]) ** 2 * zeta[None, :, None]
-            out[scheme] = self._tally(est[scheme], nv, infos[1])
+            out[scheme] = self._tally(est[scheme], nv, info)
         nvo = sigma2_ofdm * np.abs(coeffs_ofdm[:, None, :]) ** 2 * np.ones((1, m, 1))
-        out["ofdm"] = self._tally(est["ofdm"], nvo, infos[1])
+        out["ofdm"] = self._tally(est["ofdm"], nvo, info)
         return out
 
     def _fbmc_block(self, grids, taps, noise, coeffs, cols: slice, est) -> None:

@@ -11,18 +11,24 @@ encoder and row-major (codeword, state) decoder that the package's
 vectorized versions must match exactly, tie decisions included. The same
 holds for the block-by-block delay tables, the row-by-row ``mse.csv`` and
 the validator that receives every feed at every SNR point, and for the
-whole-window tap, filter, adjoint, inverse, OFDM and QAM-decision kernels
-that the blocked ones must match byte for byte.
+whole-window tap, filter, adjoint, inverse, OFDM and QAM kernels (map,
+decisions and LLRs) that the blocked and per-level ones must match byte for
+byte. The per-draw FFT leakage
+sums, the einsum propagation and the roll-based covariance diagonals keep
+the arithmetic the closed forms had before the cross-moment kernel:
+``reference_mse_csv`` is built on them, so the live CSV must match it
+byte for byte, and every breakdown component to 1e-12.
 """
 
 import numpy as np
 
-from fbmcqam.analytics import (_circconv, averaged_breakdown, displaced_covariances,
-                               ensemble_taps, interference_tables)
+from fbmcqam.analytics import (DisplacedCovariances, MseBreakdown, averaged_breakdown,
+                               displaced_covariances, ensemble_taps, interference_tables,
+                               leakage_sums, neighbor_counts, zeta_grid)
 from fbmcqam.channel import (apply_taps, complex_noise, draw_taps, freq_response,
                              overlap_tail)
 from fbmcqam.cli import _csv_text, _db
-from fbmcqam.core import dft_segments, idft_block, qam_map
+from fbmcqam.core import dft_segments, idft_block, qam_levels, qam_map
 from fbmcqam.filterbank import autocorr_bands, window_length
 from fbmcqam.simulator import (LinkValidationPoint, _band_grid, _check, _sigma2,
                                channel_profile, make_context, scheme_label)
@@ -112,9 +118,100 @@ def reference_delay_tables(segs, m, n_delay):
     return fd, tail
 
 
+def reference_circconv(a, fb):
+    """(a * b)[n] = sum_q a[(n - q) mod N] b[q] over the leading axes of b,
+    given ``fb = np.fft.fft(b, axis=-1)``."""
+    return np.fft.ifft(np.fft.fft(a) * fb, axis=-1).real
+
+
+def reference_leakage_sums(tables, w):
+    """The leakage sums of the tables circularly convolved with a weight
+    ``w`` (..., N) by FFT: the same-symbol sum without the desired term and
+    a list of the cross-symbol sums at band distances 1, ..., K - 1, each of
+    the shape of ``w``."""
+    fw = np.fft.fft(w, axis=-1)
+    own = reference_circconv(tables.power[0], fw) - tables.power[0, 0] * w
+    return own, [reference_circconv(p, fw) for p in tables.power[1:]]
+
+
+def reference_propagate(inv, d):
+    """The table of R A_l as one einsum over the (N, M, M) inverse stack."""
+    return np.einsum("vai,lijv->lajv", inv, d)
+
+
+def reference_diagonals(d, moments):
+    """``analytics._diagonals`` with the shifted tables stacked from one
+    ``np.roll`` per delay."""
+    d = np.ascontiguousarray(d)
+    n_delay, m, _, n = d.shape
+    e = np.stack([np.roll(d[l], -l, axis=-1) for l in range(n_delay)])
+    x = e.transpose(1, 0, 2, 3).reshape(m, n_delay, m * n)
+    c = x @ x.transpose(0, 2, 1)
+    phase = np.exp(-2j * np.pi * np.outer(np.arange(n_delay), np.arange(n)) / n)
+    t = (moments * c) @ phase.conj()
+    out = (phase * t).sum(axis=1).real / n
+    return np.maximum(out, 0.0)
+
+
+def reference_displaced_covariances(segs, m, weights=None, taps=None, inv=None):
+    """``analytics.displaced_covariances`` on the block-by-block delay
+    tables, the einsum propagation and the roll-based diagonals."""
+    n = segs.shape[1]
+    moments = np.outer(taps, np.conj(taps)) if taps is not None else np.diag(weights)
+    fd, tail = reference_delay_tables(segs, m, len(moments))
+    if inv is None:
+        fd_if = ibi_if = np.zeros((m, n))
+    else:
+        fd_if = reference_diagonals(reference_propagate(inv, fd), moments)
+        ibi_if = reference_diagonals(reference_propagate(inv, tail), moments)
+    return DisplacedCovariances(reference_diagonals(fd, moments), fd_if,
+                                reference_diagonals(tail, moments), ibi_if)
+
+
+def reference_averaged_breakdown(cfg, ctx, mode, taps, sigma2, cov, with_ibi=False):
+    """``analytics.averaged_breakdown`` with the matched-filter leakage taken
+    per draw (FFT leakage sums weighted by that draw's |E|^2, then averaged)
+    and the cross-symbol sums accumulated per reference symbol."""
+    n, m = cfg.n, cfg.m
+    delta2 = cfg.symbol_power
+    c = freq_response(np.atleast_2d(taps), n)
+    eq = make_equalizer(c, cfg.equalizer, sigma2, delta2)
+    absc2 = np.abs(c) ** 2
+    abse2 = np.abs(eq.coeffs) ** 2
+    abse2_bar = abse2.mean(axis=0)
+    resd = np.repeat((delta2 * ((1.0 - eq.beta) ** 2).mean(axis=0))[None, :], m, axis=0)
+    zgrid = zeta_grid(ctx.inv, ctx.gram)
+    if mode == "nif":
+        own, per_d = reference_leakage_sums(ctx.tables, absc2)
+        ici_n = delta2 * (abse2 * own).mean(axis=0)
+        ici = np.repeat(ici_n[None, :], m, axis=0)
+        isi = np.zeros((m, n))
+        conv_d = [(abse2 * conv).mean(axis=0) for conv in per_d]
+        for ref, counts in enumerate(neighbor_counts(m, cfg.k)):
+            acc = np.zeros(n)
+            for count, conv in zip(counts, conv_d):
+                if count:
+                    acc += count * conv
+            isi[ref] = delta2 * acc
+        fd = delta2 * abse2_bar * cov.fd_nif
+        ibi = delta2 * abse2_bar * cov.ibi_nif if with_ibi else np.zeros((m, n))
+        noise = np.repeat((sigma2 * abse2_bar)[None, :], m, axis=0)
+        return MseBreakdown("nif", resd, ici, isi, fd, ibi, noise, zgrid,
+                            delta2=delta2)
+    fd = zgrid * (delta2 * abse2_bar * cov.fd_nif)
+    ibi = zgrid * (delta2 * abse2_bar * cov.ibi_nif) if with_ibi else np.zeros((m, n))
+    noise = zgrid * (sigma2 * abse2_bar)[None, :]
+    fd_exact = delta2 * abse2_bar * cov.fd_if
+    ibi_exact = (delta2 * abse2_bar * cov.ibi_if) if with_ibi else np.zeros((m, n))
+    return MseBreakdown("if", resd, np.zeros((m, n)), np.zeros((m, n)),
+                        fd, ibi, noise, zgrid, delta2=delta2,
+                        fd_exact=fd_exact, ibi_exact=ibi_exact)
+
+
 def reference_mse_csv(cfg):
     """The text of ``fbmcqam analyze``'s CSV for ``cfg``, one row tuple per
-    (SNR, mode, m, n, component), joined by ``cli._csv_text``."""
+    (SNR, mode, m, n, component), joined by ``cli._csv_text``, from the
+    reference covariances and breakdowns above."""
     ctx = make_context(cfg)
     pdp = channel_profile(cfg)
     taps = ensemble_taps(pdp, cfg.theory_draws, cfg.seed)
@@ -125,9 +222,11 @@ def reference_mse_csv(cfg):
     for snr_db in cfg.snr_db:
         sigma2 = cfg.symbol_power / 10.0 ** (snr_db / 10.0)
         for mode in ("nif", "if"):
-            cov = displaced_covariances(ctx.segs, cfg.m, weights=pdp.powers,
-                                        inv=ctx.inv if mode == "if" else None)
-            bd = averaged_breakdown(cfg, ctx, mode, taps, sigma2, cov, with_ibi=True)
+            cov = reference_displaced_covariances(
+                ctx.segs, cfg.m, weights=pdp.powers,
+                inv=ctx.inv if mode == "if" else None)
+            bd = reference_averaged_breakdown(cfg, ctx, mode, taps, sigma2, cov,
+                                              with_ibi=True)
             grids = {name: bd.component(name) for name in mode_components[mode]}
             for mm in range(cfg.m):
                 for nu in range(cfg.n):
@@ -223,21 +322,19 @@ def reference_link_validation(cfg):
         rest = np.abs(est_sub) ** 2
         rest[:, m0, :] = 0.0
         meas_isi_sub = rest.sum(axis=(0, 1))
-        # per-donor-subcarrier leakage sums over receivers; the profiles are
-        # symmetric in the lag, so the correlation is a circular convolution
-        gain2 = np.abs(eq.coeffs) ** 2
-        fg = np.fft.fft(gain2)
+        # per-donor-subcarrier leakage sums over receivers, from the live
+        # leakage kernel: the profiles are symmetric in the lag, so row q of
+        # the cross moment is every receiver's |E|^2
         cq2 = delta2 * np.abs(c) ** 2
-        if bd.mode == "if":
-            pq_ici = np.zeros(n)
-            pq_isi = np.zeros(n)
-        else:
-            pq_ici = cq2 * (_circconv(tables.power[0], fg)
-                            - tables.power[0, 0] * gain2)
-            pq_isi = np.zeros(n)
+        pq_ici = np.zeros(n)
+        pq_isi = np.zeros(n)
+        if bd.mode == "nif":
+            own, per_d = leakage_sums(
+                tables, np.broadcast_to(np.abs(eq.coeffs) ** 2, (n, n)))
+            pq_ici = cq2 * own
             for d in range(1, cfg.k):
                 count = (m0 - d >= 0) + (m0 + d < m)
-                pq_isi += count * cq2 * _circconv(tables.power[d], fg)
+                pq_isi += count * cq2 * per_d[:, d - 1]
 
         pred_ici_m = bd.ici.mean(axis=1)                     # per stimulus position
         pred_fd = bd.fd_exact if bd.mode == "if" else bd.fd
@@ -344,6 +441,37 @@ def reference_axis_decide(x, levels):
     return np.argmin(np.abs(x[..., None] - levels), axis=-1)
 
 
+def reference_qam_map(bits, order, power=1.0):
+    """Gray QAM symbols from per-axis labels: each bit group split into an
+    in-phase and a quadrature label, each read through the level table."""
+    bits = np.asarray(bits).astype(np.int64).ravel()
+    bpa = int(np.log2(order)) // 2
+    levels = qam_levels(order, power)
+    groups = bits.reshape(-1, 2 * bpa)
+    weights = 1 << np.arange(bpa - 1, -1, -1)
+    return levels[groups[:, :bpa] @ weights] + 1j * levels[groups[:, bpa:] @ weights]
+
+
+def reference_qam_llrs(symbols, order, noise_var, power=1.0):
+    """Max-log LLRs from one (samples, levels) squared-distance table per
+    axis, minimized over each bit's label columns."""
+    symbols = np.asarray(symbols).ravel()
+    nv = np.broadcast_to(np.asarray(noise_var, dtype=float), symbols.shape).ravel()
+    nv = np.maximum(nv, 1e-30)
+    bpa = int(np.log2(order)) // 2
+    levels = qam_levels(order, power)
+    labels = np.arange(levels.size)
+    llrs = np.empty((symbols.size, 2 * bpa))
+    for axis, x in ((0, symbols.real), (1, symbols.imag)):
+        d2 = (x[:, None] - levels) ** 2
+        for j in range(bpa):
+            bit = (labels >> (bpa - 1 - j)) & 1
+            m0 = d2[:, bit == 0].min(axis=1)
+            m1 = d2[:, bit == 1].min(axis=1)
+            llrs[:, axis * bpa + j] = (m1 - m0) / nv
+    return llrs.ravel()
+
+
 def _reference_shift_window(x, offset):
     if offset == 0:
         return x
@@ -361,7 +489,7 @@ def reference_run_chunk(engine, seed, batch, sigma2):
     cfg, ctx = engine.cfg, engine.ctx
     n, m = engine.n, engine.m
     rng = np.random.default_rng(seed)
-    infos, grids = engine._band_symbols(rng, batch)
+    info, grids = engine._band_symbols(rng, batch)
     taps = draw_taps(engine.pdp, rng, (3, batch))
     mid_c = freq_response(taps[1], n)
     band = slice(engine.starts[1], engine.starts[1] + engine.width)
@@ -384,7 +512,7 @@ def reference_run_chunk(engine, seed, batch, sigma2):
         est = equalize(coeffs, dft_segments(x, n))
         zeta = ctx.zeta_m if mode == "if" else np.ones(m)
         nv = sigma2 * np.abs(coeffs[:, None, :]) ** 2 * zeta[None, :, None]
-        out[scheme_label(mode, cfg.eta)] = engine._tally(est[band], nv[band], infos[1])
+        out[scheme_label(mode, cfg.eta)] = engine._tally(est[band], nv[band], info)
 
     step = n + engine.cp
     sigma2_ofdm = sigma2 * step / n
@@ -401,7 +529,7 @@ def reference_run_chunk(engine, seed, batch, sigma2):
     eqo = make_equalizer(mid_c, cfg.equalizer, sigma2_ofdm, cfg.symbol_power)
     esto = equalize(eqo.coeffs.T, grid_rx)
     nvo = sigma2_ofdm * np.abs(eqo.coeffs.T[:, None, :]) ** 2 * np.ones((1, m, 1))
-    out["ofdm"] = engine._tally(esto[band], nvo[band], infos[1])
+    out["ofdm"] = engine._tally(esto[band], nvo[band], info)
     return out
 
 

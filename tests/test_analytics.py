@@ -7,7 +7,7 @@ helpers.py straight from the definitions.
 import numpy as np
 import pytest
 
-from fbmcqam.analytics import (_delay_tables, _diagonals, averaged_breakdown,
+from fbmcqam.analytics import (_delay_tables, _diagonals, _propagate, averaged_breakdown,
                                complexity_report, displaced_covariances, ensemble_taps,
                                interference_tables, leakage_sums, neighbor_counts,
                                zeta_factors, zeta_grid)
@@ -18,7 +18,10 @@ from fbmcqam.filterbank import autocorr_bands, gram_stack, inverse_stack, tap_se
 from fbmcqam.simulator import make_context
 from fbmcqam.transceiver import make_equalizer
 from helpers import (dense_displacement, dense_filter_matrix, dense_tail,
-                     reference_delay_tables, stack_to_dense, unitary_dft)
+                     reference_averaged_breakdown, reference_delay_tables,
+                     reference_diagonals, reference_displaced_covariances,
+                     reference_leakage_sums, reference_propagate, stack_to_dense,
+                     unitary_dft)
 
 
 def _setup(n, m, k):
@@ -109,24 +112,43 @@ def test_leakage_sums_match_explicit_sums():
     n, m, k = 8, 5, 3
     _, bands, _, _ = _setup(n, m, k)
     tables = interference_tables(bands, m)
-    w = np.random.default_rng(33).uniform(0.5, 2.0, size=(2, n))
-    own, per_d = leakage_sums(tables, w)
-    per_d = list(per_d)
-    assert own.shape == w.shape and len(per_d) == k - 1
+    rng = np.random.default_rng(33)
+    w = rng.uniform(0.5, 2.0, size=(2, n))
     lag = (np.arange(n)[:, None] - np.arange(n)) % n        # (n, q)
     off = ~np.eye(n, dtype=bool)
-    for row in range(2):
+    # a general cross moment, one draw's outer product, and a weight
+    # broadcast over rows (the link validator's form)
+    for x in (rng.uniform(0.5, 2.0, size=(n, n)), np.outer(w[0], w[1]),
+              np.broadcast_to(w[0], (n, n))):
+        own, per_d = leakage_sums(tables, x)
+        assert own.shape == (n,) and per_d.shape == (n, k - 1)
         for nu in range(n):
-            want = np.sum((tables.power[0][lag[nu]] * w[row])[off[nu]])
-            assert own[row, nu] == pytest.approx(want, rel=1e-12)
+            want = np.sum((tables.power[0][lag[nu]] * x[nu])[off[nu]])
+            assert own[nu] == pytest.approx(want, rel=1e-12)
             for d in range(1, k):
-                want = np.sum(tables.power[d][lag[nu]] * w[row])
-                assert per_d[d - 1][row, nu] == pytest.approx(want, rel=1e-12)
+                want = np.sum(tables.power[d][lag[nu]] * x[nu])
+                assert per_d[nu, d - 1] == pytest.approx(want, rel=1e-12)
     # a flat weight collapses onto the tables' totals
-    own, per_d = leakage_sums(tables, np.ones(n))
+    own, per_d = leakage_sums(tables, np.ones((n, n)))
     np.testing.assert_allclose(own, tables.alpha_ici, rtol=1e-12)
-    np.testing.assert_allclose(neighbor_counts(m, k) @ [p[0] for p in per_d],
-                               tables.alpha_isi, rtol=1e-12)
+    np.testing.assert_allclose(neighbor_counts(m, k) @ per_d[0], tables.alpha_isi,
+                               rtol=1e-12)
+
+
+def test_leakage_sums_match_fft_reference():
+    # the cross-moment product against the per-draw FFT circular
+    # convolutions it replaced, averaged over the same draws
+    n, m, k = 16, 4, 4
+    _, bands, _, _ = _setup(n, m, k)
+    tables = interference_tables(bands, m)
+    rng = np.random.default_rng(38)
+    absc2, abse2 = rng.uniform(0.1, 3.0, size=(2, 50, n))
+    own, per_d = leakage_sums(tables, abse2.T @ absc2 / 50)
+    ref_own, ref_per_d = reference_leakage_sums(tables, absc2)
+    np.testing.assert_allclose(own, (abse2 * ref_own).mean(axis=0), rtol=1e-12)
+    for d, ref in enumerate(ref_per_d):
+        np.testing.assert_allclose(per_d[:, d], (abse2 * ref).mean(axis=0),
+                                   rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +276,43 @@ def test_delay_tables_equal_blockwise_reference(n, m, k, n_taps):
     assert np.array_equal(tail, ref_tail)
 
 
+@pytest.mark.parametrize("n,m,k,n_taps",
+                         _ORACLE_CASES + [(8, 1, 2, 9), (16, 14, 5, 17)])
+def test_diagonals_equal_roll_reference(n, m, k, n_taps):
+    # the shifted tables are a pure data move, so the diagonals keep every
+    # bit of the roll-based form, on plain and on propagated tables
+    rng = np.random.default_rng(11 * n + m + k + n_taps)
+    segs = rng.normal(size=(k, n))
+    inv = rng.normal(size=(n, m, m))
+    taps = rng.normal(size=(n_taps, 2)) @ [1, 1j]
+    fd, tail = _delay_tables(segs, m, n_taps)
+    for moments in (np.outer(taps, np.conj(taps)), np.diag(rng.random(n_taps))):
+        for d in (fd, tail, _propagate(inv, fd), _propagate(inv, tail)):
+            assert np.array_equal(_diagonals(d, moments),
+                                  reference_diagonals(d, moments))
+
+
+@pytest.mark.parametrize("n,m,k,n_taps", _ORACLE_CASES)
+def test_propagation_matches_einsum_reference(n, m, k, n_taps):
+    rng = np.random.default_rng(13 * n + m + k + n_taps)
+    inv = rng.normal(size=(n, m, m))
+    fd, tail = _delay_tables(rng.normal(size=(k, n)), m, n_taps)
+    for d in (fd, tail):
+        np.testing.assert_allclose(_propagate(inv, d), reference_propagate(inv, d),
+                                   rtol=1e-12, atol=1e-15 * np.abs(d).max())
+
+
 def test_diagonals_depend_on_values_not_layout():
-    # the inverse-filter tables come out of an einsum whose output layout is
-    # numpy's choice; equal values must give equal bits whatever the strides
+    # the inverse-filter tables come out of a transposed matmul, so their
+    # layout is numpy's choice; equal values must give equal bits whatever
+    # the strides
     n, m, k, n_taps = 16, 6, 4, 5
     segs, _, _, inv = _setup(n, m, k)
     fd, tail = _delay_tables(segs, m, n_taps)
     taps = np.random.default_rng(34).normal(size=(n_taps, 2)) @ [1, 1j]
     moments = np.outer(taps, np.conj(taps))
     for d in (fd, tail):
-        table = np.einsum("vai,lijv->lajv", inv, d)
+        table = _propagate(inv, d)
         c_order = np.ascontiguousarray(table)
         wide = np.zeros(table.shape + (2,))
         wide[..., 1] = table
@@ -441,6 +490,50 @@ def test_one_realization_equals_one_draw_stack(mode):
         np.testing.assert_array_equal(one.component(name), stack.component(name),
                                       err_msg=name)
     assert one.mode == stack.mode == mode
+
+
+_BREAKDOWN_NAMES = {"nif": ("resd", "ici", "isi", "fd", "ibi", "noise", "total",
+                             "sinr", "zeta"),
+                    "if": ("resd", "ici", "isi", "fd", "ibi", "noise", "total",
+                           "sinr", "zeta", "fd_exact", "ibi_exact")}
+
+
+@pytest.mark.parametrize("settings", [
+    {},
+    {"n": 16, "m": 4, "k": 2},
+    {"equalizer": "zf"},
+    {"eta": 0.5},
+], ids=["default", "n16-m4-k2", "zf", "eta0.5"])
+@pytest.mark.parametrize("spec", ["weights", "taps"])
+def test_breakdowns_match_reference_arithmetic(settings, spec):
+    # the cross-moment leakage, batched propagation and sliced shifts move
+    # no component by more than 1e-12 relative from the per-draw FFT,
+    # einsum and roll forms; weights= is analyze's ensemble path, taps= the
+    # conditional path of one realization
+    cfg = RunConfig(**settings)
+    ctx = make_context(cfg)
+    pdp = PowerDelayProfile.exponential(cfg.channel_taps, cfg.pdp_decay_db)
+    if spec == "weights":
+        taps = ensemble_taps(pdp, cfg.theory_draws, cfg.seed)
+        chan = {"weights": pdp.powers}
+    else:
+        taps = draw_taps(pdp, np.random.default_rng(39))
+        chan = {"taps": taps}
+    cov = displaced_covariances(ctx.segs, cfg.m, inv=ctx.inv, **chan)
+    ref_cov = reference_displaced_covariances(ctx.segs, cfg.m, inv=ctx.inv, **chan)
+    for name in ("fd_nif", "fd_if", "ibi_nif", "ibi_if"):
+        np.testing.assert_allclose(getattr(cov, name), getattr(ref_cov, name),
+                                   rtol=1e-12, atol=0, err_msg=name)
+    for snr_db in (0.0, 30.0):
+        sigma2 = cfg.symbol_power / 10.0 ** (snr_db / 10.0)
+        for mode, names in _BREAKDOWN_NAMES.items():
+            bd = averaged_breakdown(cfg, ctx, mode, taps, sigma2, cov, with_ibi=True)
+            ref = reference_averaged_breakdown(cfg, ctx, mode, taps, sigma2, ref_cov,
+                                               with_ibi=True)
+            for name in names:
+                np.testing.assert_allclose(bd.component(name), ref.component(name),
+                                           rtol=1e-12, atol=0,
+                                           err_msg=f"{mode} {name} at {snr_db} dB")
 
 
 # ---------------------------------------------------------------------------

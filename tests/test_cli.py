@@ -36,13 +36,18 @@ def test_version(capsys):
     assert fbmcqam.__version__ in capsys.readouterr().out
 
 
+def _subprocess_env(**extra):
+    """This environment plus ``extra``, with the package under test first on
+    the path of a child interpreter."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(fbmcqam.__file__)),
+         os.environ.get("PYTHONPATH", "")]), **extra)
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is a test-only dependency; the package must run without it
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.dirname(os.path.dirname(fbmcqam.__file__)),
-         os.environ.get("PYTHONPATH", "")]))
     code = "import sys, fbmcqam.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
 
@@ -137,6 +142,20 @@ def test_analyze_csv_matches_row_by_row_reference(tmp_path, equalizer, eta):
     if equalizer == "zf":
         # ZF has no bias error, so every resd row carries the -inf marker
         assert "10,nif,0,0,resd,-inf\n" in text
+
+
+def test_analyze_csv_is_independent_of_blas_threads(tmp_path):
+    # the leakage and the propagation run through BLAS products; the thread
+    # count is read when numpy loads, so each run gets its own interpreter
+    texts = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"mse{threads}.csv"
+        subprocess.run([sys.executable, "-m", "fbmcqam.cli", "analyze", "--out",
+                        str(path), "--snr-db", "0,30"],
+                       env=_subprocess_env(OPENBLAS_NUM_THREADS=threads),
+                       check=True, capture_output=True)
+        texts.append(path.read_bytes())
+    assert texts[0] == texts[1]
 
 
 @pytest.mark.parametrize("value,field", [

@@ -9,7 +9,8 @@ from fbmcqam.core import (SUPPORTED_OVERLAPS, PrototypeFilter, _axis_decide,
                           design_prototype, dft_segments, idft_block,
                           load_prototype_file, qam_demap, qam_levels, qam_llrs,
                           qam_map)
-from helpers import reference_axis_decide, unitary_dft
+from helpers import (reference_axis_decide, reference_qam_llrs, reference_qam_map,
+                     unitary_dft)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +114,24 @@ def test_axis_decision_equals_argmin_over_levels(order):
     got, want = _axis_decide(x, levels), reference_axis_decide(x, levels)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("order", [4, 16, 64])
+def test_qam_map_and_llrs_bit_equal_to_label_tables(order):
+    # random symbols, symbols on every level and every midpoint of both axes
+    # (exact ties), zero, and per-symbol, scalar and zero noise variances
+    rng = np.random.default_rng(order + 1)
+    bits = rng.integers(0, 2, size=int(np.log2(order)) * 4096)
+    mapped = qam_map(bits, order, 2.5)
+    assert mapped.tobytes() == reference_qam_map(bits, order, 2.5).tobytes()
+    levels = qam_levels(order, 2.5)
+    srt = np.sort(levels)
+    grid = np.concatenate([levels, (srt[1:] + srt[:-1]) / 2, [0.0]])
+    noise = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+    s = np.concatenate([mapped + 0.4 * noise, (grid[:, None] + 1j * grid).ravel()])
+    for nv in (rng.uniform(0.01, 1.0, size=s.size), 0.1, 0.0):
+        assert (qam_llrs(s, order, nv, 2.5).tobytes()
+                == reference_qam_llrs(s, order, nv, 2.5).tobytes())
 
 
 def test_qam_llr_signs_match_hard_decisions():

@@ -251,6 +251,18 @@ def test_chunk_equals_whole_window_reference(preset, coded, eta, block_trials):
         assert sum(t.errors for t in got.values()) > 0
 
 
+@pytest.mark.parametrize("coded", [True, False])
+def test_band_symbols_return_the_scored_users_bits(coded):
+    # the middle user's grid decodes without error to the bits handed back;
+    # the neighbors' grids carry bits of their own
+    engine = _engine("sync3band", coded, 0.0)
+    info, grids = engine._band_symbols(np.random.default_rng(5), 6)
+    nv = np.full(grids[1].shape, 1e-3)
+    assert engine._tally(grids[1], nv, info).errors == 0
+    assert engine._tally(grids[0], nv, info).errors > 0
+    assert engine._tally(grids[2], nv, info).errors > 0
+
+
 @pytest.mark.parametrize("batch, widths", [(8, [8]), (24, [10, 10, 4])])
 def test_chunk_applies_matched_filter_once_per_trial(monkeypatch, batch, widths):
     # both receiver modes start from one matched-filter output; a chunk
