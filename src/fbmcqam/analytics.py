@@ -61,6 +61,7 @@ __all__ = [
     "neighbor_counts",
     "leakage_sums",
     "zeta_factors",
+    "zeta_grid",
     "MseBreakdown",
     "DisplacedCovariances",
     "displaced_covariances",
@@ -378,7 +379,7 @@ class ComplexityReport:
     c_r: int
     c_rx_if: int
     mask_count: int        # per-symbol count implied by the eta keep-mask
-    filter_per_block: int  # instrumented apply cost of P for one block
+    filter_per_block: int  # P b for one block: 2 per nonzero of P
     big_o: str
 
     def rows(self):

@@ -32,6 +32,8 @@ from .config import (ConfigError, RunConfig, apply_overrides, format_config,
                      load_config_file, WORKER_ENV_VAR)
 from .simulator import channel_profile, make_context, run_multiservice
 
+__all__ = ["main", "cmd_filter", "cmd_analyze", "cmd_simulate", "cmd_complexity"]
+
 log = logging.getLogger("fbmcqam")
 
 _FIELD_HELP = {
@@ -42,12 +44,14 @@ _FIELD_HELP = {
     "mod_order": "QAM order: 4, 16 or 64",
     "eta": "inverse-filter sparsification fraction in [0, 1]",
     "equalizer": "one-tap equalizer: zf or mmse",
-    "receiver_mode": "run_link_validation only: if (inverse) or nif (matched)",
+    "receiver_mode": "run_link_validation only, subcommands require if: "
+                     "if (inverse) or nif (matched)",
     "channel_taps": "channel length L",
     "pdp_decay_db": "first-to-last tap decay of the default profile",
     "pdp_file": "l,rho2 CSV overriding the default profile",
     "pdp_normalize": "normalize a loaded profile to unit power",
-    "overlap_blocks": "run_link_validation only: model previous-block leakage",
+    "overlap_blocks": "run_link_validation only, subcommands require false: "
+                      "model previous-block leakage",
     "cp_len": "OFDM cyclic prefix; -1 selects N/8",
     "filter_file": "prototype coefficients file overriding the design",
     "snr_db": "comma-separated SNR grid in dB",
@@ -155,6 +159,11 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
                            help=_FIELD_HELP[f.name])
 
 
+# fields only ``run_link_validation`` reads; a subcommand rejects a value
+# other than the default instead of ignoring it
+_VALIDATION_ONLY = ("receiver_mode", "overlap_blocks")
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = load_config_file(args.config) if args.config else RunConfig()
     overrides = {f.name: raw for f in fields(RunConfig)
@@ -164,7 +173,14 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if preset and "subband_offsets" not in overrides:
         delta = cfg.async_offset() if preset == "async3band" else 0
         cfg = replace(cfg, subband_offsets=(delta, 0, delta))
-    return cfg.validate()
+    cfg.validate()
+    default = RunConfig()
+    unread = [f"{key}: {getattr(cfg, key)!r} is read only by run_link_validation; "
+              f"subcommands accept only {getattr(default, key)!r}"
+              for key in _VALIDATION_ONLY if getattr(cfg, key) != getattr(default, key)]
+    if unread:
+        raise ConfigError("invalid configuration:\n  " + "\n  ".join(unread))
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +233,7 @@ def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
             for mode, names in mode_components.items()}
     blocks = ["snr_db,mode,m,n,component,value_db\n"]
     for snr_db in cfg.snr_db:
-        sigma2 = cfg.symbol_power / 10.0 ** (snr_db / 10.0)
+        sigma2 = cfg.sigma2(snr_db)
         for mode, names in mode_components.items():
             cov = displaced_covariances(ctx.segs, cfg.m, weights=pdp.powers,
                                         inv=ctx.inv if mode == "if" else None)

@@ -17,6 +17,7 @@ __all__ = [
     "RunConfig",
     "ConfigError",
     "parse_config_text",
+    "apply_overrides",
     "load_config_file",
     "format_config",
     "worker_count",
@@ -74,6 +75,10 @@ class RunConfig:
 
     def cp(self) -> int:
         return self.cp_len if self.cp_len >= 0 else self.n // 8
+
+    def sigma2(self, snr_db: float) -> float:
+        """Complex noise variance at an SNR point: delta^2 / 10^(snr_db/10)."""
+        return self.symbol_power / 10.0 ** (snr_db / 10.0)
 
     def band_width(self) -> int:
         return self.subband_width if self.subband_width > 0 else self.n // 4

@@ -30,7 +30,6 @@ import numpy as np
 from .core import PrototypeFilter
 
 __all__ = [
-    "MultiplyCounter",
     "tap_segments",
     "window_length",
     "apply_filter",
@@ -41,18 +40,7 @@ __all__ = [
     "inverse_stack",
     "kept_mask",
     "sparsify_inverse",
-    "inverse_nonzeros",
 ]
-
-
-class MultiplyCounter:
-    """Accumulates real-multiplication counts from instrumented operations."""
-
-    def __init__(self):
-        self.count = 0
-
-    def add(self, n: int):
-        self.count += int(n)
 
 
 def tap_segments(filt: PrototypeFilter) -> np.ndarray:
@@ -72,8 +60,7 @@ def _promote(x: np.ndarray):
     return x, False
 
 
-def apply_filter(segs: np.ndarray, b: np.ndarray,
-                 counter: MultiplyCounter | None = None) -> np.ndarray:
+def apply_filter(segs: np.ndarray, b: np.ndarray) -> np.ndarray:
     """o = P b for stacked time-domain segments b of shape (M*N,) or (M*N, B)."""
     k, n = segs.shape
     b2, squeeze = _promote(b)
@@ -87,14 +74,11 @@ def apply_filter(segs: np.ndarray, b: np.ndarray,
         for i in range(max(0, j - m + 1), min(k, j + 1)):
             np.multiply(segs[i][:, None], bb[j - i], out=tmp)
             np.add(out[j], tmp, out=out[j])
-    if counter is not None:
-        counter.add(2 * k * m * n * bb.shape[2])
     o = out.reshape((k + m - 1) * n, -1)
     return o[:, 0] if squeeze else o
 
 
-def apply_adjoint(segs: np.ndarray, r: np.ndarray,
-                  counter: MultiplyCounter | None = None) -> np.ndarray:
+def apply_adjoint(segs: np.ndarray, r: np.ndarray) -> np.ndarray:
     """x = P^H r for a received window of shape ((K+M-1)*N,) or (..., B)."""
     k, n = segs.shape
     r2, squeeze = _promote(r)
@@ -109,8 +93,6 @@ def apply_adjoint(segs: np.ndarray, r: np.ndarray,
         for i in range(k):
             np.multiply(segs[i][:, None], rr[j + i], out=tmp)
             np.add(out[j], tmp, out=out[j])
-    if counter is not None:
-        counter.add(2 * k * m * n * rr.shape[2])
     x = out.reshape(m * n, -1)
     return x[:, 0] if squeeze else x
 
@@ -176,13 +158,7 @@ def sparsify_inverse(inv: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def inverse_nonzeros(inv: np.ndarray) -> int:
-    """Exact nonzero entry count of the (N, M, M) inverse stack."""
-    return int(np.count_nonzero(inv))
-
-
-def apply_inverse(inv: np.ndarray, x: np.ndarray,
-                  counter: MultiplyCounter | None = None) -> np.ndarray:
+def apply_inverse(inv: np.ndarray, x: np.ndarray) -> np.ndarray:
     """v = R x on stacked matched-filter outputs x of shape (M*N,) or (M*N, B)."""
     n, m, _ = inv.shape
     x2, squeeze = _promote(x)
@@ -195,7 +171,5 @@ def apply_inverse(inv: np.ndarray, x: np.ndarray,
         for i in range(m):
             np.multiply(inv[:, a, i, None], xb[i], out=tmp)
             np.add(v[a], tmp, out=v[a])
-    if counter is not None:
-        counter.add(2 * inverse_nonzeros(inv) * xb.shape[2])
     v = v.reshape(m * n, -1)
     return v[:, 0] if squeeze else v

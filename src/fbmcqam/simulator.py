@@ -94,10 +94,6 @@ def make_context(cfg: RunConfig) -> LinkContext:
                        inv, inv_rx, zeta_factors(inv_rx, gram))
 
 
-def _sigma2(cfg: RunConfig, snr_db: float) -> float:
-    return cfg.symbol_power / 10.0 ** (snr_db / 10.0)
-
-
 def wilson_halfwidth(errors: int, n: int, z: float = _Z95) -> float:
     """Half-width of the Wilson score interval for a binomial proportion."""
     if n <= 0:
@@ -230,7 +226,7 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
 
     points = []
     for snr_db in cfg.snr_db:
-        sigma2 = _sigma2(cfg, snr_db)
+        sigma2 = cfg.sigma2(snr_db)
         bd = averaged_breakdown(cfg, ctx, mode, h, sigma2, cov, with_ibi=with_ibi)
         eq = make_equalizer(c, cfg.equalizer, sigma2, delta2)
         noise = complex_noise(rng_noise, (t_len, trials), sigma2)
@@ -533,7 +529,7 @@ def run_multiservice(cfg: RunConfig, modes: tuple[str, ...] = ("nif", "if"),
 
     try:
         for snr_db in cfg.snr_db:
-            sigma2 = _sigma2(cfg, snr_db)
+            sigma2 = cfg.sigma2(snr_db)
             tallies = {s: _Tally() for s in schemes}
 
             def run_stage(target_bits: int) -> None:

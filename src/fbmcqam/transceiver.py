@@ -1,9 +1,9 @@
 """End-to-end chains: filter-bank transmit/receive and the CP-OFDM baseline.
 
-The filter-bank receiver is split in two: :func:`fbmc_demodulate` is the
-SNR-independent front end (matched filter, optional inverse, per-symbol DFT),
-the counterpart of :func:`ofdm_demodulate`, and :func:`fbmc_receive` applies
-the equalizer to its grid.
+The filter-bank receiver is :func:`equalize` applied to the grid of
+:func:`fbmc_demodulate`, the SNR-independent front end (matched filter,
+optional inverse, per-symbol DFT), just as the OFDM receiver equalizes the
+grid of :func:`ofdm_demodulate`.
 
 Both receivers apply one-tap frequency-domain equalization with genie channel
 knowledge. The OFDM baseline charges itself the cyclic-prefix energy overhead
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import dft_segments, idft_block
-from .filterbank import MultiplyCounter, apply_adjoint, apply_filter, apply_inverse
+from .filterbank import apply_adjoint, apply_filter, apply_inverse
 
 __all__ = [
     "Equalizer",
@@ -26,7 +26,6 @@ __all__ = [
     "equalize",
     "fbmc_transmit",
     "fbmc_demodulate",
-    "fbmc_receive",
     "ofdm_modulate",
     "ofdm_demodulate",
 ]
@@ -65,24 +64,23 @@ def make_equalizer(c: np.ndarray, kind: str, sigma2: float,
     return Equalizer(kind, e, beta)
 
 
-def fbmc_transmit(S: np.ndarray, segs: np.ndarray,
-                  counter: MultiplyCounter | None = None) -> np.ndarray:
+def fbmc_transmit(S: np.ndarray, segs: np.ndarray) -> np.ndarray:
     """Filter-bank modulate an N x M (x batch) symbol grid into (K+M-1)N samples."""
     if S.shape[0] != segs.shape[1]:
         raise ValueError(f"grid has {S.shape[0]} subcarriers, filter expects {segs.shape[1]}")
-    return apply_filter(segs, idft_block(S), counter)
+    return apply_filter(segs, idft_block(S))
 
 
-def fbmc_demodulate(r: np.ndarray, segs: np.ndarray, inv: np.ndarray | None = None,
-                    counter: MultiplyCounter | None = None) -> np.ndarray:
+def fbmc_demodulate(r: np.ndarray, segs: np.ndarray,
+                    inv: np.ndarray | None = None) -> np.ndarray:
     """Matched filter, optional inverse filter, per-symbol DFT.
 
     Returns the unequalized N x M (x batch) grid. ``inv`` is the (N, M, M)
     inverse stack; passing None selects the matched-filter-only receiver.
     """
-    x = apply_adjoint(segs, r, counter)
+    x = apply_adjoint(segs, r)
     if inv is not None:
-        x = apply_inverse(inv, x, counter)
+        x = apply_inverse(inv, x)
     return dft_segments(x, segs.shape[1])
 
 
@@ -91,17 +89,6 @@ def equalize(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
     N x M (x B) grid."""
     e = np.expand_dims(coeffs, tuple(range(1, y.ndim - coeffs.ndim + 1)))
     return e * y
-
-
-def fbmc_receive(r: np.ndarray, segs: np.ndarray, coeffs: np.ndarray,
-                 inv: np.ndarray | None = None,
-                 counter: MultiplyCounter | None = None) -> np.ndarray:
-    """Demodulate (:func:`fbmc_demodulate`), then equalize.
-
-    ``coeffs`` holds the one-tap equalizer coefficients, shared (N,) or per
-    trial (N, B).
-    """
-    return equalize(coeffs, fbmc_demodulate(r, segs, inv, counter))
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,9 @@ from fbmcqam.channel import (apply_taps, complex_noise, draw_taps, freq_response
 from fbmcqam.cli import _csv_text, _db
 from fbmcqam.core import dft_segments, idft_block, qam_levels, qam_map
 from fbmcqam.filterbank import autocorr_bands, window_length
-from fbmcqam.simulator import (LinkValidationPoint, _band_grid, _check, _sigma2,
+from fbmcqam.simulator import (LinkValidationPoint, _band_grid, _check,
                                channel_profile, make_context, scheme_label)
-from fbmcqam.transceiver import (equalize, fbmc_receive, fbmc_transmit,
+from fbmcqam.transceiver import (equalize, fbmc_demodulate, fbmc_transmit,
                                  make_equalizer, ofdm_demodulate)
 
 
@@ -296,12 +296,12 @@ def reference_link_validation(cfg):
 
     points = []
     for snr_db in cfg.snr_db:
-        sigma2 = _sigma2(cfg, snr_db)
+        sigma2 = cfg.sigma2(snr_db)
         bd = averaged_breakdown(cfg, ctx, mode, h, sigma2, cov, with_ibi=with_ibi)
         eq = make_equalizer(c, cfg.equalizer, sigma2, delta2)
 
         def receive(r):
-            return fbmc_receive(r, ctx.segs, eq.coeffs, inv_rx)
+            return equalize(eq.coeffs, fbmc_demodulate(r, ctx.segs, inv_rx))
 
         noise = complex_noise(rng_noise, (t_len, trials), sigma2)
         meas_noise = np.mean(np.abs(receive(noise)) ** 2, axis=(0, 1))

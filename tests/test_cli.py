@@ -206,6 +206,10 @@ def test_simulate_outputs_and_manifest_roundtrip(tmp_path):
     assert "master_seed = 77" in manifest
     assert f"tool_version = {fbmcqam.__version__}" in manifest
     assert "outputs = ber.csv" in manifest
+    # the validation-only keys are written at their defaults, which every
+    # subcommand accepts
+    assert "receiver_mode = if\n" in manifest
+    assert "overlap_blocks = false\n" in manifest
 
     # reloading the manifest reproduces the run byte for byte
     rc = main(["simulate", "--config", str(d1 / "manifest.txt"),
@@ -275,6 +279,43 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     path.write_text("bogus = 3\n")
     assert main(["complexity", "--config", str(path)]) == 2
     assert "unknown configuration key" in capsys.readouterr().err
+
+
+COMMAND_TARGETS = [("filter", "--out-dir"), ("analyze", "--out"),
+                   ("simulate", "--out-dir"), ("complexity", "--out")]
+
+
+@pytest.mark.parametrize("command,target", COMMAND_TARGETS)
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key,value", [("receiver_mode", "nif"),
+                                       ("overlap_blocks", "true")])
+def test_validation_only_keys_exit_2_in_every_command(tmp_path, capsys, command,
+                                                      target, source, key, value):
+    # only run_link_validation reads these keys; a subcommand must not accept
+    # a value it would ignore, not even to print it
+    out = tmp_path / "out"
+    if source == "flag":
+        setting = ["--" + key.replace("_", "-"), value]
+    else:
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\n")
+        setting = ["--config", str(path)]
+    assert main([command, target, str(out), "--print-config", *setting]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{key}: " in captured.err
+    assert "read only by run_link_validation" in captured.err
+    assert not out.exists()
+
+
+def test_validation_only_keys_accept_their_defaults(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["filter", "--out-dir", str(out), "--receiver-mode", "nif"]) == 2
+    assert not out.exists()
+    capsys.readouterr()
+    assert main(["filter", "--out-dir", str(out), "--receiver-mode", "if",
+                 "--overlap-blocks", "false"] + SMALL) == 0
+    assert (out / "complexity.csv").exists()
 
 
 def test_retired_guard_samples_flag_rejected(capsys):

@@ -21,6 +21,14 @@ def test_resolved_defaults():
     assert cfg.async_offset() == 36
 
 
+def test_sigma2_is_symbol_power_over_linear_snr():
+    assert RunConfig().sigma2(0.0) == 1.0
+    assert RunConfig(symbol_power=4.0).sigma2(20.0) == pytest.approx(0.04, rel=1e-15)
+    for snr_db in (-3.0, 7.5, 30.0):
+        cfg = RunConfig(symbol_power=2.5)
+        assert cfg.sigma2(snr_db) == cfg.symbol_power / 10.0 ** (snr_db / 10.0)
+
+
 def test_explicit_values_override_auto():
     cfg = RunConfig(cp_len=16, subband_width=8,
                     subband_starts=(0, 10, 20), subband_offsets=(1, 2, 3))

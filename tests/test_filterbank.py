@@ -4,11 +4,12 @@ checked against dense first-principles constructions."""
 import numpy as np
 import pytest
 
+from fbmcqam.analytics import complexity_report
 from fbmcqam.core import design_prototype
-from fbmcqam.filterbank import (MultiplyCounter, apply_adjoint, apply_filter,
-                                apply_inverse, autocorr_bands, gram_stack,
-                                inverse_stack, inverse_nonzeros, kept_mask,
-                                sparsify_inverse, tap_segments, window_length)
+from fbmcqam.filterbank import (apply_adjoint, apply_filter, apply_inverse,
+                                autocorr_bands, gram_stack, inverse_stack,
+                                kept_mask, sparsify_inverse, tap_segments,
+                                window_length)
 from helpers import (dense_filter_matrix, dense_gram_blocks, reference_apply_adjoint,
                      reference_apply_filter, reference_apply_inverse, stack_to_dense)
 
@@ -138,7 +139,7 @@ def test_sparsify_inverse_zeroes_only_off_diagonal():
     off = ~np.eye(m, dtype=bool)
     assert np.all(sparse[~mask][:, off] == 0.0)
     np.testing.assert_array_equal(sparse[mask], inv[mask])
-    assert inverse_nonzeros(sparse) == n * m * m - 4 * (m * m - m)
+    assert np.count_nonzero(sparse) == n * m * m - 4 * (m * m - m)
 
 
 def test_eta_one_drops_small_elements():
@@ -154,31 +155,36 @@ def test_eta_one_drops_small_elements():
 
 
 # ---------------------------------------------------------------------------
-# instrumented counts
+# complexity report against the operators' nonzeros
 # ---------------------------------------------------------------------------
 
+# (N, M, K): the defaults, two small links, the K = 1 rectangular filter
+# (R = I) and a filter longer than its block
+COUNT_SHAPES = [(64, 14, 5), (16, 4, 3), (32, 7, 1), (8, 3, 8)]
+COUNT_ETAS = (0.0, 0.25, 0.5, 1.0)
+
+
 def test_filter_multiply_count():
-    n, m, k = 64, 14, 5
-    segs = _segs(n, k)
-    b = np.zeros(m * n, dtype=complex)
-    counter = MultiplyCounter()
-    apply_filter(segs, b, counter)
-    assert counter.count == 2 * m * n * k
-    apply_adjoint(segs, apply_filter(segs, b, counter), counter)
-    assert counter.count == 3 * (2 * m * n * k)
+    # real taps on complex symbols: two real multiplications per nonzero of P
+    for n, m, k in COUNT_SHAPES:
+        p = dense_filter_matrix(_segs(n, k), m)
+        for eta in COUNT_ETAS:
+            report = complexity_report(n, m, k, eta)
+            assert 2 * np.count_nonzero(p) == report.filter_per_block, (n, m, k, eta)
 
 
 def test_inverse_multiply_count_scales_with_nonzeros():
-    n, m, k = 8, 4, 3
-    inv = inverse_stack(gram_stack(autocorr_bands(_segs(n, k)), m))
-    sparse = sparsify_inverse(inv, kept_mask(n, 1.0))
-    x = np.zeros(m * n, dtype=complex)
-    c_full, c_sparse = MultiplyCounter(), MultiplyCounter()
-    apply_inverse(inv, x, c_full)
-    apply_inverse(sparse, x, c_sparse)
-    assert c_full.count == 2 * inverse_nonzeros(inv)
-    assert c_sparse.count == 2 * inverse_nonzeros(sparse)
-    assert c_sparse.count < c_full.count
+    # over a block of M symbols the keep-mask's count, M * mask_count, is two
+    # real multiplications per nonzero of the sparsified R; K = 1 is left
+    # out, because its R = I has no off-diagonal entries to keep
+    for n, m, k in [shape for shape in COUNT_SHAPES if shape[2] >= 2]:
+        inv = inverse_stack(gram_stack(autocorr_bands(_segs(n, k)), m))
+        for eta in COUNT_ETAS:
+            sparse = sparsify_inverse(inv, kept_mask(n, eta))
+            report = complexity_report(n, m, k, eta)
+            assert 2 * np.count_nonzero(sparse) == m * report.mask_count, (n, m, k, eta)
+            if eta > 0:
+                assert np.count_nonzero(sparse) < np.count_nonzero(inv)
 
 
 @pytest.mark.parametrize("n, m, k, cols", [

@@ -1,6 +1,8 @@
-"""Package structure: modules talk to each other through public names only."""
+"""Package structure: modules talk to each other through public names only,
+and each layer module lists its public names in ``__all__``."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import fbmcqam
@@ -42,3 +44,25 @@ def test_private_import_check_sees_relative_and_absolute_forms(tmp_path):
                      "from numpy import _globals\n")
     assert _private_imports(probe) == [(2, "analytics", "_circconv"),
                                        (3, "fbmcqam.simulator", "_check")]
+
+
+def _public_definitions(path):
+    """Names of the top-level functions and classes without a leading
+    underscore."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def test_layer_modules_list_every_public_definition_in_all():
+    layers = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert len(layers) > 5
+    missing = {}
+    for path in layers:
+        module = importlib.import_module(f"fbmcqam.{path.stem}")
+        exported = getattr(module, "__all__", [])
+        assert all(hasattr(module, name) for name in exported), path.name
+        if unlisted := [n for n in _public_definitions(path) if n not in exported]:
+            missing[path.name] = unlisted
+    assert missing == {}

@@ -7,10 +7,8 @@ import pytest
 
 from fbmcqam.channel import apply_taps, complex_noise, freq_response
 from fbmcqam.core import design_prototype, qam_demap, qam_map
-from fbmcqam.filterbank import (MultiplyCounter, autocorr_bands, gram_stack,
-                                inverse_stack, kept_mask, sparsify_inverse,
-                                tap_segments, window_length)
-from fbmcqam.transceiver import (fbmc_demodulate, fbmc_receive, fbmc_transmit,
+from fbmcqam.filterbank import autocorr_bands, gram_stack, inverse_stack, tap_segments
+from fbmcqam.transceiver import (equalize, fbmc_demodulate, fbmc_transmit,
                                  make_equalizer, ofdm_demodulate, ofdm_modulate)
 
 from helpers import reference_ofdm_modulate
@@ -72,7 +70,7 @@ def test_inverse_receiver_is_exact_without_channel():
     segs, inv = _chain(n, m, k)
     S = qam_map(rng.integers(0, 2, size=4 * n * m), 16).reshape(n, m)
     eq = make_equalizer(np.ones(n), "zf", sigma2=0.0)
-    est = fbmc_receive(fbmc_transmit(S, segs), segs, eq.coeffs, inv=inv)
+    est = equalize(eq.coeffs, fbmc_demodulate(fbmc_transmit(S, segs), segs, inv))
     np.testing.assert_allclose(est, S, atol=1e-12)
 
 
@@ -82,7 +80,7 @@ def test_matched_only_receiver_leaks_without_inverse():
     segs, _ = _chain(n, m, k)
     S = qam_map(rng.integers(0, 2, size=4 * n * m), 16).reshape(n, m)
     eq = make_equalizer(np.ones(n), "zf", sigma2=0.0)
-    est = fbmc_receive(fbmc_transmit(S, segs), segs, eq.coeffs)
+    est = equalize(eq.coeffs, fbmc_demodulate(fbmc_transmit(S, segs), segs))
     err = np.mean(np.abs(est - S) ** 2)
     assert err > 1e-3            # own-filter interference remains
 
@@ -93,42 +91,18 @@ def test_chain_batches_like_a_loop():
     segs, inv = _chain(n, m, k)
     S = rng.normal(size=(n, m, 4)) + 1j * rng.normal(size=(n, m, 4))
     eq = make_equalizer(np.ones(n), "zf", sigma2=0.0)
-    est = fbmc_receive(fbmc_transmit(S, segs), segs, eq.coeffs, inv=inv)
+    est = equalize(eq.coeffs, fbmc_demodulate(fbmc_transmit(S, segs), segs, inv))
     for b in range(4):
-        single = fbmc_receive(fbmc_transmit(S[..., b], segs), segs, eq.coeffs,
-                              inv=inv)
+        single = equalize(eq.coeffs,
+                          fbmc_demodulate(fbmc_transmit(S[..., b], segs), segs, inv))
         np.testing.assert_allclose(est[..., b], single, atol=1e-12)
     # per-trial (N, B) equalizers act on their own trial's symbols only
     coeffs = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
-    est = fbmc_receive(fbmc_transmit(S, segs), segs, coeffs, inv=inv)
+    est = equalize(coeffs, fbmc_demodulate(fbmc_transmit(S, segs), segs, inv))
     for b in range(4):
-        single = fbmc_receive(fbmc_transmit(S[..., b], segs), segs, coeffs[:, b],
-                              inv=inv)
+        single = equalize(coeffs[:, b],
+                          fbmc_demodulate(fbmc_transmit(S[..., b], segs), segs, inv))
         np.testing.assert_allclose(est[..., b], single, atol=1e-12)
-
-
-@pytest.mark.parametrize("receiver", ["matched", "inverse", "sparsified"])
-def test_receive_equals_equalized_demodulation(receiver):
-    # fbmc_receive is the equalizer product on fbmc_demodulate's grid, bit for
-    # bit, for shared (N,) and per-trial (N, B) coefficients
-    rng = np.random.default_rng(24)
-    n, m, k, b = 16, 4, 3, 5
-    segs, inv = _chain(n, m, k)
-    inv_rx = sparsify_inverse(inv, kept_mask(n, 0.5))
-    assert not np.array_equal(inv_rx, inv)
-    r_inv = {"matched": None, "inverse": inv, "sparsified": inv_rx}[receiver]
-    t_len = window_length(n, m, k)
-    r = rng.normal(size=(t_len, b)) + 1j * rng.normal(size=(t_len, b))
-    shared = rng.normal(size=n) + 1j * rng.normal(size=n)
-    per_trial = rng.normal(size=(n, b)) + 1j * rng.normal(size=(n, b))
-    for coeffs, e in ((shared, shared[:, None, None]),
-                      (per_trial, per_trial[:, None, :])):
-        rx, demod = MultiplyCounter(), MultiplyCounter()
-        est = fbmc_receive(r, segs, coeffs, r_inv, rx)
-        y = fbmc_demodulate(r, segs, r_inv, demod)
-        assert y.shape == (n, m, b)
-        assert est.tobytes() == (e * y).tobytes()
-        assert rx.count == demod.count > 0
 
 
 def test_transmit_rejects_wrong_grid_height():
