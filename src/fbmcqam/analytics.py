@@ -393,15 +393,19 @@ def complexity_report(n: int, m: int, k: int, eta: float) -> ComplexityReport:
     """Evaluate the per-symbol multiplication counts.
 
     ``c_r`` follows the published linear-in-eta count; ``mask_count`` is what
-    the keep-mask actually implies (they agree whenever eta*N/2 is integral,
-    e.g. at eta = 0 and eta = 1).
+    the keep-mask actually implies, 2 nnz(R) / M for the sparsified R (they
+    agree whenever eta*N/2 is integral, e.g. at eta = 0 and eta = 1). At
+    K = 1 the rectangular filter has G = R = I, whose only nonzeros are the
+    diagonal, so both are 2N whatever eta is.
     """
     log2n = int(np.log2(n))
     c_tx = n * log2n + (2 * k - 3) * n + 4
     c_rx_nif = n * log2n + (2 * k + 1) * n + 4
-    c_r = int(round(2 * m * n - eta * n * (m - 1)))
-    kept = int(kept_mask(n, eta).sum())
-    mask_count = 2 * n + 2 * (m - 1) * kept
+    if k == 1:
+        c_r = mask_count = 2 * n
+    else:
+        c_r = int(round(2 * m * n - eta * n * (m - 1)))
+        mask_count = 2 * n + 2 * (m - 1) * int(kept_mask(n, eta).sum())
     return ComplexityReport(
         c_tx=c_tx, c_rx_nif=c_rx_nif, c_r=c_r, c_rx_if=c_rx_nif + c_r,
         mask_count=mask_count, filter_per_block=2 * m * n * k,

@@ -97,11 +97,11 @@ def qam_map(bits: np.ndarray, order: int, power: float = 1.0) -> np.ndarray:
     the quadrature label; the group, read as one integer, indexes the table
     of all ``order`` symbols.
     """
-    bits = np.asarray(bits).astype(np.int64).ravel()
+    bits = np.asarray(bits).astype(np.int64, copy=False).ravel()
     bps = int(np.log2(order))
     if bits.size % bps:
         raise ValueError(f"bit count {bits.size} not divisible by {bps}")
-    if np.any((bits != 0) & (bits != 1)):
+    if bits.size and (bits.min() < 0 or bits.max() > 1):
         raise ValueError("bits must be 0/1")
     bpa = bps // 2
     levels = qam_levels(order, power)

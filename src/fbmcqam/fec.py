@@ -89,11 +89,11 @@ _ROW, _GATHER, _ADD0, _ADD1, _PREV, _INPUT = _layout()
 
 def conv_encode(bits: np.ndarray) -> np.ndarray:
     """Encode one message (L,) or a batch (B, L); output length 2*(L+6)."""
-    bits = np.asarray(bits).astype(np.int64)
+    bits = np.asarray(bits).astype(np.int64, copy=False)
     squeeze = bits.ndim == 1
     if squeeze:
         bits = bits[None, :]
-    if np.any((bits != 0) & (bits != 1)):
+    if bits.size and (bits.min() < 0 or bits.max() > 1):
         raise ValueError("message bits must be 0/1")
     b, length = bits.shape
     steps = length + _MEMORY

@@ -112,6 +112,18 @@ def wilson_interval(errors: int, n: int, z: float = _Z95) -> tuple[float, float]
     return (max(0.0, center - hw), min(1.0, center + hw))
 
 
+# bytes of one column block's received window (complex128): at the default
+# N = 64 a block is 56 trials. Small windows keep the sample chain's arrays
+# in cache and let each block reuse the heap memory of the one before; run
+# at its full 256-trial width, a chunk took ~14k page faults (getrusage).
+_WINDOW_BYTES = 1 << 20
+
+
+def _block_trials(t_len: int) -> int:
+    """Trials per column block: one received window of at most _WINDOW_BYTES."""
+    return max(_WINDOW_BYTES // (16 * t_len), 1)
+
+
 # ---------------------------------------------------------------------------
 # Link validation: isolate error components against the closed forms
 # ---------------------------------------------------------------------------
@@ -159,12 +171,18 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
     inverse (eta > 0) the cancelled-interference predictions are no longer
     exact; validation is meant for eta = 0.
 
-    Only the one-tap equalizer depends on the SNR. The four noise-free feeds
-    (single active symbol, single active subcarrier, dispersion only and the
-    previous-block tail) are therefore demodulated once, before the SNR loop,
-    and each point multiplies the stored grids by its coefficients. The
-    noise-only feed and the full feed draw fresh noise at every point, so
-    they are demodulated per point.
+    Every draw comes first: the channel, the data grid, the previous-block
+    grid, then each SNR point's noise over all trials. Each point's breakdown
+    and equalizer are built next, and the trials then run in column blocks
+    of a campaign chunk's width (one received window of at most
+    ``_WINDOW_BYTES``). Only the one-tap equalizer depends on the SNR, so the
+    four noise-free feeds (single active symbol, single active subcarrier,
+    dispersion only and the previous-block tail) are transmitted and
+    demodulated once per block, and each point multiplies the stored grids
+    by its coefficients; the noise-only and full feeds carry each point's
+    own noise and are demodulated per point. Per-trial samples go into
+    (points, trials) vectors, and the checks are formed from them after the
+    last block, so no output depends on the block width.
     """
     cfg.validate()
     mode = cfg.receiver_mode
@@ -193,62 +211,91 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
         S = qam_map(bits, cfg.mod_order, delta2).reshape(trials, m, n)
         return np.moveaxis(S, 0, 2).swapaxes(0, 1)          # (N, M, B)
 
+    S = draw_grid()
+    prev = draw_grid() if with_ibi else None    # the previous block, unfaded
+    setups = []
+    for snr_db in cfg.snr_db:
+        sigma2 = cfg.sigma2(snr_db)
+        setups.append((
+            averaged_breakdown(cfg, ctx, mode, h, sigma2, cov, with_ibi=with_ibi),
+            make_equalizer(c, cfg.equalizer, sigma2, delta2),
+            complex_noise(rng_noise, (t_len, trials), sigma2)))
+
     inv_rx = ctx.inv_rx if mode == "if" else None
 
     def demodulate(r):
         return fbmc_demodulate(r, ctx.segs, inv_rx)
 
-    S = draw_grid()
-    r_lin = apply_taps(h, fbmc_transmit(S, ctx.segs))
-    # dispersion only: the true channel output minus its circular equivalent
-    y_fd = demodulate(r_lin - fbmc_transmit(c[:, None, None] * S, ctx.segs))
-    tails = y_ibi = None
-    if with_ibi:
-        # overlap_tail applies the channel; feed it the unfaded previous block
-        tails = overlap_tail(h, fbmc_transmit(draw_grid(), ctx.segs), t_len)
-        y_ibi = demodulate(tails)
+    def transmit_circular(grid):
+        return fbmc_transmit(c[:, None, None] * grid, ctx.segs)
 
-    # single-active-symbol stimulus, round robin over block positions
+    def power(coeffs, y):
+        """Per-trial mean power of an equalized grid."""
+        return np.mean(np.abs(equalize(coeffs, y)) ** 2, axis=(0, 1))
+
+    # single active symbol, round robin over block positions; single active
+    # subcarrier of the middle symbol, round robin over subcarriers, which
+    # measures per-donor leakage sums
     stim_col = np.arange(trials) % m
-    S_stim = np.zeros_like(S)
-    sel = (np.arange(n)[:, None], stim_col[None, :], np.arange(trials)[None, :])
-    S_stim[sel] = S[sel]
-    y_stim = demodulate(fbmc_transmit(c[:, None, None] * S_stim, ctx.segs))
-
-    # single-active-subcarrier stimulus, round robin over subcarriers of the
-    # middle symbol; measures per-donor leakage sums
     m0 = m // 2
     sub_q = np.arange(trials) % n
-    sub_sel = (sub_q, np.full(trials, m0), np.arange(trials))
-    S_sub = np.zeros_like(S)
-    S_sub[sub_sel] = S[sub_sel]
-    y_sub = demodulate(fbmc_transmit(c[:, None, None] * S_sub, ctx.segs))
+    names = ("noise", "ici", "cross", "fd", "ici_sub", "isi_sub", "ibi", "total")
+    meas = {name: np.empty((len(setups), trials)) for name in names}
+    # numpy sums a lone column in another order than a column of a wider
+    # array, so no block is one trial wide: a one-trial remainder joins the
+    # block before it
+    starts = list(range(0, trials, max(_block_trials(t_len), 2)))
+    if trials - starts[-1] == 1 and len(starts) > 1:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [trials]):
+        cols = slice(lo, hi)
+        b = np.arange(hi - lo)
+        S_b = S[:, :, cols]
+        r_lin = apply_taps(h, fbmc_transmit(S_b, ctx.segs))
+        # dispersion only: the true channel output minus its circular equivalent
+        y_fd = demodulate(r_lin - transmit_circular(S_b))
+        tails = y_ibi = None
+        if with_ibi:
+            # overlap_tail applies the channel; feed it the unfaded previous block
+            tails = overlap_tail(h, fbmc_transmit(prev[:, :, cols], ctx.segs), t_len)
+            y_ibi = demodulate(tails)
+        sel = (np.arange(n)[:, None], stim_col[cols][None, :], b[None, :])
+        S_stim = np.zeros_like(S_b)
+        S_stim[sel] = S_b[sel]
+        y_stim = demodulate(transmit_circular(S_stim))
+        q = sub_q[cols]
+        sub_sel = (q, np.full(b.size, m0), b)
+        S_sub = np.zeros_like(S_b)
+        S_sub[sub_sel] = S_b[sub_sel]
+        y_sub = demodulate(transmit_circular(S_sub))
+
+        for p, (_, eq, noise) in enumerate(setups):
+            meas["noise"][p, cols] = power(eq.coeffs, demodulate(noise[:, cols]))
+            est_stim = equalize(eq.coeffs, y_stim)
+            own = np.abs((est_stim - eq.beta[:, None, None] * S_stim)[sel]) ** 2
+            meas["ici"][p, cols] = own.mean(axis=0)
+            cross = np.abs(est_stim) ** 2
+            cross[sel] = 0.0
+            meas["cross"][p, cols] = cross.sum(axis=(0, 1))
+            meas["fd"][p, cols] = power(eq.coeffs, y_fd)
+            est_sub = equalize(eq.coeffs, y_sub)
+            col = np.abs(est_sub[:, m0, :]) ** 2
+            meas["ici_sub"][p, cols] = col.sum(axis=0) - col[q, b]
+            rest = np.abs(est_sub) ** 2
+            rest[:, m0, :] = 0.0
+            meas["isi_sub"][p, cols] = rest.sum(axis=(0, 1))
+            if with_ibi:
+                meas["ibi"][p, cols] = power(eq.coeffs, y_ibi)
+            r_full = (r_lin + noise[:, cols] if tails is None
+                      else r_lin + tails + noise[:, cols])
+            meas["total"][p, cols] = np.mean(
+                np.abs(equalize(eq.coeffs, demodulate(r_full)) - S_b) ** 2, axis=(0, 1))
 
     points = []
-    for snr_db in cfg.snr_db:
-        sigma2 = cfg.sigma2(snr_db)
-        bd = averaged_breakdown(cfg, ctx, mode, h, sigma2, cov, with_ibi=with_ibi)
-        eq = make_equalizer(c, cfg.equalizer, sigma2, delta2)
-        noise = complex_noise(rng_noise, (t_len, trials), sigma2)
-        meas_noise = np.mean(np.abs(equalize(eq.coeffs, demodulate(noise))) ** 2,
-                             axis=(0, 1))
-
-        est_stim = equalize(eq.coeffs, y_stim)
-        own = np.abs((est_stim - eq.beta[:, None, None] * S_stim)[sel]) ** 2
-        meas_ici = own.mean(axis=0)                          # per trial
-        cross = np.abs(est_stim) ** 2
-        cross[sel] = 0.0
+    for p, (snr_db, (bd, eq, _)) in enumerate(zip(cfg.snr_db, setups)):
+        got = {name: samples[p] for name, samples in meas.items()}
         # one stimulus cycle accumulates the full cross-symbol error per block
-        meas_isi = cross.sum(axis=(0, 1)).reshape(-1, m).sum(axis=1) / (n * m)
-
-        meas_fd = np.mean(np.abs(equalize(eq.coeffs, y_fd)) ** 2, axis=(0, 1))
-
-        est_sub = equalize(eq.coeffs, y_sub)
-        col = np.abs(est_sub[:, m0, :]) ** 2
-        meas_ici_sub = col.sum(axis=0) - col[sub_q, np.arange(trials)]
-        rest = np.abs(est_sub) ** 2
-        rest[:, m0, :] = 0.0
-        meas_isi_sub = rest.sum(axis=(0, 1))
+        meas_isi = got["cross"].reshape(-1, m).sum(axis=1) / (n * m)
         # per-donor-subcarrier leakage sums over receivers
         cq2 = delta2 * np.abs(c) ** 2
         pq_ici = np.zeros(n)
@@ -266,27 +313,23 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
         pred_fd = bd.fd_exact if bd.mode == "if" else bd.fd
         atol = 1e-15 * delta2     # exactly-cancelled components measure as roundoff
         checks = [
-            _check("noise", meas_noise, float(bd.noise.mean())),
-            _check("ici", meas_ici - pred_ici_m[stim_col] + pred_ici_m.mean(),
+            _check("noise", got["noise"], float(bd.noise.mean())),
+            _check("ici", got["ici"] - pred_ici_m[stim_col] + pred_ici_m.mean(),
                    float(pred_ici_m.mean()), atol),
             _check("isi", meas_isi, float(bd.isi.mean()), atol),
-            _check("fd", meas_fd, float(pred_fd.mean()), atol),
-            _check("ici_sub", meas_ici_sub - pq_ici[sub_q] + pq_ici[sub_q].mean(),
+            _check("fd", got["fd"], float(pred_fd.mean()), atol),
+            _check("ici_sub", got["ici_sub"] - pq_ici[sub_q] + pq_ici[sub_q].mean(),
                    float(pq_ici[sub_q].mean()), atol),
-            _check("isi_sub", meas_isi_sub - pq_isi[sub_q] + pq_isi[sub_q].mean(),
+            _check("isi_sub", got["isi_sub"] - pq_isi[sub_q] + pq_isi[sub_q].mean(),
                    float(pq_isi[sub_q].mean()), atol),
         ]
         pred_total = float((bd.resd + bd.ici + bd.isi + pred_fd + bd.noise).mean())
         if with_ibi:
             pred_ibi = bd.ibi_exact if bd.mode == "if" else bd.ibi
-            meas_ibi = np.mean(np.abs(equalize(eq.coeffs, y_ibi)) ** 2, axis=(0, 1))
-            checks.append(_check("ibi", meas_ibi, float(pred_ibi.mean()), atol))
+            checks.append(_check("ibi", got["ibi"], float(pred_ibi.mean()), atol))
             pred_total += float(pred_ibi.mean())
 
-        r_full = r_lin + noise if tails is None else r_lin + tails + noise
-        meas_total = np.mean(np.abs(equalize(eq.coeffs, demodulate(r_full)) - S) ** 2,
-                             axis=(0, 1))
-        total_measured = float(meas_total.mean())
+        total_measured = float(got["total"].mean())
         gap_db = abs(10 * np.log10(total_measured / pred_total))
         points.append(LinkValidationPoint(
             snr_db=snr_db, checks=tuple(checks),
@@ -352,13 +395,6 @@ def _band_grid(symbols: np.ndarray, n: int, start: int) -> np.ndarray:
     return grid
 
 
-# bytes of one column block's received window (complex128): at the default
-# N = 64 a block is 56 trials. Small windows keep the sample chain's arrays
-# in cache and let each block reuse the heap memory of the one before; run
-# at its full 256-trial width, a chunk took ~14k page faults (getrusage).
-_WINDOW_BYTES = 1 << 20
-
-
 class _MultiserviceEngine:
     """One scenario's per-chunk trial machinery, vectorized over the batch.
 
@@ -384,8 +420,7 @@ class _MultiserviceEngine:
         self.cp = cfg.cp()
         self.bps = int(np.log2(cfg.mod_order))
         self.t_len = window_length(self.n, self.m, cfg.k)
-        # trials per column block: one received window of at most _WINDOW_BYTES
-        self.block_trials = max(_WINDOW_BYTES // (16 * self.t_len), 1)
+        self.block_trials = _block_trials(self.t_len)
         self.pdp = channel_profile(cfg)
         cap_bits = self.width * self.m * self.bps   # even: bps is 2, 4 or 6
         self.info_len = cap_bits // 2 - 6 if cfg.coded else cap_bits

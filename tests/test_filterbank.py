@@ -175,15 +175,17 @@ def test_filter_multiply_count():
 
 def test_inverse_multiply_count_scales_with_nonzeros():
     # over a block of M symbols the keep-mask's count, M * mask_count, is two
-    # real multiplications per nonzero of the sparsified R; K = 1 is left
-    # out, because its R = I has no off-diagonal entries to keep
-    for n, m, k in [shape for shape in COUNT_SHAPES if shape[2] >= 2]:
+    # real multiplications per nonzero of the sparsified R; at K = 1 R = I
+    # has no off-diagonal entries, so the mask drops none and c_r agrees
+    for n, m, k in COUNT_SHAPES:
         inv = inverse_stack(gram_stack(autocorr_bands(_segs(n, k)), m))
         for eta in COUNT_ETAS:
             sparse = sparsify_inverse(inv, kept_mask(n, eta))
             report = complexity_report(n, m, k, eta)
             assert 2 * np.count_nonzero(sparse) == m * report.mask_count, (n, m, k, eta)
-            if eta > 0:
+            if k == 1:
+                assert report.c_r == report.mask_count
+            elif eta > 0:
                 assert np.count_nonzero(sparse) < np.count_nonzero(inv)
 
 

@@ -1,12 +1,14 @@
 """Monte-Carlo harness: link validation, BER campaigns, determinism."""
 
 from dataclasses import replace
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fbmcqam import simulator
 from fbmcqam.config import RunConfig
+from fbmcqam.filterbank import window_length
 from fbmcqam.simulator import (make_context, run_link_validation, run_multiservice,
                                scheme_label, wilson_halfwidth,
                                wilson_interval)
@@ -123,23 +125,70 @@ def test_validation_equals_per_point_reference(mode, overlap, eta, equalizer):
         assert pt.sinr_db == ref.sinr_db
 
 
+@pytest.mark.parametrize("block_trials", [50, 7])
+@pytest.mark.parametrize("eta", [0.0, 0.5])
+@pytest.mark.parametrize("overlap", [True, False])
+@pytest.mark.parametrize("mode", ["nif", "if"])
+def test_validation_blocks_equal_whole_width_reference(monkeypatch, mode, overlap,
+                                                       eta, block_trials):
+    # 120 trials in blocks of 50, 50 and 20, or of 7 with the one-trial
+    # remainder folded into the last block; every check is bit-equal
+    cfg = _val_cfg(receiver_mode=mode, overlap_blocks=overlap, eta=eta,
+                   snr_db=(10.0, 30.0))
+    t_len = window_length(cfg.n, cfg.m, cfg.k)
+    monkeypatch.setattr(simulator, "_WINDOW_BYTES", block_trials * 16 * t_len)
+    pts = run_link_validation(cfg)
+    refs = reference_link_validation(cfg)
+    assert len(pts) == len(refs) == 2
+    for pt, ref in zip(pts, refs):
+        assert pt.checks == ref.checks
+        assert pt.total_measured == ref.total_measured
+        assert pt.total_predicted == ref.total_predicted
+        assert pt.sinr_db == ref.sinr_db
+
+
 @pytest.mark.parametrize("overlap, fixed", [(True, 4), (False, 3)])
 @pytest.mark.parametrize("points", [1, 3])
 def test_validation_demodulates_noise_free_feeds_once(monkeypatch, overlap, fixed,
                                                       points):
-    # the noise-free feeds are demodulated once per run; only the noise-only
-    # and full feeds are demodulated at every SNR point
-    calls = []
+    # every trial column of the noise-free feeds is demodulated once per run;
+    # only the noise-only and full feeds are demodulated at every SNR point.
+    # 16 trials run in one block, then in blocks of 6, 6 and 4
+    cfg = _val_cfg(overlap_blocks=overlap, trials=16,
+                   snr_db=tuple(10.0 * (i + 1) for i in range(points)))
+    t_len = window_length(cfg.n, cfg.m, cfg.k)
     demodulate = simulator.fbmc_demodulate
+    for window_bytes, widths in [(simulator._WINDOW_BYTES, {16}),
+                                 (6 * 16 * t_len, {6, 4})]:
+        cols = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return demodulate(*args, **kwargs)
+        def counted(r, *args, **kwargs):
+            cols.append(r.shape[1])
+            return demodulate(r, *args, **kwargs)
 
-    monkeypatch.setattr(simulator, "fbmc_demodulate", counted)
-    snr = tuple(10.0 * (i + 1) for i in range(points))
-    run_link_validation(_val_cfg(overlap_blocks=overlap, snr_db=snr, trials=16))
-    assert len(calls) == fixed + 2 * points
+        monkeypatch.setattr(simulator, "_WINDOW_BYTES", window_bytes)
+        monkeypatch.setattr(simulator, "fbmc_demodulate", counted)
+        run_link_validation(cfg)
+        assert sum(cols) == 16 * (fixed + 2 * points)
+        assert set(cols) == widths
+
+
+@pytest.mark.parametrize("mode", ["nif", "if"])
+def test_validation_working_set_below_whole_width_reference(mode):
+    # the feeds live one trial block at a time, so the traced peak of the
+    # blocked validator stays well under that of the whole-width one
+    cfg = RunConfig(n=64, m=14, k=5, trials=224, overlap_blocks=True,
+                    snr_db=(10.0, 20.0, 30.0), receiver_mode=mode)
+
+    def traced_peak(validate):
+        tracemalloc.start()
+        try:
+            validate(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(run_link_validation) <= 0.7 * traced_peak(reference_link_validation)
 
 
 # ---------------------------------------------------------------------------
