@@ -5,12 +5,9 @@ profile is exponential over L = 8 taps with the last tap 20 dB below the
 first, normalized to unit total power so that SNR = symbol_power / sigma^2
 at the receiver input.
 
-Order contract of the tap kernels: ``apply_taps`` forms the same products
-``h[l] * x[t - l]`` as the textbook loop over taps and adds them into a
-zeroed output in the same order (tap 0 first), the multiply and the add
-rounded separately as two ufunc calls. It only walks the output in blocks of
-rows that fit in cache (``_BLOCK_BYTES``), through one preallocated scratch
-buffer, so its result is bit-identical to the unblocked loop.
+Order contract of ``apply_taps``: every output sample starts at zero and
+receives the products ``h[l] * x[t - l]`` in ascending ``l``, with the
+multiply and the add rounded separately as two ufunc calls.
 """
 
 from __future__ import annotations
@@ -27,10 +24,6 @@ __all__ = [
     "overlap_tail",
     "complex_noise",
 ]
-
-# output bytes per row block of apply_taps: the block, its scratch product
-# and the input rows it reads stay in a core's cache
-_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -115,20 +108,12 @@ def apply_taps(h: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     h = np.asarray(h)
     y = np.zeros(x.shape, dtype=np.result_type(x, h))
-    t_len, n_taps = x.shape[0], h.shape[-1]
-    row_bytes = max(y[:1].nbytes, 1)
-    step = max(_BLOCK_BYTES // row_bytes, 1)
-    tmp = np.empty((min(step, t_len),) + x.shape[1:], dtype=y.dtype)
-    coefs = [h[..., l] if h.ndim > 1 else h[l] for l in range(n_taps)]
-    for start in range(0, t_len, step):
-        stop = min(start + step, t_len)
-        for l, hl in enumerate(coefs):
-            lo = max(start, l)          # output rows before l get no tap-l term
-            if lo >= stop:
-                break
-            part = tmp[:stop - lo]
-            np.multiply(hl, x[lo - l:stop - l], out=part)
-            np.add(y[lo:stop], part, out=y[lo:stop])
+    tmp = np.empty_like(y)
+    t_len = x.shape[0]
+    for l in range(min(h.shape[-1], t_len)):
+        hl = h[..., l] if h.ndim > 1 else h[l]
+        np.multiply(hl, x[:t_len - l], out=tmp[l:])    # rows before l get no tap-l term
+        np.add(y[l:], tmp[l:], out=y[l:])
     return y
 
 

@@ -11,6 +11,7 @@ on load so a manifest, old or new, can be fed straight back as a config.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+import math
 import os
 
 __all__ = [
@@ -109,8 +110,8 @@ class RunConfig:
             errs.append(f"m: {self.m} must be >= 1")
         if self.k < 1:
             errs.append(f"k: {self.k} must be >= 1")
-        if not (self.symbol_power > 0):
-            errs.append(f"symbol_power: {self.symbol_power} must be > 0")
+        if not (0 < self.symbol_power < math.inf):
+            errs.append(f"symbol_power: {self.symbol_power} must be finite and > 0")
         if self.mod_order not in (4, 16, 64):
             errs.append(f"mod_order: {self.mod_order} not in (4, 16, 64)")
         if not (0.0 <= self.eta <= 1.0):
@@ -123,12 +124,16 @@ class RunConfig:
             errs.append(f"channel_taps: {self.channel_taps} must be >= 1")
         if self.n >= 2 and not (self.n & (self.n - 1)) and self.channel_taps * 2 > self.n:
             errs.append(f"channel_taps: {self.channel_taps} exceeds n/2 = {self.n // 2}")
-        if self.pdp_decay_db < 0:
-            errs.append(f"pdp_decay_db: {self.pdp_decay_db} must be >= 0")
+        if not (0 <= self.pdp_decay_db < math.inf):
+            errs.append(f"pdp_decay_db: {self.pdp_decay_db} must be finite and >= 0")
         if self.cp() < 0:
             errs.append(f"cp_len: {self.cp_len} must be >= 0")
         if not self.snr_db:
             errs.append("snr_db: at least one SNR point required")
+        # +inf is a noiseless point (sigma^2 = 0); -inf has no finite noise
+        for snr in self.snr_db:
+            if not (snr > -math.inf):
+                errs.append(f"snr_db: {snr} must be finite or +inf")
         if self.trials < 0:
             errs.append(f"trials: {self.trials} must be >= 0")
         if not (0 < self.ci_target < 1):
@@ -247,31 +252,41 @@ def load_config_file(path, base: RunConfig | None = None) -> RunConfig:
         return parse_config_text(fh.read(), base)
 
 
+def _format_float(value: float) -> str:
+    """``:g`` where it reads back as the same float, else the exact repr."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
+
+
 def format_config(cfg: RunConfig) -> str:
-    """Render every field as `key = value`, tuples as comma lists."""
+    """Render every field as `key = value`, tuples as comma lists; floats
+    read back exactly."""
     lines = []
     for f in fields(RunConfig):
         val = getattr(cfg, f.name)
         if isinstance(val, tuple):
-            rendered = ",".join(f"{v:g}" if isinstance(v, float) else str(v)
+            rendered = ",".join(_format_float(v) if isinstance(v, float) else str(v)
                                 for v in val)
         elif isinstance(val, bool):
             rendered = "true" if val else "false"
         elif isinstance(val, float):
-            rendered = f"{val:g}"
+            rendered = _format_float(val)
         else:
             rendered = str(val)
         lines.append(f"{f.name} = {rendered}")
     return "\n".join(lines) + "\n"
 
 
-def worker_count(default: int = 1) -> int:
-    """Worker pool size, overridable through the environment."""
+def worker_count() -> int:
+    """Worker pool size from the environment: unset or empty means 1; any
+    other value must be an integer >= 1."""
     raw = os.environ.get(WORKER_ENV_VAR, "").strip()
     if not raw:
-        return default
+        return 1
     try:
-        n = int(raw)
+        if (n := int(raw)) >= 1:
+            return n
     except ValueError:
-        return default
-    return max(1, n)
+        pass
+    raise ConfigError(f"invalid configuration:\n  {WORKER_ENV_VAR}: {raw!r} "
+                      "is not an integer >= 1")

@@ -14,13 +14,11 @@ matched-filter main band averages to exactly 1 per subcarrier and the K=1
 rectangular filter gives G = I.
 
 Order contract of ``apply_filter``, ``apply_adjoint`` and ``apply_inverse``:
-each output segment (N, B) is a zeroed buffer that receives the same
-products as the textbook sum, ``segs[i] * b[j - i]``, ``segs[i] * r[j + i]``
-or ``R[:, a, i] * x[i]``, added in ascending ``i``, with the multiply and
-the add rounded separately as two ufunc calls into one preallocated scratch
-segment. They are blocked by segment only so that the working set fits in
-cache; the results are bit-identical to the whole-window loops (the inverse
-also to ``einsum("nmi,inb->mnb")``, which a ``matmul`` is not).
+every output element starts at zero and receives the same products as the
+textbook sum, ``segs[i] * b[j - i]``, ``segs[i] * r[j + i]`` or
+``R[:, a, i] * x[i]``, added in ascending ``i``, with the multiply and the
+add rounded separately as two ufunc calls (so the inverse is bit-equal to
+``einsum("nmi,inb->mnb")``, which a ``matmul`` is not).
 """
 
 from __future__ import annotations
@@ -69,11 +67,10 @@ def apply_filter(segs: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"input length {b2.shape[0]} not a multiple of N={n}")
     bb = b2.reshape(m, n, -1)
     out = np.zeros((k + m - 1, n, bb.shape[2]), dtype=np.result_type(b2, float))
-    tmp = np.empty(out.shape[1:], dtype=out.dtype)
-    for j in range(k + m - 1):
-        for i in range(max(0, j - m + 1), min(k, j + 1)):
-            np.multiply(segs[i][:, None], bb[j - i], out=tmp)
-            np.add(out[j], tmp, out=out[j])
+    tmp = np.empty(bb.shape, dtype=out.dtype)
+    for i in range(k):
+        np.multiply(segs[i][:, None], bb, out=tmp)
+        np.add(out[i:i + m], tmp, out=out[i:i + m])
     o = out.reshape((k + m - 1) * n, -1)
     return o[:, 0] if squeeze else o
 
@@ -88,11 +85,10 @@ def apply_adjoint(segs: np.ndarray, r: np.ndarray) -> np.ndarray:
     m = km - k + 1
     rr = r2.reshape(km, n, -1)
     out = np.zeros((m, n, rr.shape[2]), dtype=r2.dtype)
-    tmp = np.empty(out.shape[1:], dtype=np.result_type(segs, r2))
-    for j in range(m):
-        for i in range(k):
-            np.multiply(segs[i][:, None], rr[j + i], out=tmp)
-            np.add(out[j], tmp, out=out[j])
+    tmp = np.empty(out.shape, dtype=np.result_type(segs, r2))
+    for i in range(k):
+        np.multiply(segs[i][:, None], rr[i:i + m], out=tmp)
+        np.add(out, tmp, out=out)
     x = out.reshape(m * n, -1)
     return x[:, 0] if squeeze else x
 

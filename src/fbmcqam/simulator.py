@@ -112,16 +112,24 @@ def wilson_interval(errors: int, n: int, z: float = _Z95) -> tuple[float, float]
     return (max(0.0, center - hw), min(1.0, center + hw))
 
 
-# bytes of one column block's received window (complex128): at the default
-# N = 64 a block is 56 trials. Small windows keep the sample chain's arrays
-# in cache and let each block reuse the heap memory of the one before; run
+# bytes of one trial block's received window (complex128): at the default
+# N = 64 a block is 28 trials, so apply_taps's three window-sized arrays fit
+# a core's L2, and each block reuses the heap memory of the one before; run
 # at its full 256-trial width, a chunk took ~14k page faults (getrusage).
-_WINDOW_BYTES = 1 << 20
+# The kernels do no blocking of their own.
+_WINDOW_BYTES = 1 << 19
 
 
-def _block_trials(t_len: int) -> int:
-    """Trials per column block: one received window of at most _WINDOW_BYTES."""
-    return max(_WINDOW_BYTES // (16 * t_len), 1)
+def _trial_blocks(trials: int, t_len: int) -> list[slice]:
+    """Contiguous column blocks covering ``range(trials)``, each one received
+    window of at most ``_WINDOW_BYTES`` but at least two trials wide. numpy
+    sums a lone column in another order than a column of a wider array, so a
+    one-trial remainder joins the block before it."""
+    step = max(_WINDOW_BYTES // (16 * t_len), 2)
+    starts = list(range(0, trials, step))
+    if len(starts) > 1 and trials - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [trials])]
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +181,13 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
 
     Every draw comes first: the channel, the data grid, the previous-block
     grid, then each SNR point's noise over all trials. Each point's breakdown
-    and equalizer are built next, and the trials then run in column blocks
-    of a campaign chunk's width (one received window of at most
-    ``_WINDOW_BYTES``). Only the one-tap equalizer depends on the SNR, so the
-    four noise-free feeds (single active symbol, single active subcarrier,
-    dispersion only and the previous-block tail) are transmitted and
-    demodulated once per block, and each point multiplies the stored grids
-    by its coefficients; the noise-only and full feeds carry each point's
-    own noise and are demodulated per point. Per-trial samples go into
+    and equalizer are built next, and the trials then run on the same
+    ``_trial_blocks`` as a campaign chunk. Only the one-tap equalizer
+    depends on the SNR, so the four noise-free feeds (single active symbol,
+    single active subcarrier, dispersion only and the previous-block tail)
+    are transmitted and demodulated once per block, and each point
+    multiplies the stored grids by its coefficients; the noise-only and full
+    feeds carry each point's own noise and are demodulated per point. Per-trial samples go into
     (points, trials) vectors, and the checks are formed from them after the
     last block, so no output depends on the block width.
     """
@@ -241,15 +248,8 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
     sub_q = np.arange(trials) % n
     names = ("noise", "ici", "cross", "fd", "ici_sub", "isi_sub", "ibi", "total")
     meas = {name: np.empty((len(setups), trials)) for name in names}
-    # numpy sums a lone column in another order than a column of a wider
-    # array, so no block is one trial wide: a one-trial remainder joins the
-    # block before it
-    starts = list(range(0, trials, max(_block_trials(t_len), 2)))
-    if trials - starts[-1] == 1 and len(starts) > 1:
-        starts.pop()
-    for lo, hi in zip(starts, starts[1:] + [trials]):
-        cols = slice(lo, hi)
-        b = np.arange(hi - lo)
+    for cols in _trial_blocks(trials, t_len):
+        b = np.arange(cols.stop - cols.start)
         S_b = S[:, :, cols]
         r_lin = apply_taps(h, fbmc_transmit(S_b, ctx.segs))
         # dispersion only: the true channel output minus its circular equivalent
@@ -420,7 +420,6 @@ class _MultiserviceEngine:
         self.cp = cfg.cp()
         self.bps = int(np.log2(cfg.mod_order))
         self.t_len = window_length(self.n, self.m, cfg.k)
-        self.block_trials = _block_trials(self.t_len)
         self.pdp = channel_profile(cfg)
         cap_bits = self.width * self.m * self.bps   # even: bps is 2, 4 or 6
         self.info_len = cap_bits // 2 - 6 if cfg.coded else cap_bits
@@ -465,11 +464,10 @@ class _MultiserviceEngine:
         schemes = [scheme_label(mode, cfg.eta) for mode in self.modes]
         est = {s: np.empty((self.width, m, batch), dtype=complex)
                for s in schemes + ["ofdm"]}
-        # trials are independent, so the chain runs on column blocks whose
+        # trials are independent, so the chain runs on trial blocks whose
         # windows stay small; each block's filter-bank buffers are gone
         # before its OFDM buffers exist
-        for lo in range(0, batch, self.block_trials):
-            cols = slice(lo, min(lo + self.block_trials, batch))
+        for cols in _trial_blocks(batch, self.t_len):
             self._fbmc_block(grids, taps, noise, coeffs, cols, est)
             self._ofdm_block(grids, taps, dummies, noise_ofdm, coeffs_ofdm, cols,
                              est["ofdm"])
@@ -548,11 +546,11 @@ def run_multiservice(cfg: RunConfig, modes: tuple[str, ...] = ("nif", "if"),
     info-bit floor, within a hard cap. ``cfg.trials`` overrides the staging
     with a fixed trial count.
     """
+    workers = worker_count()
     ctx = make_context(cfg)
     engine = _MultiserviceEngine(cfg, ctx, modes)
     master = np.random.SeedSequence(cfg.seed)
     schemes = tuple(scheme_label(mode, cfg.eta) for mode in modes) + ("ofdm",)
-    workers = worker_count()
     pool = ThreadPoolExecutor(workers) if workers > 1 else None
 
     bits_per_trial = engine.info_len

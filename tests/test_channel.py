@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from fbmcqam import channel
 from fbmcqam.channel import (PowerDelayProfile, apply_taps, complex_noise,
                              draw_taps, freq_response, overlap_tail)
 
@@ -145,7 +144,7 @@ def _cplx(rng, shape):
 
 
 @pytest.mark.parametrize("t, cols, per_column", [
-    (1000, 256, True),     # several row blocks, the last one partial
+    (1000, 256, True),
     (1000, 256, False),
     (5, 3, True),          # window shorter than the channel memory
     (777, None, False),    # a single (T,) stream
@@ -158,12 +157,4 @@ def test_apply_taps_bit_equal_to_whole_window_loop(t, cols, per_column, real_inp
     if real_input:
         x = x.real.copy()
     h = _cplx(rng, (cols, 8) if per_column else (8,))
-    assert apply_taps(h, x).tobytes() == reference_apply_taps(h, x).tobytes()
-
-
-def test_apply_taps_blocks_shorter_than_the_channel_memory(monkeypatch):
-    # three-row blocks against eight taps: most products start in an earlier block
-    rng = np.random.default_rng(11)
-    x, h = _cplx(rng, (50, 4)), _cplx(rng, (4, 8))
-    monkeypatch.setattr(channel, "_BLOCK_BYTES", 3 * x[:1].nbytes)
     assert apply_taps(h, x).tobytes() == reference_apply_taps(h, x).tobytes()

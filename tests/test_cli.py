@@ -12,7 +12,8 @@ import pytest
 import fbmcqam
 from fbmcqam import cli
 from fbmcqam.cli import main
-from fbmcqam.config import RunConfig, apply_overrides, parse_config_text
+from fbmcqam.config import (WORKER_ENV_VAR, RunConfig, apply_overrides,
+                            parse_config_text)
 from helpers import reference_mse_csv
 
 SMALL = ["--n", "16", "--m", "4", "--k", "2", "--channel-taps", "4"]
@@ -407,3 +408,26 @@ def test_flags_win_over_config_file(tmp_path, capsys):
     assert rc == 0
     cfg = parse_config_text(capsys.readouterr().out)
     assert cfg.n == 16 and cfg.seed == 5
+
+
+@pytest.mark.parametrize("flag, field", [
+    ("--snr-db=-inf", "snr_db"),
+    ("--snr-db=nan", "snr_db"),
+    ("--pdp-decay-db=nan", "pdp_decay_db"),
+    ("--symbol-power=inf", "symbol_power"),
+])
+def test_non_finite_values_exit_2_without_outputs(tmp_path, capsys, flag, field):
+    d = tmp_path / "out"
+    assert main(_simulate_args(d, [flag])) == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and field in err
+    assert not d.exists()
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+def test_bad_worker_count_exits_2_without_outputs(tmp_path, capsys, monkeypatch, raw):
+    monkeypatch.setenv(WORKER_ENV_VAR, raw)
+    d = tmp_path / "out"
+    assert main(_simulate_args(d)) == 2
+    assert WORKER_ENV_VAR in capsys.readouterr().err
+    assert not d.exists()

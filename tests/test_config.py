@@ -1,6 +1,10 @@
 """Configuration parsing, validation, and the key = value file format."""
 
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fbmcqam.config import (ConfigError, RunConfig, WORKER_ENV_VAR,
                             apply_overrides, format_config, load_config_file,
@@ -72,6 +76,36 @@ def test_format_parse_roundtrip():
                     snr_db=(1.5, 2.0, 30.0), subband_starts=(0, 10, 20),
                     pdp_file="taps.csv", trials=500)
     assert parse_config_text(format_config(cfg)) == cfg
+
+
+def test_format_keeps_short_floats_and_writes_others_exactly():
+    text = format_config(RunConfig(symbol_power=0.123456789, snr_db=(12.3456789, 20.0)))
+    assert "symbol_power = 0.123456789\n" in text
+    assert "snr_db = 12.3456789,20\n" in text
+    assert "eta = 0\n" in text and "pdp_decay_db = 20\n" in text
+
+
+_floats = st.floats(allow_nan=False)
+
+
+@given(symbol_power=_floats, eta=_floats, pdp_decay_db=_floats, ci_target=_floats,
+       snr_db=st.lists(_floats, max_size=4).map(tuple),
+       seed=st.integers(), subband_starts=st.lists(st.integers(), max_size=3).map(tuple),
+       coded=st.booleans())
+def test_format_parse_roundtrip_is_lossless(**values):
+    cfg = RunConfig(**values)
+    assert parse_config_text(format_config(cfg)) == cfg
+
+
+def test_non_finite_values_rejected_but_inf_snr_is_noiseless():
+    bad = RunConfig(snr_db=(10.0, -math.inf, math.nan), symbol_power=math.inf,
+                    pdp_decay_db=math.nan)
+    with pytest.raises(ConfigError) as err:
+        bad.validate()
+    msg = str(err.value)
+    for line in ("snr_db: -inf", "snr_db: nan", "symbol_power: inf", "pdp_decay_db: nan"):
+        assert line in msg
+    assert RunConfig(snr_db=(10.0, math.inf)).validate().sigma2(math.inf) == 0.0
 
 
 def test_parse_skips_comments_and_blanks():
@@ -155,10 +189,11 @@ def test_load_config_file(tmp_path):
 def test_worker_count(monkeypatch):
     monkeypatch.delenv(WORKER_ENV_VAR, raising=False)
     assert worker_count() == 1
-    assert worker_count(default=7) == 7
+    monkeypatch.setenv(WORKER_ENV_VAR, "")
+    assert worker_count() == 1
     monkeypatch.setenv(WORKER_ENV_VAR, "3")
     assert worker_count() == 3
-    monkeypatch.setenv(WORKER_ENV_VAR, "junk")
-    assert worker_count(default=2) == 2
-    monkeypatch.setenv(WORKER_ENV_VAR, "-4")
-    assert worker_count() == 1
+    for raw in ("junk", "-4", "0"):
+        monkeypatch.setenv(WORKER_ENV_VAR, raw)
+        with pytest.raises(ConfigError, match=WORKER_ENV_VAR):
+            worker_count()

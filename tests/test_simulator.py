@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fbmcqam import simulator
 from fbmcqam.config import RunConfig
@@ -270,16 +272,14 @@ def _engine(preset, coded, eta):
     return simulator._MultiserviceEngine(cfg, make_context(cfg), ("nif", "if"))
 
 
-@pytest.mark.parametrize("preset, coded", [("sync3band", True), ("async3band", False)])
-@pytest.mark.parametrize("eta", [0.0, 0.5])
-@pytest.mark.parametrize("block_trials", [None, 10])
-def test_chunk_equals_whole_window_reference(preset, coded, eta, block_trials):
-    # None keeps the engine's own block width (one block here); 10 splits a
-    # 24-trial chunk into blocks of 10, 10 and 4 trials. Both sides score
-    # through the engine's tally, which records what each scheme hands it.
-    engine = _engine(preset, coded, eta)
-    if block_trials:
-        engine.block_trials = block_trials
+def _window_trials(monkeypatch, engine, trials):
+    """Cap the received window of one trial block at ``trials`` trials."""
+    monkeypatch.setattr(simulator, "_WINDOW_BYTES", trials * 16 * engine.t_len)
+
+
+def _assert_chunk_matches_reference(engine, batch):
+    # both sides score through the engine's tally, which records what each
+    # scheme hands it
     handed = []
     tally = engine._tally
 
@@ -292,12 +292,49 @@ def test_chunk_equals_whole_window_reference(preset, coded, eta, block_trials):
         sigma2 = 10.0 ** (-snr_db / 10.0)
         seed = np.random.SeedSequence(31)
         handed.clear()
-        got = engine.run_chunk(seed, 24, sigma2)
+        got = engine.run_chunk(seed, batch, sigma2)
         blocked = handed[:]
         handed.clear()
-        assert got == reference_run_chunk(engine, seed, 24, sigma2)
+        assert got == reference_run_chunk(engine, seed, batch, sigma2)
         assert blocked == handed            # estimates and noise variances, bit for bit
         assert sum(t.errors for t in got.values()) > 0
+
+
+@pytest.mark.parametrize("preset, coded", [("sync3band", True), ("async3band", False)])
+@pytest.mark.parametrize("eta", [0.0, 0.5])
+@pytest.mark.parametrize("block_trials", [None, 10])
+def test_chunk_equals_whole_window_reference(monkeypatch, preset, coded, eta,
+                                             block_trials):
+    # None keeps the default window (one block here); 10 splits a 24-trial
+    # chunk into blocks of 10, 10 and 4 trials
+    engine = _engine(preset, coded, eta)
+    if block_trials:
+        _window_trials(monkeypatch, engine, block_trials)
+    _assert_chunk_matches_reference(engine, 24)
+
+
+@pytest.mark.parametrize("preset, coded", [("sync3band", True), ("async3band", False)])
+def test_chunk_with_one_trial_remainder_equals_reference(monkeypatch, preset, coded):
+    # 21 trials at a 10-trial window run as blocks of 10 and 11
+    engine = _engine(preset, coded, 0.0)
+    _window_trials(monkeypatch, engine, 10)
+    _assert_chunk_matches_reference(engine, 21)
+
+
+@given(trials=st.integers(1, 400), window_trials=st.integers(0, 60))
+def test_trial_blocks_cover_the_trials_in_order(trials, window_trials):
+    # contiguous, in order, from 0 to trials; no block narrower than two
+    # trials unless there is only one trial, none wider than the window
+    # allows (or than three trials when the window holds fewer than two)
+    t_len = 37
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_WINDOW_BYTES", window_trials * 16 * t_len)
+        blocks = simulator._trial_blocks(trials, t_len)
+    assert blocks[0].start == 0 and blocks[-1].stop == trials
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    widths = [b.stop - b.start for b in blocks]
+    assert min(widths) >= min(trials, 2)
+    assert max(widths) <= max(window_trials, 2) + 1
 
 
 @pytest.mark.parametrize("coded", [True, False])
@@ -312,10 +349,10 @@ def test_band_symbols_return_the_scored_users_bits(coded):
     assert engine._tally(grids[2], nv, info).errors > 0
 
 
-@pytest.mark.parametrize("batch, widths", [(8, [8]), (24, [10, 10, 4])])
+@pytest.mark.parametrize("batch, widths", [(8, [8]), (24, [10, 10, 4]), (21, [10, 11])])
 def test_chunk_applies_matched_filter_once_per_trial(monkeypatch, batch, widths):
     # both receiver modes start from one matched-filter output; a chunk
-    # wider than a column block filters each block's window once
+    # wider than a trial block filters each block's window once
     widths_seen = []
     adjoint = simulator.apply_adjoint
 
@@ -325,7 +362,7 @@ def test_chunk_applies_matched_filter_once_per_trial(monkeypatch, batch, widths)
 
     monkeypatch.setattr(simulator, "apply_adjoint", counted)
     engine = _engine("async3band", False, 0.0)
-    engine.block_trials = 10
+    _window_trials(monkeypatch, engine, 10)
     engine.run_chunk(np.random.SeedSequence(3), batch, 0.1)
     assert widths_seen == widths
 

@@ -66,3 +66,35 @@ def test_layer_modules_list_every_public_definition_in_all():
         if unlisted := [n for n in _public_definitions(path) if n not in exported]:
             missing[path.name] = unlisted
     assert missing == {}
+
+
+def _byte_constants(path):
+    """Names of the module-level ``*_BYTES`` assignments in ``path``."""
+    found = []
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        found += [t.id for t in targets
+                  if isinstance(t, ast.Name) and t.id.endswith("_BYTES")]
+    return found
+
+
+def test_only_the_simulator_sizes_working_sets():
+    # the simulator cuts trials into cache-sized blocks; a kernel that kept
+    # a blocking limit of its own would be a second layer of the same rule
+    sizes = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
+             if (found := _byte_constants(p))}
+    assert sizes == {"simulator.py": ["_WINDOW_BYTES"]}
+
+
+def test_byte_constant_check_sees_plain_and_annotated_forms(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("_BLOCK_BYTES = 1 << 18\n"
+                     "ROW_BYTES: int = 64\n"
+                     "def f():\n    LOCAL_BYTES = 1\n"
+                     "BYTES_SEEN = 0\n")
+    assert _byte_constants(probe) == ["_BLOCK_BYTES", "ROW_BYTES"]
