@@ -24,17 +24,23 @@ enhancement factor zeta, which is exact for white noise but understates the
 structured fd error; the exact R-transformed values are exposed separately
 as ``fd_exact``/``ibi_exact`` diagnostics.
 
+The channel enters a breakdown only through three moments of the one-tap
+equalizer E and the channel response C, formed once per SNR point by
+:func:`channel_moments` over the D channel draws (D = 1 for one
+realization): the bias delta^2 E(1 - beta_n)^2, the gain E|E_n|^2 and the
+cross moment x[n, q] = E[|E_n|^2 |C_q|^2], one (N x D)(D x N) product.
+Closed forms of these moments plug in at the same place.
+
 The matched-filter leakage closed form lives in one place:
 :func:`leakage_sums` weights the :class:`InterferenceTables` (built once per
 link, in ``simulator.make_context``) by an (N, N) cross-moment matrix
 x[n, q], the weight of the path from donor subcarrier q to receiver
 subcarrier n. It gathers x by lag once and takes one matrix product with
 the tables, and :func:`neighbor_counts` says how many symbols sit at each
-band distance inside the block. The breakdown passes
-x[n, q] = E[|E_n|^2 |C_q|^2], one (N x D)(D x N) product over the D channel
-draws; the link validator passes its fixed |E|^2 broadcast over rows, the
-donor index, which the lag-symmetric profiles allow. A closed form of the
-cross moment plugs in at the same place.
+band distance inside the block. The breakdown passes the cross moment of
+:class:`ChannelMoments`; the link validator passes its fixed |E|^2
+broadcast over rows, the donor index, which the lag-symmetric profiles
+allow.
 
 The fd/ibi covariances never form a matrix of size MN x MN. For a delay of
 l samples, block (j', j) of P^T B_l, with B_l the dispersion or the
@@ -51,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import PowerDelayProfile, draw_taps, freq_response
+from .channel import PowerDelayProfile, draw_taps
 from .filterbank import kept_mask
 from .transceiver import make_equalizer
 
@@ -66,6 +72,8 @@ __all__ = [
     "DisplacedCovariances",
     "displaced_covariances",
     "ensemble_taps",
+    "ChannelMoments",
+    "channel_moments",
     "averaged_breakdown",
     "ComplexityReport",
     "complexity_report",
@@ -317,36 +325,58 @@ def ensemble_taps(pdp: PowerDelayProfile, draws: int, seed: int) -> np.ndarray:
     return draw_taps(pdp, rng, (draws,))
 
 
-def averaged_breakdown(cfg, ctx, mode: str, taps: np.ndarray, sigma2: float,
+@dataclass(frozen=True)
+class ChannelMoments:
+    """Moments of the one-tap equalizer E and channel response C over the
+    channel draws, for one SNR point; see :func:`channel_moments`."""
+
+    resd: np.ndarray    # (N,) delta^2 E(1 - beta_n)^2, the equalizer bias
+    abse2: np.ndarray   # (N,) E|E_n|^2
+    cross: np.ndarray   # (N, N) E[|E_n|^2 |C_q|^2], receiver n, donor q
+
+
+def channel_moments(cfg, c: np.ndarray, sigma2: float) -> ChannelMoments:
+    """The equalizer moments a breakdown needs at noise variance ``sigma2``.
+
+    ``c`` is one frequency response (N,), which gives the conditional
+    moments of that realization, or a (D, N) stack of them (the
+    ``freq_response`` of :func:`ensemble_taps`), which gives the ensemble
+    averages. ``cfg`` supplies the equalizer and the symbol power.
+    """
+    c = np.atleast_2d(c)
+    delta2 = cfg.symbol_power
+    eq = make_equalizer(c, cfg.equalizer, sigma2, delta2)
+    absc2 = np.abs(c) ** 2
+    abse2 = np.abs(eq.coeffs) ** 2
+    return ChannelMoments(resd=delta2 * ((1.0 - eq.beta) ** 2).mean(axis=0),
+                          abse2=abse2.mean(axis=0),
+                          cross=abse2.T @ absc2 / len(absc2))
+
+
+def averaged_breakdown(cfg, ctx, mode: str, moments: ChannelMoments, sigma2: float,
                        cov: DisplacedCovariances,
                        with_ibi: bool = False) -> MseBreakdown:
     """Per-(m, n) error powers of receiver ``mode`` ("nif" or "if"), averaged
     over channel realizations.
 
-    ``taps`` is one realization (L,), which gives the exact conditional
-    breakdown, or a (D, L) stack of draws (see :func:`ensemble_taps`) whose
-    equalizer-dependent terms are averaged. ``cov`` holds the displaced
-    covariances for the same channel: ``taps=`` for one realization, the
-    ensemble ``weights=`` for a stack; the inverse-filter variants are needed
-    for ``mode="if"``. ``ctx`` supplies the filter bank (the interference
-    ``tables``, ``gram`` and the exact inverse ``inv``); ``cfg`` the
-    numerology, symbol power and equalizer.
+    ``moments`` are the :func:`channel_moments` at ``sigma2`` of one
+    realization, which gives the exact conditional breakdown, or of a stack
+    of draws, whose equalizer-dependent terms are then averaged. ``cov``
+    holds the displaced covariances for the same channel: ``taps=`` for one
+    realization, the ensemble ``weights=`` for a stack; the inverse-filter
+    variants are needed for ``mode="if"``. ``ctx`` supplies the filter bank
+    (the interference ``tables``, ``gram`` and the exact inverse ``inv``);
+    ``cfg`` the numerology and symbol power.
     """
     n, m = cfg.n, cfg.m
     delta2 = cfg.symbol_power
-    c = freq_response(np.atleast_2d(taps), n)    # (D, N)
-    eq = make_equalizer(c, cfg.equalizer, sigma2, delta2)
-    absc2 = np.abs(c) ** 2
-    abse2 = np.abs(eq.coeffs) ** 2
-    abse2_bar = abse2.mean(axis=0)
-
+    abse2_bar = moments.abse2
     # equalizer bias delta^2 (1 - beta_n)^2; zero for ZF
-    resd = np.repeat((delta2 * ((1.0 - eq.beta) ** 2).mean(axis=0))[None, :], m, axis=0)
+    resd = np.repeat(moments.resd[None, :], m, axis=0)
     zgrid = zeta_grid(ctx.inv, ctx.gram)
 
     if mode == "nif":
-        # x[n, q] = E[|E_n|^2 |C_q|^2] over the draws
-        own, per_d = leakage_sums(ctx.tables, abse2.T @ absc2 / len(absc2))
+        own, per_d = leakage_sums(ctx.tables, moments.cross)
         ici = np.repeat((delta2 * own)[None, :], m, axis=0)
         isi = delta2 * (neighbor_counts(m, cfg.k) @ per_d.T)
         fd = delta2 * abse2_bar * cov.fd_nif

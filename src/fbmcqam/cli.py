@@ -26,8 +26,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .analytics import (averaged_breakdown, complexity_report, displaced_covariances,
-                        ensemble_taps)
+from .analytics import (averaged_breakdown, channel_moments, complexity_report,
+                        displaced_covariances, ensemble_taps)
+from .channel import freq_response
 from .config import (ConfigError, RunConfig, apply_overrides, format_config,
                      load_config_file, WORKER_ENV_VAR)
 from .simulator import channel_profile, make_context, run_multiservice
@@ -100,7 +101,8 @@ class _OutputSet:
             except OSError:
                 pass
 
-    def write_text(self, path: str, text: str) -> None:
+    def write_text(self, path: str, *parts: str) -> None:
+        """Write the concatenation of ``parts`` to ``path``, atomically."""
         directory = os.path.dirname(os.path.abspath(path))
         missing = []
         parent = directory
@@ -112,7 +114,7 @@ class _OutputSet:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fbmcqam-")
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+                fh.writelines(parts)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -129,17 +131,71 @@ def _csv_text(header: list[str], rows) -> str:
     return buf.getvalue()
 
 
-def _db(value: float) -> str:
-    """Linear power to a dB field with six decimals, or one of two markers:
-    ``-inf`` for a power of zero or below (an exactly cancelled component)
-    and ``inf`` for +inf (the sinr of a zero total). NaN raises ValueError."""
-    if 0.0 < value < math.inf:
-        return f"{10.0 * math.log10(value):.6f}"
-    if value <= 0.0:
-        return "-inf"
-    if value == math.inf:
-        return "inf"
-    raise ValueError(f"cannot write {value!r} as a dB value")
+def _fixed6(x: np.ndarray) -> np.ndarray:
+    """``f"{v:.6f}"`` of each finite entry of ``x``, as the rows of a
+    NUL-padded ASCII (R, W) uint8 matrix.
+
+    ``.6f`` rounds |v| 10^6 to an integer q, half to even. Where
+    y = fl(|v| 10^6) is below 2^52 and its fractional part is more than
+    2 spacing(y) away from 1/2, the exact product, which is within
+    spacing(y) / 2 of y, rounds to the same q = rint(y); every other value
+    is formatted by Python.
+    """
+    y = np.abs(x) * 1e6
+    exact = (y < 2.0 ** 52) & (np.abs(y - np.floor(y) - 0.5) > 2.0 * np.spacing(y))
+    whole, frac = np.divmod(np.where(exact, np.rint(y), 0.0).astype(np.int64), 10 ** 6)
+    slow = {i: f"{float(x[i]):.6f}".encode() for i in np.flatnonzero(~exact)}
+    digits = len(str(int(whole.max(initial=0))))
+    # sign, integer digits without leading zeros, point, six decimals
+    out = np.zeros((x.size, max([digits + 8] + [len(t) for t in slow.values()])),
+                   dtype=np.uint8)
+    out[:, 0] = np.where(np.signbit(x), ord("-"), 0)
+    for j in range(digits):
+        out[:, digits - j] = np.where((whole >= 10 ** j) | (j == 0),
+                                      ord("0") + whole // 10 ** j % 10, 0)
+    out[:, digits + 1] = ord(".")
+    for j in range(6):
+        out[:, digits + 7 - j] = ord("0") + frac // 10 ** j % 10
+    for i, text in slow.items():
+        out[i] = 0
+        out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return out
+
+
+def _db_fields(values: np.ndarray) -> np.ndarray:
+    """Linear powers to dB fields, as the rows of a NUL-padded ASCII uint8
+    matrix (see :func:`_fixed6`): each reads ``f"{10 * log10(v):.6f}"``,
+    with ``math.log10`` taken per value, or one of two markers: ``-inf``
+    for a power of zero or below (an exactly cancelled component) and
+    ``inf`` for +inf (the sinr of a zero total). NaN raises ValueError."""
+    v = np.asarray(values, dtype=float).ravel()
+    if np.isnan(v).any():
+        raise ValueError(f"cannot write {float(v[np.isnan(v)][0])!r} as a dB value")
+    pos = (v > 0.0) & (v < math.inf)
+    d = np.zeros(v.shape)
+    d[pos] = 10.0 * np.fromiter(map(math.log10, v[pos].tolist()), float,
+                                np.count_nonzero(pos))
+    out = _fixed6(d)
+    for marker, rows in ((b"-inf", v <= 0.0), (b"inf", v == math.inf)):
+        out[rows] = 0
+        out[rows, :len(marker)] = np.frombuffer(marker, dtype=np.uint8)
+    return out
+
+
+def _ascii_rows(texts: list[str]) -> np.ndarray:
+    """Strings as the rows of a NUL-padded ASCII uint8 matrix."""
+    fixed = np.array([t.encode() for t in texts])
+    return fixed.view(np.uint8).reshape(len(texts), fixed.itemsize)
+
+
+def _db_rows(head: str, keys: np.ndarray, values: np.ndarray) -> str:
+    """CSV rows ``head + key + dB field``, one per row of ``keys`` (see
+    :func:`_ascii_rows`) and entry of ``values``."""
+    cols = [np.broadcast_to(np.frombuffer(head.encode(), dtype=np.uint8),
+                            (len(keys), len(head))),
+            keys, _db_fields(values),
+            np.full((len(keys), 1), ord("\n"), dtype=np.uint8)]
+    return np.concatenate(cols, axis=1).tobytes().translate(None, b"\0").decode()
 
 
 # ---------------------------------------------------------------------------
@@ -221,31 +277,37 @@ def cmd_filter(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
     ctx = make_context(cfg)
     pdp = channel_profile(cfg)
-    taps = ensemble_taps(pdp, cfg.theory_draws, cfg.seed)
+    c = freq_response(ensemble_taps(pdp, cfg.theory_draws, cfg.seed), cfg.n)
     mode_components = {"nif": ("resd", "ici", "isi", "fd", "ibi", "noise",
                                "total", "sinr"),
                        "if": ("resd", "fd", "ibi", "noise", "total", "sinr")}
     # rows run m, then n, then component, so a mode's (M, N, C) stack of
     # grids ravels into row order and its "m,n,component," keys are shared
     # by every SNR point
-    keys = {mode: [f"{mm},{nu},{name},"
-                   for mm in range(cfg.m) for nu in range(cfg.n) for name in names]
+    keys = {mode: _ascii_rows([f"{mm},{nu},{name}," for mm in range(cfg.m)
+                               for nu in range(cfg.n) for name in names])
             for mode, names in mode_components.items()}
     blocks = ["snr_db,mode,m,n,component,value_db\n"]
     for snr_db in cfg.snr_db:
         sigma2 = cfg.sigma2(snr_db)
+        covs = {mode: displaced_covariances(ctx.segs, cfg.m, weights=pdp.powers,
+                                            inv=ctx.inv if mode == "if" else None)
+                for mode in mode_components}
+        # the moments exist only between the covariances of two points: with
+        # an (N, N) moment alive through them, glibc kept their scratch
+        # resident, 26 MiB more peak RSS at --n 1024
+        moments = channel_moments(cfg, c, sigma2)
         for mode, names in mode_components.items():
-            cov = displaced_covariances(ctx.segs, cfg.m, weights=pdp.powers,
-                                        inv=ctx.inv if mode == "if" else None)
-            bd = averaged_breakdown(cfg, ctx, mode, taps, sigma2, cov, with_ibi=True)
-            values = np.stack([bd.component(name) for name in names],
-                              axis=-1).ravel().tolist()
-            head = f"{snr_db:g},{mode},"
-            blocks.append("".join([f"{head}{key}{_db(v)}\n"
-                                   for key, v in zip(keys[mode], values)]))
+            bd = averaged_breakdown(cfg, ctx, mode, moments, sigma2, covs[mode],
+                                    with_ibi=True)
+            values = np.stack([bd.component(name) for name in names], axis=-1)
+            blocks.append(_db_rows(f"{snr_db:g},{mode},", keys[mode], values))
+        del moments
         log.info("analyzed snr=%g dB", snr_db)
     with _OutputSet() as out:
-        out.write_text(args.out, "".join(blocks))
+        # block by block: a joined copy would double the text held at the
+        # end (1.4M rows, 38 MB, at --n 1024)
+        out.write_text(args.out, *blocks)
     return 0
 
 

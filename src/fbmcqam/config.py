@@ -134,6 +134,12 @@ class RunConfig:
         for snr in self.snr_db:
             if not (snr > -math.inf):
                 errs.append(f"snr_db: {snr} must be finite or +inf")
+        # a result belongs to one SNR point, so a point is given once; the
+        # values are compared as parsed, so 10 and 1e1 are the same point
+        repeated = [snr for i, snr in enumerate(self.snr_db)
+                    if snr in self.snr_db[:i]]
+        for snr in dict.fromkeys(repeated):
+            errs.append(f"snr_db: {snr:g} given more than once")
         if self.trials < 0:
             errs.append(f"trials: {self.trials} must be >= 0")
         if not (0 < self.ci_target < 1):

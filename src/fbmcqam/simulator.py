@@ -15,8 +15,8 @@ import logging
 import numpy as np
 
 from .analytics import (InterferenceTables, MseBreakdown, averaged_breakdown,
-                        displaced_covariances, interference_tables, leakage_sums,
-                        neighbor_counts, zeta_factors)
+                        channel_moments, displaced_covariances, interference_tables,
+                        leakage_sums, neighbor_counts, zeta_factors)
 from .channel import (PowerDelayProfile, apply_taps, complex_noise, draw_taps,
                       freq_response, overlap_tail)
 from .config import ConfigError, RunConfig, worker_count
@@ -224,7 +224,8 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
     for snr_db in cfg.snr_db:
         sigma2 = cfg.sigma2(snr_db)
         setups.append((
-            averaged_breakdown(cfg, ctx, mode, h, sigma2, cov, with_ibi=with_ibi),
+            averaged_breakdown(cfg, ctx, mode, channel_moments(cfg, c, sigma2), sigma2,
+                               cov, with_ibi=with_ibi),
             make_equalizer(c, cfg.equalizer, sigma2, delta2),
             complex_noise(rng_noise, (t_len, trials), sigma2)))
 

@@ -15,19 +15,23 @@ whole-window tap, filter, adjoint, inverse, OFDM and QAM kernels (map,
 decisions and LLRs) that the blocked and per-level ones must match byte for
 byte. The per-draw FFT leakage
 sums, the einsum propagation and the roll-based covariance diagonals keep
-the arithmetic the closed forms had before the cross-moment kernel:
+the arithmetic the closed forms had before the cross-moment kernel, and
+``reference_db`` formats one dB field at a time as a Python f-string:
 ``reference_mse_csv`` is built on them, so the live CSV must match it
 byte for byte, and every breakdown component to 1e-12.
 """
 
+import math
+
 import numpy as np
 
 from fbmcqam.analytics import (DisplacedCovariances, MseBreakdown, averaged_breakdown,
-                               displaced_covariances, ensemble_taps, interference_tables,
-                               leakage_sums, neighbor_counts, zeta_grid)
+                               channel_moments, displaced_covariances, ensemble_taps,
+                               interference_tables, leakage_sums, neighbor_counts,
+                               zeta_grid)
 from fbmcqam.channel import (apply_taps, complex_noise, draw_taps, freq_response,
                              overlap_tail)
-from fbmcqam.cli import _csv_text, _db
+from fbmcqam.cli import _csv_text
 from fbmcqam.core import dft_segments, idft_block, qam_levels, qam_map
 from fbmcqam.filterbank import autocorr_bands, window_length
 from fbmcqam.simulator import (LinkValidationPoint, _band_grid, _check,
@@ -208,6 +212,19 @@ def reference_averaged_breakdown(cfg, ctx, mode, taps, sigma2, cov, with_ibi=Fal
                         fd_exact=fd_exact, ibi_exact=ibi_exact)
 
 
+def reference_db(value):
+    """One dB field of the CSV as the per-row writer had it: six decimals of
+    10 log10(value), ``-inf`` for a power of zero or below, ``inf`` for
+    +inf; NaN raises ValueError."""
+    if 0.0 < value < math.inf:
+        return f"{10.0 * math.log10(value):.6f}"
+    if value <= 0.0:
+        return "-inf"
+    if value == math.inf:
+        return "inf"
+    raise ValueError(f"cannot write {value!r} as a dB value")
+
+
 def reference_mse_csv(cfg):
     """The text of ``fbmcqam analyze``'s CSV for ``cfg``, one row tuple per
     (SNR, mode, m, n, component), joined by ``cli._csv_text``, from the
@@ -232,7 +249,7 @@ def reference_mse_csv(cfg):
                 for nu in range(cfg.n):
                     for name, grid in grids.items():
                         rows.append((f"{snr_db:g}", mode, mm, nu, name,
-                                     _db(float(grid[mm, nu]))))
+                                     reference_db(float(grid[mm, nu]))))
     return _csv_text(["snr_db", "mode", "m", "n", "component", "value_db"], rows)
 
 
@@ -297,7 +314,8 @@ def reference_link_validation(cfg):
     points = []
     for snr_db in cfg.snr_db:
         sigma2 = cfg.sigma2(snr_db)
-        bd = averaged_breakdown(cfg, ctx, mode, h, sigma2, cov, with_ibi=with_ibi)
+        bd = averaged_breakdown(cfg, ctx, mode, channel_moments(cfg, c, sigma2), sigma2,
+                                cov, with_ibi=with_ibi)
         eq = make_equalizer(c, cfg.equalizer, sigma2, delta2)
 
         def receive(r):

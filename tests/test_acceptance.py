@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fbmcqam.analytics import (averaged_breakdown, complexity_report,
+from fbmcqam.analytics import (averaged_breakdown, channel_moments, complexity_report,
                                displaced_covariances, ensemble_taps,
                                interference_tables, zeta_factors, zeta_grid)
 from fbmcqam.channel import PowerDelayProfile, apply_taps, freq_response
@@ -90,11 +90,12 @@ def test_c04_high_snr_interference_floor_gap():
     pdp = PowerDelayProfile.exponential(cfg.channel_taps, cfg.pdp_decay_db)
     taps = ensemble_taps(pdp, 400, seed=1)
     sigma2 = cfg.symbol_power / 10.0 ** 5
+    moments = channel_moments(cfg, freq_response(taps, cfg.n), sigma2)
     totals = {}
     for mode in ("nif", "if"):
         cov = displaced_covariances(ctx.segs, cfg.m, weights=pdp.powers,
                                     inv=ctx.inv if mode == "if" else None)
-        bd = averaged_breakdown(cfg, ctx, mode, taps, sigma2, cov, with_ibi=True)
+        bd = averaged_breakdown(cfg, ctx, mode, moments, sigma2, cov, with_ibi=True)
         totals[mode] = float(bd.total.mean())
     gap_db = 10 * np.log10(totals["nif"] / totals["if"])
     print(f"50 dB floors: nif {10 * np.log10(totals['nif']):.2f} dB, "

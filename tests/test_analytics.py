@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from fbmcqam.analytics import (_delay_tables, _diagonals, _propagate, averaged_breakdown,
-                               complexity_report, displaced_covariances, ensemble_taps,
+                               channel_moments, complexity_report, displaced_covariances,
+                               ensemble_taps,
                                interference_tables, leakage_sums, neighbor_counts,
                                zeta_factors, zeta_grid)
 from fbmcqam.channel import PowerDelayProfile, draw_taps, freq_response
@@ -376,7 +377,8 @@ def _conditional(cfg, taps, sigma2, with_ibi=False):
     mode = cfg.receiver_mode
     cov = displaced_covariances(ctx.segs, cfg.m, taps=taps,
                                 inv=ctx.inv if mode == "if" else None)
-    return averaged_breakdown(cfg, ctx, mode, taps, sigma2, cov, with_ibi)
+    moments = channel_moments(cfg, freq_response(taps, cfg.n), sigma2)
+    return averaged_breakdown(cfg, ctx, mode, moments, sigma2, cov, with_ibi)
 
 
 def test_flat_channel_matches_published_forms():
@@ -461,7 +463,8 @@ def test_averaged_breakdown_deterministic():
     cov = displaced_covariances(ctx.segs, cfg.m, weights=pdp.powers, inv=ctx.inv)
 
     def averaged(seed):
-        return averaged_breakdown(cfg, ctx, "if", ensemble_taps(pdp, 20, seed),
+        c = freq_response(ensemble_taps(pdp, 20, seed), cfg.n)
+        return averaged_breakdown(cfg, ctx, "if", channel_moments(cfg, c, 0.01),
                                   0.01, cov, with_ibi=True)
 
     a = averaged(3)
@@ -474,15 +477,19 @@ def test_averaged_breakdown_deterministic():
 
 @pytest.mark.parametrize("mode", ["nif", "if"])
 def test_one_realization_equals_one_draw_stack(mode):
-    # a conditional breakdown is the average over a stack of one draw
+    # a conditional breakdown is the average over a stack of one draw: the
+    # moments of one response (N,) are those of a (1, N) stack, bit for bit
     cfg = _system(n=32, k=4)
     ctx = make_context(cfg)
     h = draw_taps(PowerDelayProfile.exponential(4, 20.0),
                   np.random.default_rng(37))
+    one_m = channel_moments(cfg, freq_response(h, cfg.n), 0.01)
+    stack_m = channel_moments(cfg, freq_response(h[None, :], cfg.n), 0.01)
+    for name in ("resd", "abse2", "cross"):
+        assert getattr(one_m, name).tobytes() == getattr(stack_m, name).tobytes(), name
     cov = displaced_covariances(ctx.segs, cfg.m, taps=h, inv=ctx.inv)
-    one = averaged_breakdown(cfg, ctx, mode, h, 0.01, cov, with_ibi=True)
-    stack = averaged_breakdown(cfg, ctx, mode, h[None, :], 0.01, cov,
-                               with_ibi=True)
+    one = averaged_breakdown(cfg, ctx, mode, one_m, 0.01, cov, with_ibi=True)
+    stack = averaged_breakdown(cfg, ctx, mode, stack_m, 0.01, cov, with_ibi=True)
     names = ["resd", "ici", "isi", "fd", "ibi", "noise", "total", "sinr", "zeta"]
     if mode == "if":
         names += ["fd_exact", "ibi_exact"]
@@ -490,6 +497,39 @@ def test_one_realization_equals_one_draw_stack(mode):
         np.testing.assert_array_equal(one.component(name), stack.component(name),
                                       err_msg=name)
     assert one.mode == stack.mode == mode
+
+
+@pytest.mark.parametrize("equalizer", ["zf", "mmse"])
+def test_channel_moments_are_means_over_draws(equalizer):
+    # each moment is the mean of its one-draw value over the stack
+    cfg = RunConfig(n=16, m=4, k=2, equalizer=equalizer, symbol_power=2.0)
+    pdp = PowerDelayProfile.exponential(4, 10.0)
+    c = freq_response(ensemble_taps(pdp, 30, seed=8), cfg.n)
+    sigma2 = 0.05
+    got = channel_moments(cfg, c, sigma2)
+    assert got.resd.shape == got.abse2.shape == (16,) and got.cross.shape == (16, 16)
+    e2 = []
+    for row in c:
+        eq = make_equalizer(row, equalizer, sigma2, cfg.symbol_power)
+        e2.append(np.abs(eq.coeffs) ** 2)
+        one = channel_moments(cfg, row, sigma2)
+        np.testing.assert_allclose(one.resd, 2.0 * (1.0 - eq.beta) ** 2, rtol=1e-12)
+        np.testing.assert_allclose(one.cross, np.outer(e2[-1], np.abs(row) ** 2),
+                                   rtol=1e-12)
+    e2 = np.array(e2)
+    np.testing.assert_allclose(got.abse2, e2.mean(axis=0), rtol=1e-12)
+    # bit for bit the stack arithmetic the breakdown had before the moments
+    # were formed once per SNR point
+    eq = make_equalizer(c, equalizer, sigma2, cfg.symbol_power)
+    abse2 = np.abs(eq.coeffs) ** 2
+    assert got.resd.tobytes() == (2.0 * ((1.0 - eq.beta) ** 2).mean(axis=0)).tobytes()
+    assert got.abse2.tobytes() == abse2.mean(axis=0).tobytes()
+    assert got.cross.tobytes() == (abse2.T @ np.abs(c) ** 2 / len(c)).tobytes()
+    np.testing.assert_allclose(
+        got.cross, np.mean([np.outer(e, np.abs(row) ** 2) for e, row in zip(e2, c)],
+                           axis=0), rtol=1e-12)
+    if equalizer == "zf":
+        assert np.all(got.resd == 0.0)
 
 
 _BREAKDOWN_NAMES = {"nif": ("resd", "ici", "isi", "fd", "ibi", "noise", "total",
@@ -526,8 +566,9 @@ def test_breakdowns_match_reference_arithmetic(settings, spec):
                                    rtol=1e-12, atol=0, err_msg=name)
     for snr_db in (0.0, 30.0):
         sigma2 = cfg.symbol_power / 10.0 ** (snr_db / 10.0)
+        moments = channel_moments(cfg, freq_response(taps, cfg.n), sigma2)
         for mode, names in _BREAKDOWN_NAMES.items():
-            bd = averaged_breakdown(cfg, ctx, mode, taps, sigma2, cov, with_ibi=True)
+            bd = averaged_breakdown(cfg, ctx, mode, moments, sigma2, cov, with_ibi=True)
             ref = reference_averaged_breakdown(cfg, ctx, mode, taps, sigma2, ref_cov,
                                                with_ibi=True)
             for name in names:

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+from hypothesis import example, given
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from fbmcqam import cli
 from fbmcqam.cli import main
 from fbmcqam.config import (WORKER_ENV_VAR, RunConfig, apply_overrides,
                             parse_config_text)
-from helpers import reference_mse_csv
+from helpers import reference_db, reference_mse_csv
 
 SMALL = ["--n", "16", "--m", "4", "--k", "2", "--channel-taps", "4"]
 
@@ -159,15 +161,77 @@ def test_analyze_csv_is_independent_of_blas_threads(tmp_path):
     assert texts[0] == texts[1]
 
 
+def _texts(rows):
+    """The rows of a NUL-padded ASCII matrix as strings."""
+    return [bytes(row).replace(b"\0", b"").decode() for row in rows]
+
+
+def _db_texts(values):
+    return _texts(cli._db_fields(np.array(values, dtype=float)))
+
+
 @pytest.mark.parametrize("value,field", [
-    (0.0, "-inf"), (-0.0, "-inf"), (math.inf, "inf"), (1e-3, "-30.000000")])
+    (0.0, "-inf"), (-0.0, "-inf"), (-1.0, "-inf"), (-math.inf, "-inf"),
+    (math.inf, "inf"), (1e-3, "-30.000000"), (1.0, "0.000000"),
+    (1.0 - 1e-12, "-0.000000"), (1e300, "3000.000000")])
 def test_db_markers(value, field):
-    assert cli._db(value) == field
+    assert _db_texts([value]) == [field] == [reference_db(value)]
 
 
 def test_db_rejects_nan():
     with pytest.raises(ValueError, match="nan"):
-        cli._db(math.nan)
+        cli._db_fields(np.array([1.0, math.nan]))
+
+
+def _tie_neighbour(k, sign, step):
+    """A power whose dB value d has |d| 10^6 within about one ulp of k + 1/2,
+    then shifted by ``step`` ulps: the float nearest the tie among the 64
+    neighbours either side of a Newton estimate of 10^(sign (k + 1/2) / 10^7).
+    Near |d| >= 10 one ulp of the power moves |d| 10^6 by less than one of
+    its ulps, so the neighbours reach the tie."""
+    target = sign * (k + 0.5) / 1e6
+    v = 10.0 ** (target / 10.0)
+    v *= 10.0 ** ((target - 10.0 * math.log10(v)) / 10.0)
+    near = [v]
+    for direction in (-math.inf, math.inf):
+        x = v
+        for _ in range(64):
+            x = math.nextafter(x, direction)
+            near.append(x)
+    best = min(near, key=lambda x: abs(abs(10.0 * math.log10(x)) * 1e6 - (k + 0.5)))
+    for _ in range(abs(step)):
+        best = math.nextafter(best, math.copysign(math.inf, step))
+    return best
+
+
+@given(st.lists(st.one_of(
+    st.floats(allow_nan=False),
+    st.floats(min_value=0.0, max_value=2.2250738585072014e-308),  # subnormals
+    st.floats(min_value=1.0 - 1e-7, max_value=1.0),               # "-0.000000"
+    st.builds(_tie_neighbour,
+              st.integers(10 ** 7, 3 * 10 ** 8) | st.integers(3 * 10 ** 8, 3 * 10 ** 9),
+              st.sampled_from([-1, 1]), st.integers(-1, 1))),
+    min_size=1, max_size=40))
+@example([5e-324, -5e-324, 0.0, -0.0, math.inf, -math.inf, 1.0 - 2 ** -53])
+# near a tie, where numpy's vectorized log10 differs from math.log10 in the
+# last bit on some builds, enough to change the six-decimal text
+@example([2.025390413209399e-14, 1.3047384168982455e-15, 828850588182243.9])
+def test_db_writer_equals_reference_row_by_row(values):
+    assert _db_texts(values) == [reference_db(v) for v in values]
+
+
+@given(st.builds(lambda k, sign: sign * (k + 0.5) / 1e6,
+                 st.integers(0, 4 * 10 ** 9), st.sampled_from([-1.0, 1.0]))
+       | st.floats(-1e9, 1e9))
+@example(0.5e-6)
+@example(-2.5e-6)
+@example(0.0)
+@example(-0.0)
+def test_fixed_point_rounding_matches_format(x):
+    # the ties k + 1/2 themselves and their neighbouring floats, where
+    # rint(|x| 10^6) may differ from .6f and Python formats instead
+    for v in (x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)):
+        assert _texts(cli._fixed6(np.array([v]))) == [f"{v:.6f}"]
 
 
 def test_analyze_nan_grid_exits_1_without_output(tmp_path, capsys, monkeypatch):
@@ -181,6 +245,38 @@ def test_analyze_nan_grid_exits_1_without_output(tmp_path, capsys, monkeypatch):
     path = tmp_path / "out" / "mse.csv"
     assert main(["analyze", "--out", str(path)] + _flags(ORACLE_GRID)) == 1
     assert "error:" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_analyze_builds_each_channel_moment_once_per_snr_point(tmp_path, monkeypatch):
+    # one freq_response of the draw stack per run, one equalizer per SNR
+    # point, shared by both receivers
+    calls = {"make_equalizer": 0, "freq_response": 0}
+    for name in calls:
+        for module in (fbmcqam.analytics, fbmcqam.channel, fbmcqam.cli,
+                       fbmcqam.simulator, fbmcqam.transceiver):
+            real = getattr(module, name, None)
+            if real is None:
+                continue
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    path = tmp_path / "mse.csv"
+    assert main(["analyze", "--out", str(path), "--snr-db", "0,10,20"] + SMALL) == 0
+    assert calls == {"make_equalizer": 3, "freq_response": 1}
+
+
+@pytest.mark.parametrize("command,target", [
+    ("filter", "--out-dir"), ("analyze", "--out"), ("simulate", "--out-dir"),
+    ("complexity", "--out")])
+def test_duplicate_snr_points_exit_2_without_outputs(tmp_path, capsys, command, target):
+    path = tmp_path / "out"
+    assert main([command, target, str(path), "--snr-db", "10,0,1e1"] + SMALL) == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "snr_db: 10 given more than once" in err
     assert not path.exists()
 
 

@@ -108,6 +108,18 @@ def test_non_finite_values_rejected_but_inf_snr_is_noiseless():
     assert RunConfig(snr_db=(10.0, math.inf)).validate().sigma2(math.inf) == 0.0
 
 
+def test_duplicate_snr_points_rejected_after_parsing():
+    # one SNR point is one result: 10 and 1e1 parse to the same point
+    cfg = apply_overrides(RunConfig(), {"snr_db": "10,1e1,0,30,0"})
+    with pytest.raises(ConfigError) as err:
+        cfg.validate()
+    msg = str(err.value)
+    assert "snr_db: 10 given more than once" in msg
+    assert "snr_db: 0 given more than once" in msg
+    assert "30" not in msg
+    assert apply_overrides(RunConfig(), {"snr_db": "10,20,inf"}).validate()
+
+
 def test_parse_skips_comments_and_blanks():
     cfg = parse_config_text("# a comment\n\n  n = 16\n seed=7 \n")
     assert cfg.n == 16 and cfg.seed == 7

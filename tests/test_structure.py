@@ -1,9 +1,13 @@
 """Package structure: modules talk to each other through public names only,
-and each layer module lists its public names in ``__all__``."""
+each layer module lists its public names in ``__all__``, and the
+benchmark's work counters accept every call of the kernels they count."""
 
 import ast
 import importlib
+import importlib.util
+import inspect
 from pathlib import Path
+import types
 
 import fbmcqam
 
@@ -98,3 +102,107 @@ def test_byte_constant_check_sees_plain_and_annotated_forms(tmp_path):
                      "def f():\n    LOCAL_BYTES = 1\n"
                      "BYTES_SEEN = 0\n")
     assert _byte_constants(probe) == ["_BLOCK_BYTES", "ROW_BYTES"]
+
+
+# ---------------------------------------------------------------------------
+# The benchmark's tracer calls ``COUNTERS[name](counts, *args, **kwargs)``
+# with each kernel's own arguments, so a counter must accept every call of
+# its kernel; a new parameter on a kernel would otherwise make every traced
+# run raise TypeError.
+# ---------------------------------------------------------------------------
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _tracing_counters():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.COUNTERS
+
+
+def _counted_kernel(name):
+    """The function a counter name ``<layer>.<function>`` counts, and whether
+    it is a method (whose ``self`` the tracer passes positionally)."""
+    layer, attr = name.split(".")
+    module = importlib.import_module(f"fbmcqam.{layer}")
+    if isinstance(getattr(module, attr, None), types.FunctionType):
+        return getattr(module, attr), False
+    methods = [vars(cls)[attr] for cls in vars(module).values()
+               if isinstance(cls, type) and cls.__module__ == module.__name__
+               and attr in vars(cls)]
+    assert len(methods) == 1, f"{name}: {len(methods)} candidates"
+    return methods[0], True
+
+
+def _binding_faults(counter, kernel, method=False):
+    """How calls of ``kernel`` fail to bind to ``counter(counts, ...)``: all
+    arguments passed by position, all by keyword, and the required ones
+    only. Each argument's value is its name, so a positional call also
+    checks that the counter names its parameters in the kernel's order."""
+    params = list(inspect.signature(kernel).parameters.values())
+    lead = [params.pop(0).name] if method else []
+    params = [p for p in params if p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)]
+    pos_only = [p.name for p in params if p.kind == p.POSITIONAL_ONLY]
+    positional = [p.name for p in params
+                  if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    kw_only = [p.name for p in params if p.kind == p.KEYWORD_ONLY]
+    required = {p.name for p in params if p.default is p.empty}
+    calls = {
+        "by position": (lead + positional, kw_only),
+        "by keyword": (lead + pos_only, [n for n in positional + kw_only
+                                         if n not in pos_only]),
+        "required only": (lead + [n for n in positional if n in required],
+                          [n for n in kw_only if n in required]),
+    }
+    sig = inspect.signature(counter)
+    faults = []
+    for form, (args, kwargs) in calls.items():
+        try:
+            bound = sig.bind("counts", *args, **{n: n for n in kwargs})
+        except TypeError as exc:
+            faults.append(f"{form}: {exc}")
+            continue
+        moved = [n for n in args[len(lead):] if bound.arguments.get(n) != n]
+        if moved:
+            faults.append(f"{form}: counter has {moved} elsewhere")
+    return faults
+
+
+def test_bench_counters_accept_every_call_of_their_kernels():
+    counters = _tracing_counters()
+    assert len(counters) >= 8
+    faults = {}
+    for name, counter in counters.items():
+        kernel, method = _counted_kernel(name)
+        if found := _binding_faults(counter, kernel, method):
+            faults[name] = found
+    assert faults == {}
+
+
+def test_binding_check_sees_new_and_reordered_parameters():
+    def counter(counts, h, x):
+        pass
+
+    def kernel(h, x):
+        pass
+
+    def with_out(h, x, out=None):
+        pass
+
+    def reordered(x, h):
+        pass
+
+    class Engine:
+        def run(self, h, x):
+            pass
+
+    def engine_counter(counts, engine, h, x):
+        pass
+
+    assert _binding_faults(counter, kernel) == []
+    assert _binding_faults(engine_counter, Engine.run, method=True) == []
+    assert len(_binding_faults(counter, with_out)) == 2      # positional and keyword
+    assert _binding_faults(counter, reordered) == [
+        "by position: counter has ['x', 'h'] elsewhere",
+        "required only: counter has ['x', 'h'] elsewhere"]
