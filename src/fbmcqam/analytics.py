@@ -59,7 +59,7 @@ import numpy as np
 
 from .channel import PowerDelayProfile, draw_taps
 from .filterbank import kept_mask
-from .transceiver import make_equalizer
+from .transceiver import Equalizer, make_equalizer
 
 __all__ = [
     "InterferenceTables",
@@ -74,6 +74,7 @@ __all__ = [
     "ensemble_taps",
     "ChannelMoments",
     "channel_moments",
+    "equalizer_moments",
     "averaged_breakdown",
     "ComplexityReport",
     "complexity_report",
@@ -344,8 +345,13 @@ def channel_moments(cfg, c: np.ndarray, sigma2: float) -> ChannelMoments:
     averages. ``cfg`` supplies the equalizer and the symbol power.
     """
     c = np.atleast_2d(c)
-    delta2 = cfg.symbol_power
-    eq = make_equalizer(c, cfg.equalizer, sigma2, delta2)
+    eq = make_equalizer(c, cfg.equalizer, sigma2, cfg.symbol_power)
+    return equalizer_moments(eq, c, cfg.symbol_power)
+
+
+def equalizer_moments(eq: Equalizer, c: np.ndarray, delta2: float) -> ChannelMoments:
+    """:func:`channel_moments` of an equalizer already built for the (D, N)
+    responses ``c``, for a caller that applies the same equalizer too."""
     absc2 = np.abs(c) ** 2
     abse2 = np.abs(eq.coeffs) ** 2
     return ChannelMoments(resd=delta2 * ((1.0 - eq.beta) ** 2).mean(axis=0),

@@ -14,6 +14,7 @@ status 2 flags an invalid configuration, 1 an I/O or runtime failure.
 from __future__ import annotations
 
 import argparse
+from collections.abc import Iterable
 from dataclasses import fields, replace
 import io
 import logging
@@ -101,8 +102,11 @@ class _OutputSet:
             except OSError:
                 pass
 
-    def write_text(self, path: str, *parts: str) -> None:
-        """Write the concatenation of ``parts`` to ``path``, atomically."""
+    def write_text(self, path: str, text: str | Iterable[str]) -> None:
+        """Write ``text``, or the concatenation of an iterable of parts, to
+        ``path``, atomically. Parts go into the temporary file as they come,
+        so a generator's text is never held whole; if it raises, the
+        temporary file is removed and ``path`` is left as it was."""
         directory = os.path.dirname(os.path.abspath(path))
         missing = []
         parent = directory
@@ -114,7 +118,7 @@ class _OutputSet:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fbmcqam-")
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.writelines(parts)
+                fh.writelines([text] if isinstance(text, str) else text)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -287,27 +291,29 @@ def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
     keys = {mode: _ascii_rows([f"{mm},{nu},{name}," for mm in range(cfg.m)
                                for nu in range(cfg.n) for name in names])
             for mode, names in mode_components.items()}
-    blocks = ["snr_db,mode,m,n,component,value_db\n"]
-    for snr_db in cfg.snr_db:
-        sigma2 = cfg.sigma2(snr_db)
-        covs = {mode: displaced_covariances(ctx.segs, cfg.m, weights=pdp.powers,
-                                            inv=ctx.inv if mode == "if" else None)
-                for mode in mode_components}
-        # the moments exist only between the covariances of two points: with
-        # an (N, N) moment alive through them, glibc kept their scratch
-        # resident, 26 MiB more peak RSS at --n 1024
-        moments = channel_moments(cfg, c, sigma2)
-        for mode, names in mode_components.items():
-            bd = averaged_breakdown(cfg, ctx, mode, moments, sigma2, covs[mode],
-                                    with_ibi=True)
-            values = np.stack([bd.component(name) for name in names], axis=-1)
-            blocks.append(_db_rows(f"{snr_db:g},{mode},", keys[mode], values))
-        del moments
-        log.info("analyzed snr=%g dB", snr_db)
+    def blocks():
+        yield "snr_db,mode,m,n,component,value_db\n"
+        for snr_db in cfg.snr_db:
+            sigma2 = cfg.sigma2(snr_db)
+            covs = {mode: displaced_covariances(ctx.segs, cfg.m, weights=pdp.powers,
+                                                inv=ctx.inv if mode == "if" else None)
+                    for mode in mode_components}
+            # the moments exist only between the covariances of two points:
+            # with an (N, N) moment alive through them, glibc kept their
+            # scratch resident, 26 MiB more peak RSS at --n 1024
+            moments = channel_moments(cfg, c, sigma2)
+            for mode, names in mode_components.items():
+                bd = averaged_breakdown(cfg, ctx, mode, moments, sigma2, covs[mode],
+                                        with_ibi=True)
+                values = np.stack([bd.component(name) for name in names], axis=-1)
+                yield _db_rows(f"{snr_db:g},{mode},", keys[mode], values)
+            del moments
+            log.info("analyzed snr=%g dB", snr_db)
+
     with _OutputSet() as out:
-        # block by block: a joined copy would double the text held at the
-        # end (1.4M rows, 38 MB, at --n 1024)
-        out.write_text(args.out, *blocks)
+        # each (SNR, mode) block goes to the file as it is made, so the text
+        # is never held whole (1.4M rows, 38 MB, at --n 1024)
+        out.write_text(args.out, blocks())
     return 0
 
 

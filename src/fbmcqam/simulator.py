@@ -9,13 +9,14 @@ sufficient statistics, so the worker count cannot change any result.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+import ctypes
 from dataclasses import dataclass
 import logging
 
 import numpy as np
 
 from .analytics import (InterferenceTables, MseBreakdown, averaged_breakdown,
-                        channel_moments, displaced_covariances, interference_tables,
+                        displaced_covariances, equalizer_moments, interference_tables,
                         leakage_sums, neighbor_counts, zeta_factors)
 from .channel import (PowerDelayProfile, apply_taps, complex_noise, draw_taps,
                       freq_response, overlap_tail)
@@ -26,7 +27,7 @@ from .fec import conv_encode, viterbi_decode
 from .filterbank import (apply_adjoint, apply_inverse, autocorr_bands, gram_stack,
                          inverse_stack, kept_mask, sparsify_inverse, tap_segments,
                          window_length)
-from .transceiver import (equalize, fbmc_demodulate, fbmc_transmit,
+from .transceiver import (Equalizer, equalize, fbmc_demodulate, fbmc_transmit,
                           make_equalizer, ofdm_demodulate, ofdm_modulate)
 
 __all__ = [
@@ -114,10 +115,33 @@ def wilson_interval(errors: int, n: int, z: float = _Z95) -> tuple[float, float]
 
 # bytes of one trial block's received window (complex128): at the default
 # N = 64 a block is 28 trials, so apply_taps's three window-sized arrays fit
-# a core's L2, and each block reuses the heap memory of the one before; run
-# at its full 256-trial width, a chunk took ~14k page faults (getrusage).
-# The kernels do no blocking of their own.
+# a core's L2. The blocks size the cache working set only; that freed block
+# buffers come back without page faults is the allocator policy's job
+# (_keep_heap). The kernels do no blocking of their own.
 _WINDOW_BYTES = 1 << 19
+
+# glibc's allocator policy for the Monte-Carlo entry points: arrays below
+# 32 MiB come from the heap, and the heap is trimmed only past 64 MiB free
+# at its top, the ceilings of glibc's own adaptive thresholds. Setting
+# either one turns off the adaptation of both, so both are set. Under the
+# adaptive defaults glibc handed block-sized arrays back to the kernel
+# between blocks, and a sim_sync_coded invocation took ~30k minor page
+# faults (getrusage); under this policy it takes about 20.
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 64 << 20
+
+
+def _keep_heap() -> tuple[int, int] | None:
+    """Apply the allocator policy above through glibc's ``mallopt``, for the
+    rest of the process. Returns the two calls' results (1 on success), or
+    None where the C library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    # M_MMAP_THRESHOLD = -3, M_TRIM_THRESHOLD = -1 (malloc.h)
+    return mallopt(-3, _MMAP_THRESHOLD_BYTES), mallopt(-1, _TRIM_THRESHOLD_BYTES)
 
 
 def _trial_blocks(trials: int, t_len: int) -> list[slice]:
@@ -192,6 +216,7 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
     last block, so no output depends on the block width.
     """
     cfg.validate()
+    _keep_heap()
     mode = cfg.receiver_mode
     ctx = make_context(cfg)
     n, m = cfg.n, cfg.m
@@ -223,10 +248,13 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
     setups = []
     for snr_db in cfg.snr_db:
         sigma2 = cfg.sigma2(snr_db)
+        # one equalizer of the (1, N) response gives the breakdown's moments
+        # and, as its row, the coefficients the feeds are equalized with
+        eq = make_equalizer(c[None, :], cfg.equalizer, sigma2, delta2)
         setups.append((
-            averaged_breakdown(cfg, ctx, mode, channel_moments(cfg, c, sigma2), sigma2,
-                               cov, with_ibi=with_ibi),
-            make_equalizer(c, cfg.equalizer, sigma2, delta2),
+            averaged_breakdown(cfg, ctx, mode, equalizer_moments(eq, c[None, :], delta2),
+                               sigma2, cov, with_ibi=with_ibi),
+            Equalizer(eq.kind, eq.coeffs[0], eq.beta[0]),
             complex_noise(rng_noise, (t_len, trials), sigma2)))
 
     inv_rx = ctx.inv_rx if mode == "if" else None
@@ -472,6 +500,10 @@ class _MultiserviceEngine:
             self._fbmc_block(grids, taps, noise, coeffs, cols, est)
             self._ofdm_block(grids, taps, dummies, noise_ofdm, coeffs_ofdm, cols,
                              est["ofdm"])
+        # the draws are spent: the decoders need only the estimates, the
+        # coefficients and the info bits (12 of 21.5 MiB live at the first
+        # decode of a default coded chunk were these)
+        del grids, taps, mid_c, noise, dummies, noise_ofdm
 
         out: dict[str, _Tally] = {}
         for mode, scheme in zip(self.modes, schemes):
@@ -550,6 +582,7 @@ def run_multiservice(cfg: RunConfig, modes: tuple[str, ...] = ("nif", "if"),
     workers = worker_count()
     ctx = make_context(cfg)
     engine = _MultiserviceEngine(cfg, ctx, modes)
+    _keep_heap()
     master = np.random.SeedSequence(cfg.seed)
     schemes = tuple(scheme_label(mode, cfg.eta) for mode in modes) + ("ofdm",)
     pool = ThreadPoolExecutor(workers) if workers > 1 else None

@@ -248,6 +248,31 @@ def test_analyze_nan_grid_exits_1_without_output(tmp_path, capsys, monkeypatch):
     assert not path.exists()
 
 
+def test_analyze_streams_its_blocks_and_a_late_nan_leaves_nothing(tmp_path, capsys,
+                                                                  monkeypatch):
+    # each (SNR, mode) block reaches the temporary file before the next
+    # breakdown is built, so the text is never held whole; a NaN at the
+    # last point still exits 1 and removes the partial file and the
+    # directory made for it
+    real = cli.averaged_breakdown
+    out_dir = tmp_path / "out"
+    last = RunConfig().sigma2(20.0)
+    sizes = []
+
+    def watching(cfg, ctx, mode, moments, sigma2, *args, **kwargs):
+        sizes.append(sum(p.stat().st_size for p in out_dir.glob(".fbmcqam-*")))
+        bd = real(cfg, ctx, mode, moments, sigma2, *args, **kwargs)
+        return replace(bd, fd=np.full_like(bd.fd, np.nan)) if sigma2 == last else bd
+
+    monkeypatch.setattr(cli, "averaged_breakdown", watching)
+    path = out_dir / "mse.csv"
+    assert main(["analyze", "--out", str(path), "--snr-db", "0,10,20"] + SMALL) == 1
+    assert "error:" in capsys.readouterr().err
+    # the NaN stops the run at the last point's first mode, the fifth breakdown
+    assert len(sizes) == 5 and sizes == sorted(sizes) and sizes[1] > 0
+    assert not out_dir.exists()
+
+
 def test_analyze_builds_each_channel_moment_once_per_snr_point(tmp_path, monkeypatch):
     # one freq_response of the draw stack per run, one equalizer per SNR
     # point, shared by both receivers

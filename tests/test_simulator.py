@@ -1,14 +1,16 @@
 """Monte-Carlo harness: link validation, BER campaigns, determinism."""
 
 from dataclasses import replace
+import resource
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fbmcqam import simulator
+from fbmcqam import analytics, simulator
 from fbmcqam.config import RunConfig
 from fbmcqam.filterbank import window_length
 from fbmcqam.simulator import (make_context, run_link_validation, run_multiservice,
@@ -173,6 +175,25 @@ def test_validation_demodulates_noise_free_feeds_once(monkeypatch, overlap, fixe
         run_link_validation(cfg)
         assert sum(cols) == 16 * (fixed + 2 * points)
         assert set(cols) == widths
+
+
+@pytest.mark.parametrize("mode", ["nif", "if"])
+def test_validation_builds_each_points_equalizer_once(monkeypatch, mode):
+    # one equalizer per SNR point serves both the breakdown's moments and
+    # the feeds; the points' checks stay bit-equal (see the reference tests)
+    calls = []
+    make = simulator.make_equalizer
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "make_equalizer", counted)
+    monkeypatch.setattr(analytics, "make_equalizer", counted)
+    cfg = _val_cfg(receiver_mode=mode, overlap_blocks=True, trials=16,
+                   snr_db=(10.0, 20.0, 30.0))
+    run_link_validation(cfg)
+    assert calls == [(1, cfg.n)] * 3
 
 
 @pytest.mark.parametrize("mode", ["nif", "if"])
@@ -377,3 +398,64 @@ def test_band_count_and_capacity_errors():
                      snr_db=(10.0,), trials=4, coded=True)
     with pytest.raises(ValueError, match="too small"):
         run_multiservice(tiny)
+
+
+@pytest.mark.parametrize("coded", [True, False])
+def test_chunk_draws_are_dead_before_decoding(monkeypatch, coded):
+    # the last trial block spends every symbol grid, tap and noise draw of
+    # the chunk, so none of them may stay alive into the decoder or the
+    # demapper; 24 trials run in blocks of 10, 10 and 4
+    engine = _engine("sync3band", coded, 0.0)
+    _window_trials(monkeypatch, engine, 10)
+    drawn = []
+
+    def recording(fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            drawn.append(weakref.ref(out))
+            return out
+        return wrapped
+
+    band_symbols = engine._band_symbols
+
+    def recording_symbols(rng, batch):
+        info, grids = band_symbols(rng, batch)
+        drawn.extend(weakref.ref(g) for g in grids)
+        return info, grids
+
+    alive = []
+
+    def checking(fn):
+        def wrapped(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in drawn))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(engine, "_band_symbols", recording_symbols)
+    monkeypatch.setattr(simulator, "complex_noise", recording(simulator.complex_noise))
+    monkeypatch.setattr(simulator, "draw_taps", recording(simulator.draw_taps))
+    monkeypatch.setattr(simulator, "viterbi_decode", checking(simulator.viterbi_decode))
+    monkeypatch.setattr(simulator, "qam_demap", checking(simulator.qam_demap))
+    engine.run_chunk(np.random.SeedSequence(8), 24, 0.1)
+    # three grids, the taps, the FBMC noise, three dummy trains, the OFDM noise
+    assert len(drawn) == 9
+    assert alive == [0, 0, 0]            # one decode or demap per scheme
+
+
+def test_allocator_policy_keeps_block_buffers_resident():
+    # under glibc's adaptive thresholds the trial blocks' freed buffers went
+    # back to the kernel and returned as page faults, ~14k per default chunk
+    # (N = 64, 256 trials); under the campaign's policy a warm chunk takes
+    # almost none
+    results = simulator._keep_heap()
+    if results is None:
+        pytest.skip("the C library has no mallopt")
+    assert results == (1, 1)
+    cfg = RunConfig(snr_db=(10.0,))
+    engine = simulator._MultiserviceEngine(cfg, make_context(cfg), ("nif", "if"))
+    sigma2 = cfg.sigma2(10.0)
+    engine.run_chunk(np.random.SeedSequence(1), 256, sigma2)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    engine.run_chunk(np.random.SeedSequence(2), 256, sigma2)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 1000

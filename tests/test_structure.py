@@ -88,11 +88,14 @@ def _byte_constants(path):
 
 
 def test_only_the_simulator_sizes_working_sets():
-    # the simulator cuts trials into cache-sized blocks; a kernel that kept
-    # a blocking limit of its own would be a second layer of the same rule
+    # the simulator cuts trials into cache-sized blocks and sets the
+    # allocator policy that keeps their freed buffers; a kernel that kept a
+    # blocking limit or a buffer pool of its own would be a second layer of
+    # the same rule
     sizes = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
              if (found := _byte_constants(p))}
-    assert sizes == {"simulator.py": ["_WINDOW_BYTES"]}
+    assert sizes == {"simulator.py": ["_WINDOW_BYTES", "_MMAP_THRESHOLD_BYTES",
+                                      "_TRIM_THRESHOLD_BYTES"]}
 
 
 def test_byte_constant_check_sees_plain_and_annotated_forms(tmp_path):
