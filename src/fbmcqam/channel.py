@@ -3,7 +3,8 @@
 Taps are held constant over one transmitted block. The default power delay
 profile is exponential over L = 8 taps with the last tap 20 dB below the
 first, normalized to unit total power so that SNR = symbol_power / sigma^2
-at the receiver input.
+at the receiver input. A window's sample axis leads and a trailing axis, if
+any, is the batch; taps are (L,), shared by every column, or (B, L), a row each.
 
 Order contract of ``apply_taps``: every output sample starts at zero and
 receives the products ``h[l] * x[t - l]`` in ascending ``l``, with the
@@ -61,8 +62,8 @@ class PowerDelayProfile:
         return cls(p / p.sum())
 
     @classmethod
-    def from_file(cls, path, normalize: bool = True) -> "PowerDelayProfile":
-        """Load `l,rho2` CSV rows; taps must cover 0..L-1 exactly once."""
+    def from_file(cls, path) -> "PowerDelayProfile":
+        """Load `l,rho2` CSV rows covering taps 0..L-1 once; normalized on load."""
         entries = {}
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -79,12 +80,10 @@ class PowerDelayProfile:
         if sorted(entries) != list(range(len(entries))):
             raise ValueError(f"{path}: tap indices must be contiguous from 0")
         p = np.array([entries[l] for l in sorted(entries)])
-        if normalize:
-            total = p.sum()
-            if total <= 0:
-                raise ValueError(f"{path}: total tap power must be positive")
-            p = p / total
-        return cls(p)
+        total = p.sum()
+        if total <= 0:
+            raise ValueError(f"{path}: total tap power must be positive")
+        return cls(p / total)
 
 
 def draw_taps(pdp: PowerDelayProfile, rng: np.random.Generator,
@@ -101,18 +100,14 @@ def freq_response(h: np.ndarray, n: int) -> np.ndarray:
 
 
 def apply_taps(h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Convolve within the window: y[t] = sum_l h[l] x[t-l], truncated to len(x).
-
-    ``x`` may be (T,) or (T, B); ``h`` may be (L,) or (B, L) for per-column taps.
-    """
+    """Convolve within the window: y[t] = sum_l h[l] x[t-l], truncated to len(x)."""
     x = np.asarray(x)
     h = np.asarray(h)
     y = np.zeros(x.shape, dtype=np.result_type(x, h))
     tmp = np.empty_like(y)
     t_len = x.shape[0]
     for l in range(min(h.shape[-1], t_len)):
-        hl = h[..., l] if h.ndim > 1 else h[l]
-        np.multiply(hl, x[:t_len - l], out=tmp[l:])    # rows before l get no tap-l term
+        np.multiply(h[..., l], x[:t_len - l], out=tmp[l:])  # no tap-l term before row l
         np.add(y[l:], tmp[l:], out=y[l:])
     return y
 
@@ -128,9 +123,8 @@ def overlap_tail(h: np.ndarray, prev: np.ndarray, out_len: int) -> np.ndarray:
     t = prev.shape[0]
     y = np.zeros((out_len,) + prev.shape[1:], dtype=np.result_type(prev, h))
     for l in range(1, h.shape[-1]):
-        hl = h[..., l] if h.ndim > 1 else h[l]
         span = min(l, out_len)
-        y[:span] += hl * prev[t - l:t - l + span]
+        y[:span] += h[..., l] * prev[t - l:t - l + span]
     return y
 
 

@@ -50,8 +50,7 @@ _FIELD_HELP = {
                      "if (inverse) or nif (matched)",
     "channel_taps": "channel length L",
     "pdp_decay_db": "first-to-last tap decay of the default profile",
-    "pdp_file": "l,rho2 CSV overriding the default profile",
-    "pdp_normalize": "normalize a loaded profile to unit power",
+    "pdp_file": "l,rho2 CSV overriding the default profile; normalized on load",
     "overlap_blocks": "run_link_validation only, subcommands require false: "
                       "model previous-block leakage",
     "cp_len": "OFDM cyclic prefix; -1 selects N/8",

@@ -31,7 +31,7 @@ WORKER_ENV_VAR = "FBMCQAM_WORKERS"
 # that older manifests still carry
 _META_KEYS = {"master_seed", "tool_version", "wall_time_s", "outputs",
               "command", "created"}
-_RETIRED_KEYS = {"guard_samples"}
+_RETIRED_KEYS = {"guard_samples", "pdp_normalize"}
 
 
 class ConfigError(ValueError):
@@ -54,7 +54,6 @@ class RunConfig:
     channel_taps: int = 8          # L
     pdp_decay_db: float = 20.0     # first-to-last tap power drop
     pdp_file: str = ""             # optional `l,rho2` CSV; overrides the exponential
-    pdp_normalize: bool = True
     overlap_blocks: bool = False   # adjacent blocks leak through the channel tail
     cp_len: int = -1               # OFDM cyclic prefix; -1 = auto: N // 8
 

@@ -186,6 +186,7 @@ def _min_over(arrays: list[np.ndarray], labels: np.ndarray) -> np.ndarray:
 # power-complementary family (K=5 additionally constrained so the inverse
 # filter's block-average noise enhancement at N=64, M=14 stays mid-range).
 _FREQ_COEFFS: dict[int, tuple[float, ...]] = {
+    1: (),
     2: (np.sqrt(2.0) / 2.0,),
     3: (0.91143783, 0.41143783),
     4: (0.97195983, np.sqrt(2.0) / 2.0, 0.23514695),
@@ -197,7 +198,7 @@ _FREQ_COEFFS: dict[int, tuple[float, ...]] = {
         0.37486731, 0.11680273, 0.01523841),
 }
 
-SUPPORTED_OVERLAPS = (1,) + tuple(sorted(_FREQ_COEFFS))
+SUPPORTED_OVERLAPS = tuple(sorted(_FREQ_COEFFS))
 
 
 @dataclass(frozen=True)
@@ -250,14 +251,10 @@ def design_prototype(overlap: int, n_subcarriers: int) -> PrototypeFilter:
     k, n = int(overlap), int(n_subcarriers)
     if n < 2 or n & (n - 1):
         raise ValueError(f"subcarrier count {n} must be a power of two >= 2")
-    if k == 1:
-        w = np.full(n, 1.0 / np.sqrt(n))
-    elif k in _FREQ_COEFFS:
-        w = _synthesize(_FREQ_COEFFS[k], k, n)
-    else:
+    if k not in _FREQ_COEFFS:
         raise ValueError(
             f"no tabulated design for overlap {k}; supported: {SUPPORTED_OVERLAPS}")
-    return PrototypeFilter(w, k, n)
+    return PrototypeFilter(_synthesize(_FREQ_COEFFS[k], k, n), k, n)
 
 
 def load_prototype_file(path, overlap: int, n_subcarriers: int) -> PrototypeFilter:

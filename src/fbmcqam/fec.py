@@ -4,7 +4,8 @@ Constraint length 7, generators octal 133 and 171 (first output stream from
 133), zero-terminated with six flush bits. The decoder runs the 64-state
 trellis over a whole batch of codewords at once; soft mode consumes per-bit
 log-likelihood ratios (positive = bit 0 likelier), hard mode consumes bits.
-A global scaling of the LLRs cannot change the decoded path.
+A global scaling of the LLRs cannot change the decoded path. Encoder and
+decoder take bits along the last axis and a leading axis, if any, as the batch.
 
 The decoder keeps its path metrics states-major, one row per state and one
 column per codeword, in float64. Its rows follow a fixed permutation of the
@@ -88,11 +89,9 @@ _ROW, _GATHER, _ADD0, _ADD1, _PREV, _INPUT = _layout()
 
 
 def conv_encode(bits: np.ndarray) -> np.ndarray:
-    """Encode one message (L,) or a batch (B, L); output length 2*(L+6)."""
-    bits = np.asarray(bits).astype(np.int64, copy=False)
-    squeeze = bits.ndim == 1
-    if squeeze:
-        bits = bits[None, :]
+    """Encode messages of L bits each; output length 2*(L+6) per message."""
+    shape = np.shape(bits)
+    bits = np.atleast_2d(bits).astype(np.int64, copy=False)
     if bits.size and (bits.min() < 0 or bits.max() > 1):
         raise ValueError("message bits must be 0/1")
     b, length = bits.shape
@@ -107,20 +106,18 @@ def conv_encode(bits: np.ndarray) -> np.ndarray:
             if gen >> i & 1:
                 acc ^= padded[:, i:i + steps]
         out[:, stream::2] = acc
-    return out[0] if squeeze else out
+    return out.reshape(shape[:-1] + (2 * steps,))
 
 
 def viterbi_decode(llrs_or_bits: np.ndarray, mode: str = "soft") -> np.ndarray:
     """Maximum-likelihood decode of zero-terminated codewords.
 
     ``mode='soft'`` expects finite LLRs (positive favors bit 0); ``mode='hard'``
-    expects 0/1 bits and applies the Hamming metric. Input shape (2*(L+6),)
-    or (B, 2*(L+6)); returns the L message bits per codeword.
+    expects 0/1 bits and applies the Hamming metric. Each codeword carries
+    2*(L+6) values; returns the L message bits per codeword.
     """
-    obs = np.asarray(llrs_or_bits, dtype=float)
-    squeeze = obs.ndim == 1
-    if squeeze:
-        obs = obs[None, :]
+    shape = np.shape(llrs_or_bits)
+    obs = np.atleast_2d(np.asarray(llrs_or_bits, dtype=float))
     b, total = obs.shape
     if total % 2 or total < 2 * (_MEMORY + 1):
         raise ValueError(f"coded length {total} malformed: need even length >= "
@@ -169,5 +166,4 @@ def viterbi_decode(llrs_or_bits: np.ndarray, mode: str = "soft") -> np.ndarray:
         np.multiply(path[t], 2, out=idx)
         idx += bit
         prev.take(idx, out=path[t - 1])
-    out = _INPUT.take(path[:length].T)
-    return out[0] if squeeze else out
+    return _INPUT.take(path[:length].T).reshape(shape[:-1] + (length,))

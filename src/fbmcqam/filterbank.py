@@ -3,7 +3,8 @@
 The transmit matrix P is block-banded: block (i, j) is nonzero only for
 0 <= i - j <= K-1 and equals a diagonal N x N block carrying tap segment
 i - j. P is never materialized: ``apply_filter``/``apply_adjoint`` work on
-the (K, N) tap segments, and G and R on per-subcarrier stacks.
+the (K, N) tap segments, and G and R on per-subcarrier stacks. Samples lead
+and trailing axes are a batch, so a lone vector is one column.
 
 Per-subcarrier decoupling: because every block of G is diagonal, G splits
 into N independent M x M symmetric banded Toeplitz systems, one per
@@ -51,46 +52,37 @@ def window_length(n: int, m: int, k: int) -> int:
     return (k + m - 1) * n
 
 
-def _promote(x: np.ndarray):
-    x = np.asarray(x)
-    if x.ndim == 1:
-        return x[:, None], True
-    return x, False
-
-
 def apply_filter(segs: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """o = P b for stacked time-domain segments b of shape (M*N,) or (M*N, B)."""
+    """o = P b for stacked time-domain segments b of M*N samples."""
     k, n = segs.shape
-    b2, squeeze = _promote(b)
-    m = b2.shape[0] // n
-    if m * n != b2.shape[0]:
-        raise ValueError(f"input length {b2.shape[0]} not a multiple of N={n}")
-    bb = b2.reshape(m, n, -1)
-    out = np.zeros((k + m - 1, n, bb.shape[2]), dtype=np.result_type(b2, float))
+    b = np.asarray(b)
+    m = b.shape[0] // n
+    if m * n != b.shape[0]:
+        raise ValueError(f"input length {b.shape[0]} not a multiple of N={n}")
+    bb = b.reshape(m, n, -1)
+    out = np.zeros((k + m - 1, n, bb.shape[2]), dtype=np.result_type(b, float))
     tmp = np.empty(bb.shape, dtype=out.dtype)
     for i in range(k):
         np.multiply(segs[i][:, None], bb, out=tmp)
         np.add(out[i:i + m], tmp, out=out[i:i + m])
-    o = out.reshape((k + m - 1) * n, -1)
-    return o[:, 0] if squeeze else o
+    return out.reshape(((k + m - 1) * n,) + b.shape[1:])
 
 
 def apply_adjoint(segs: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """x = P^H r for a received window of shape ((K+M-1)*N,) or (..., B)."""
+    """x = P^H r for a received window of (K+M-1)*N samples."""
     k, n = segs.shape
-    r2, squeeze = _promote(r)
-    km = r2.shape[0] // n
-    if km * n != r2.shape[0] or km < k:
-        raise ValueError(f"window length {r2.shape[0]} inconsistent with N={n}, K={k}")
+    r = np.asarray(r)
+    km = r.shape[0] // n
+    if km * n != r.shape[0] or km < k:
+        raise ValueError(f"window length {r.shape[0]} inconsistent with N={n}, K={k}")
     m = km - k + 1
-    rr = r2.reshape(km, n, -1)
-    out = np.zeros((m, n, rr.shape[2]), dtype=r2.dtype)
-    tmp = np.empty(out.shape, dtype=np.result_type(segs, r2))
+    rr = r.reshape(km, n, -1)
+    out = np.zeros((m, n, rr.shape[2]), dtype=r.dtype)
+    tmp = np.empty(out.shape, dtype=np.result_type(segs, r))
     for i in range(k):
         np.multiply(segs[i][:, None], rr[i:i + m], out=tmp)
         np.add(out, tmp, out=out)
-    x = out.reshape(m * n, -1)
-    return x[:, 0] if squeeze else x
+    return out.reshape((m * n,) + r.shape[1:])
 
 
 def autocorr_bands(segs: np.ndarray) -> np.ndarray:
@@ -155,17 +147,16 @@ def sparsify_inverse(inv: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def apply_inverse(inv: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """v = R x on stacked matched-filter outputs x of shape (M*N,) or (M*N, B)."""
+    """v = R x on stacked matched-filter outputs x of M*N samples."""
     n, m, _ = inv.shape
-    x2, squeeze = _promote(x)
-    if x2.shape[0] != m * n:
-        raise ValueError(f"input length {x2.shape[0]} != M*N = {m * n}")
-    xb = x2.reshape(m, n, -1)
+    x = np.asarray(x)
+    if x.shape[0] != m * n:
+        raise ValueError(f"input length {x.shape[0]} != M*N = {m * n}")
+    xb = x.reshape(m, n, -1)
     v = np.zeros(xb.shape, dtype=np.result_type(inv, xb))
     tmp = np.empty(xb.shape[1:], dtype=v.dtype)
     for a in range(m):
         for i in range(m):
             np.multiply(inv[:, a, i, None], xb[i], out=tmp)
             np.add(v[a], tmp, out=v[a])
-    v = v.reshape(m * n, -1)
-    return v[:, 0] if squeeze else v
+    return v.reshape((m * n,) + x.shape[1:])

@@ -21,8 +21,8 @@ from .analytics import (InterferenceTables, MseBreakdown, averaged_breakdown,
 from .channel import (PowerDelayProfile, apply_taps, complex_noise, draw_taps,
                       freq_response, overlap_tail)
 from .config import ConfigError, RunConfig, worker_count
-from .core import (PrototypeFilter, design_prototype, dft_segments,
-                   load_prototype_file, qam_demap, qam_llrs, qam_map)
+from .core import (SUPPORTED_OVERLAPS, PrototypeFilter, design_prototype,
+                   dft_segments, load_prototype_file, qam_demap, qam_llrs, qam_map)
 from .fec import conv_encode, viterbi_decode
 from .filterbank import (apply_adjoint, apply_inverse, autocorr_bands, gram_stack,
                          inverse_stack, kept_mask, sparsify_inverse, tap_segments,
@@ -54,6 +54,9 @@ _Z95 = 1.959963984540054
 def build_filter(cfg: RunConfig) -> PrototypeFilter:
     if cfg.filter_file:
         return load_prototype_file(cfg.filter_file, cfg.k, cfg.n)
+    if cfg.k not in SUPPORTED_OVERLAPS:
+        raise ConfigError(f"invalid configuration:\n  k: no tabulated design for "
+                          f"overlap {cfg.k}; supported: {SUPPORTED_OVERLAPS}")
     return design_prototype(cfg.k, cfg.n)
 
 
@@ -61,7 +64,7 @@ def channel_profile(cfg: RunConfig) -> PowerDelayProfile:
     """The configured power-delay profile: ``pdp_file`` if given, else the
     exponential default."""
     if cfg.pdp_file:
-        pdp = PowerDelayProfile.from_file(cfg.pdp_file, cfg.pdp_normalize)
+        pdp = PowerDelayProfile.from_file(cfg.pdp_file)
         # the limit RunConfig.violations puts on channel_taps
         if pdp.n_taps * 2 > cfg.n:
             raise ConfigError(f"invalid configuration:\n  pdp_file: {cfg.pdp_file} "
@@ -254,7 +257,7 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
         setups.append((
             averaged_breakdown(cfg, ctx, mode, equalizer_moments(eq, c[None, :], delta2),
                                sigma2, cov, with_ibi=with_ibi),
-            Equalizer(eq.kind, eq.coeffs[0], eq.beta[0]),
+            Equalizer(eq.coeffs[0], eq.beta[0]),
             complex_noise(rng_noise, (t_len, trials), sigma2)))
 
     inv_rx = ctx.inv_rx if mode == "if" else None
@@ -437,7 +440,6 @@ class _MultiserviceEngine:
     """
 
     def __init__(self, cfg: RunConfig, ctx: LinkContext, modes: tuple[str, ...]):
-        cfg.validate()
         self.cfg = cfg
         self.ctx = ctx
         self.modes = modes
@@ -514,17 +516,23 @@ class _MultiserviceEngine:
         out["ofdm"] = self._tally(est["ofdm"], nvo, info)
         return out
 
+    def _superpose(self, modulate, bands, taps, noise) -> np.ndarray:
+        """The received window: user u's grid from ``bands`` placed at its start
+        and modulated, through ``taps[u]``, delayed by its offset and cut to the
+        window, summed, plus ``noise``. One user's stream is alive at a time."""
+        r = np.zeros(noise.shape, dtype=complex)
+        for u, band in enumerate(bands):
+            y = apply_taps(taps[u], modulate(_band_grid(band, self.n, self.starts[u])))
+            r[self.offsets[u]:] += y[:r.shape[0] - self.offsets[u]]
+        r += noise
+        return r
+
     def _fbmc_block(self, grids, taps, noise, coeffs, cols: slice, est) -> None:
         """Filter-bank windows of all users on trials ``cols``, one matched
         filter, then the middle band of both receiver modes into ``est``."""
         ctx, n = self.ctx, self.n
-        r = np.zeros((self.t_len, cols.stop - cols.start), dtype=complex)
-        for u in range(3):
-            grid = _band_grid(grids[u][:, :, cols], n, self.starts[u])
-            y = apply_taps(taps[u, cols], fbmc_transmit(grid, ctx.segs))
-            off = self.offsets[u]
-            r[off:] += y[:self.t_len - off]             # delayed within the window
-        r += noise[:, cols]
+        r = self._superpose(lambda grid: fbmc_transmit(grid, ctx.segs),
+                            (g[:, :, cols] for g in grids), taps[:, cols], noise[:, cols])
         x = apply_adjoint(ctx.segs, r)
         for mode in self.modes:
             y = apply_inverse(ctx.inv_rx, x) if mode == "if" else x
@@ -536,16 +544,10 @@ class _MultiserviceEngine:
         """CP-OFDM baseline on trials ``cols`` under the same offsets and
         energy accounting, middle band into ``est``."""
         n, m = self.n, self.m
-        buf = np.zeros(((m + 2) * (n + self.cp), cols.stop - cols.start), dtype=complex)
-        for u in range(3):
-            dummy = dummies[u][:, :, cols]
-            train = np.concatenate([dummy[:, :1], grids[u][:, :, cols], dummy[:, 1:]],
-                                   axis=1)
-            stream = ofdm_modulate(_band_grid(train, n, self.starts[u]), self.cp)
-            y = apply_taps(taps[u, cols], stream)
-            off = self.offsets[u]
-            buf[off:] += y[:buf.shape[0] - off]
-        buf += noise[:, cols]
+        trains = (np.concatenate([d[:, :1, cols], g[:, :, cols], d[:, 1:, cols]], axis=1)
+                  for d, g in zip(dummies, grids))
+        buf = self._superpose(lambda grid: ofdm_modulate(grid, self.cp), trains,
+                              taps[:, cols], noise[:, cols])
         est[:, :, cols] = equalize(coeffs[:, cols],
                                    ofdm_demodulate(buf, n, self.cp)[self.band, 1:m + 1])
 
@@ -579,6 +581,7 @@ def run_multiservice(cfg: RunConfig, modes: tuple[str, ...] = ("nif", "if"),
     info-bit floor, within a hard cap. ``cfg.trials`` overrides the staging
     with a fixed trial count.
     """
+    cfg.validate()
     workers = worker_count()
     ctx = make_context(cfg)
     engine = _MultiserviceEngine(cfg, ctx, modes)

@@ -35,7 +35,6 @@ __all__ = [
 class Equalizer:
     """One-tap frequency-domain equalizer: estimates = E * observations."""
 
-    kind: str                 # "zf" or "mmse"
     coeffs: np.ndarray        # E, complex (N,)
     beta: np.ndarray          # E * C, real in [0, 1]; exactly 1 for ZF
 
@@ -61,7 +60,7 @@ def make_equalizer(c: np.ndarray, kind: str, sigma2: float,
         beta = np.abs(c) ** 2 / denom
     else:
         raise ValueError(f"unknown equalizer kind {kind!r}")
-    return Equalizer(kind, e, beta)
+    return Equalizer(e, beta)
 
 
 def fbmc_transmit(S: np.ndarray, segs: np.ndarray) -> np.ndarray:

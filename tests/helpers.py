@@ -393,6 +393,11 @@ def reference_link_validation(cfg):
 # before they were blocked for cache
 # ---------------------------------------------------------------------------
 
+def same_array(a, b):
+    """Equal shape, dtype and bytes."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def reference_apply_taps(h, x):
     """y[t] = sum_l h[l] x[t-l] over the whole window, one tap at a time."""
     x = np.asarray(x)

@@ -6,7 +6,7 @@ import pytest
 from fbmcqam.channel import (PowerDelayProfile, apply_taps, complex_noise,
                              draw_taps, freq_response, overlap_tail)
 
-from helpers import reference_apply_taps
+from helpers import reference_apply_taps, same_array
 
 
 def test_exponential_profile():
@@ -41,8 +41,7 @@ def test_profile_from_file(tmp_path):
 
     strict = tmp_path / "strict.csv"
     strict.write_text("0,0.5\n1,0.5\n")
-    np.testing.assert_allclose(
-        PowerDelayProfile.from_file(strict, normalize=False).powers, [0.5, 0.5])
+    np.testing.assert_array_equal(PowerDelayProfile.from_file(strict).powers, [0.5, 0.5])
 
 
 def test_profile_file_errors(tmp_path):
@@ -58,10 +57,10 @@ def test_profile_file_errors(tmp_path):
     bad.write_text("0,0.5,junk\n")
     with pytest.raises(ValueError, match="expected"):
         PowerDelayProfile.from_file(bad)
-    unnorm = tmp_path / "unnorm.csv"
-    unnorm.write_text("0,0.9\n1,0.9\n")
-    with pytest.raises(ValueError, match="sum"):
-        PowerDelayProfile.from_file(unnorm, normalize=False)
+    silent = tmp_path / "silent.csv"
+    silent.write_text("0,0\n1,0\n")
+    with pytest.raises(ValueError, match="positive"):
+        PowerDelayProfile.from_file(silent)
 
 
 def test_draw_taps_statistics():
@@ -158,3 +157,7 @@ def test_apply_taps_bit_equal_to_whole_window_loop(t, cols, per_column, real_inp
         x = x.real.copy()
     h = _cplx(rng, (cols, 8) if per_column else (8,))
     assert apply_taps(h, x).tobytes() == reference_apply_taps(h, x).tobytes()
+    # a lone stream is a batch of one column, under shared or per-column taps
+    lone = x if x.ndim == 1 else x[:, 0]
+    h_lone, h_col = (h[0], h[:1]) if per_column else (h, h)
+    assert same_array(apply_taps(h_lone, lone), apply_taps(h_col, lone[:, None])[:, 0])

@@ -440,6 +440,18 @@ def test_validation_only_keys_accept_their_defaults(tmp_path, capsys):
     assert (out / "complexity.csv").exists()
 
 
+@pytest.mark.parametrize("command,target", [t for t in COMMAND_TARGETS
+                                            if t[0] != "complexity"])
+def test_untabulated_overlap_exits_2_without_outputs(tmp_path, capsys, command,
+                                                     target):
+    # with no filter_file the design table decides which K exist
+    out = tmp_path / "out"
+    assert main([command, target, str(out), "--k", "9"]) == 2
+    assert "k: no tabulated design for overlap 9" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["complexity", "--k", "9"]) == 0
+
+
 def test_retired_guard_samples_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["complexity", "--guard-samples", "0"])

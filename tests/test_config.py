@@ -146,12 +146,14 @@ def test_manifest_meta_keys_ignored():
     assert cfg.seed == RunConfig().seed     # master_seed is bookkeeping only
 
 
-def test_retired_guard_samples_key_ignored():
+@pytest.mark.parametrize("key,value", [("guard_samples", "263"),
+                                       ("pdp_normalize", "false")])
+def test_retired_keys_ignored(key, value):
     # manifests written before the field was retired still load
-    old = format_config(RunConfig(n=16)) + "guard_samples = 263\n"
+    old = format_config(RunConfig(n=16)) + f"{key} = {value}\n"
     assert parse_config_text(old) == RunConfig(n=16)
-    assert apply_overrides(RunConfig(), {"guard_samples": "-1"}) == RunConfig()
-    assert "guard_samples" not in format_config(RunConfig())
+    assert apply_overrides(RunConfig(), {key: value}) == RunConfig()
+    assert key not in format_config(RunConfig())
 
 
 def test_unknown_key_rejected():
@@ -168,8 +170,8 @@ def test_bad_values_report_field():
 
 def test_scalar_fields_parse_as_their_default_type():
     cfg = apply_overrides(RunConfig(), {"n": " 32 ", "eta": "0.5",
-                                        "equalizer": " zf ", "pdp_normalize": "no"})
-    assert (cfg.n, cfg.eta, cfg.equalizer, cfg.pdp_normalize) == (32, 0.5, "zf", False)
+                                        "equalizer": " zf ", "coded": "no"})
+    assert (cfg.n, cfg.eta, cfg.equalizer, cfg.coded) == (32, 0.5, "zf", False)
     assert type(cfg.n) is int and type(cfg.eta) is float
     with pytest.raises(ConfigError, match="eta: could not convert string to float"):
         apply_overrides(RunConfig(), {"eta": "half"})

@@ -176,6 +176,11 @@ def test_rectangular_prototype():
     f = design_prototype(1, 4)
     np.testing.assert_allclose(f.coeffs, [0.5, 0.5, 0.5, 0.5])
     np.testing.assert_allclose(f.matrix_taps, [1.0, 1.0, 1.0, 1.0])
+    # K = 1 is the general synthesis with no cosine terms: every tap is
+    # 1/sqrt(N) to the last bit
+    for n in 2 ** np.arange(1, 12):
+        assert (design_prototype(1, n).coeffs.tobytes()
+                == np.full(n, 1.0 / np.sqrt(n)).tobytes())
 
 
 def test_designed_prototypes_unit_energy_and_symmetric():

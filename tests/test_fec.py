@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fbmcqam.fec import CONSTRAINT_LENGTH, GENERATORS, conv_encode, viterbi_decode
 
-from helpers import reference_conv_encode, reference_viterbi_decode
+from helpers import reference_conv_encode, reference_viterbi_decode, same_array
 
 
 def test_code_parameters():
@@ -19,6 +19,8 @@ def test_all_zero_message():
     out = conv_encode(np.zeros(10, dtype=int))
     assert out.shape == (32,)          # 2 * (10 + 6) with termination
     assert not out.any()
+    # an empty message still carries the six flush bits
+    assert same_array(conv_encode([]), np.zeros(12, dtype=np.int64))
 
 
 def test_impulse_response():
@@ -86,6 +88,8 @@ def test_batch_matches_per_row_decode():
     batch = viterbi_decode(llrs)
     for i in range(5):
         np.testing.assert_array_equal(viterbi_decode(llrs[i]), batch[i])
+    # a lone codeword is a batch of one
+    assert same_array(viterbi_decode(llrs[0]), viterbi_decode(llrs[:1])[0])
 
 
 def test_malformed_inputs():
@@ -95,6 +99,8 @@ def test_malformed_inputs():
         viterbi_decode(np.zeros(15))
     with pytest.raises(ValueError, match="malformed"):
         viterbi_decode(np.zeros(12))
+    with pytest.raises(ValueError, match="coded length 0 malformed"):
+        viterbi_decode([])
     with pytest.raises(ValueError, match="0/1"):
         viterbi_decode(np.full(16, 0.5), mode="hard")
     with pytest.raises(ValueError, match="mode"):
@@ -179,3 +185,5 @@ def test_encoder_matches_reference(batch, length, seed):
     assert coded.dtype == np.int64
     np.testing.assert_array_equal(coded, reference_conv_encode(msg))
     np.testing.assert_array_equal(conv_encode(msg[0]), reference_conv_encode(msg[0]))
+    # a lone message is a batch of one
+    assert same_array(conv_encode(msg[0]), conv_encode(msg[:1])[0])

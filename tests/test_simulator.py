@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fbmcqam import analytics, simulator
-from fbmcqam.config import RunConfig
+from fbmcqam.config import ConfigError, RunConfig
 from fbmcqam.filterbank import window_length
 from fbmcqam.simulator import (make_context, run_link_validation, run_multiservice,
                                scheme_label, wilson_halfwidth,
@@ -398,6 +398,14 @@ def test_band_count_and_capacity_errors():
                      snr_db=(10.0,), trials=4, coded=True)
     with pytest.raises(ValueError, match="too small"):
         run_multiservice(tiny)
+
+
+@pytest.mark.parametrize("run", [run_multiservice, run_link_validation])
+def test_invalid_config_reports_every_violation_before_building(run):
+    # n = 12 would otherwise first reach the prototype design
+    with pytest.raises(ConfigError, match=r"(?s)n: 12 is not a power of two.*"
+                                          r"m: 0 must be >= 1"):
+        run(_ms_cfg(n=12, m=0))
 
 
 @pytest.mark.parametrize("coded", [True, False])
