@@ -2,9 +2,9 @@
 
 The transmit matrix P is block-banded: block (i, j) is nonzero only for
 0 <= i - j <= K-1 and equals a diagonal N x N block carrying tap segment
-i - j. P is never materialized: ``apply_filter``/``apply_adjoint`` work on
-the (K, N) tap segments, and G and R on per-subcarrier stacks. Samples lead
-and trailing axes are a batch, so a lone vector is one column.
+i - j. So P never mixes samples: for each sample v of a segment it is one
+(K+M-1) x M matrix P_v, with P_v[j+i, j] = segs[i, v] (``sample_matrices``).
+Samples lead and trailing axes are a batch, so a lone vector is one column.
 
 Per-subcarrier decoupling: because every block of G is diagonal, G splits
 into N independent M x M symmetric banded Toeplitz systems, one per
@@ -14,12 +14,11 @@ All taps are at matrix scale (``PrototypeFilter.matrix_taps``), so the
 matched-filter main band averages to exactly 1 per subcarrier and the K=1
 rectangular filter gives G = I.
 
-Order contract of ``apply_filter``, ``apply_adjoint`` and ``apply_inverse``:
-every output element starts at zero and receives the same products as the
-textbook sum, ``segs[i] * b[j - i]``, ``segs[i] * r[j + i]`` or
-``R[:, a, i] * x[i]``, added in ascending ``i``, with the multiply and the
-add rounded separately as two ufunc calls (so the inverse is bit-equal to
-``einsum("nmi,inb->mnb")``, which a ``matmul`` is not).
+``apply_filter``, ``apply_adjoint`` and ``apply_inverse`` are each one real
+batched matrix product over the N per-sample matrices P_v, P_v^T and R_v.
+Two rules hold for them: each equals its dense operator to rounding, and
+each output column's bytes do not depend on how many columns, or which, it
+is computed with, so a trial block gives the bytes of the whole batch.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from .core import PrototypeFilter
 __all__ = [
     "tap_segments",
     "window_length",
+    "sample_matrices",
     "apply_filter",
     "apply_adjoint",
     "apply_inverse",
@@ -52,20 +52,49 @@ def window_length(n: int, m: int, k: int) -> int:
     return (k + m - 1) * n
 
 
+def sample_matrices(segs: np.ndarray, m: int) -> np.ndarray:
+    """P as one (K+M-1) x M matrix per sample: P[v, j+i, j] = segs[i, v]."""
+    k, n = segs.shape
+    p = np.zeros((n, k + m - 1, m), dtype=segs.dtype)
+    i, j = np.ogrid[:k, :m]
+    p[:, i + j, j] = segs.T[:, :, None]
+    return p
+
+
+def _per_sample(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """y_v = mats[v]^T x_v for every sample v, as one real batched product.
+
+    ``mats`` is (N, rows_in, rows_out) and ``x`` stacks rows_in segments of N
+    samples. The columns of x, as (real, imaginary) pairs, are the rows of the
+    left operand, (N, 2B, rows_in) @ (N, rows_in, rows_out), which row-major
+    BLAS runs with the trials on its gemm's column axis. There a column's sums
+    do not depend on the other columns; with the trials on gemm's row axis
+    (``W @ x``) they were seen to depend on the block width.
+    """
+    n, rows_in, rows_out = mats.shape
+    dtype = np.result_type(mats, x)
+    # real input is paired with zeros and the output kept at least two wide,
+    # so no product degenerates to a matrix-vector one: numpy hands those to
+    # gemv, whose sums depend on the number of columns
+    xr = np.ascontiguousarray(x.reshape(rows_in, n, -1),
+                              dtype=np.result_type(dtype, complex)).view(float)
+    if rows_out == 1:
+        mats = np.concatenate((mats, np.zeros_like(mats)), axis=2)
+    y = np.matmul(xr.transpose(1, 2, 0), mats)[:, :, :rows_out]
+    y = np.ascontiguousarray(y.transpose(2, 0, 1)).view(complex)
+    if dtype.kind != "c":
+        y = y.real.copy()
+    return y.reshape((rows_out * n,) + x.shape[1:])
+
+
 def apply_filter(segs: np.ndarray, b: np.ndarray) -> np.ndarray:
     """o = P b for stacked time-domain segments b of M*N samples."""
-    k, n = segs.shape
+    n = segs.shape[1]
     b = np.asarray(b)
     m = b.shape[0] // n
     if m * n != b.shape[0]:
         raise ValueError(f"input length {b.shape[0]} not a multiple of N={n}")
-    bb = b.reshape(m, n, -1)
-    out = np.zeros((k + m - 1, n, bb.shape[2]), dtype=np.result_type(b, float))
-    tmp = np.empty(bb.shape, dtype=out.dtype)
-    for i in range(k):
-        np.multiply(segs[i][:, None], bb, out=tmp)
-        np.add(out[i:i + m], tmp, out=out[i:i + m])
-    return out.reshape(((k + m - 1) * n,) + b.shape[1:])
+    return _per_sample(sample_matrices(segs, m).transpose(0, 2, 1), b)
 
 
 def apply_adjoint(segs: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -75,14 +104,7 @@ def apply_adjoint(segs: np.ndarray, r: np.ndarray) -> np.ndarray:
     km = r.shape[0] // n
     if km * n != r.shape[0] or km < k:
         raise ValueError(f"window length {r.shape[0]} inconsistent with N={n}, K={k}")
-    m = km - k + 1
-    rr = r.reshape(km, n, -1)
-    out = np.zeros((m, n, rr.shape[2]), dtype=r.dtype)
-    tmp = np.empty(out.shape, dtype=np.result_type(segs, r))
-    for i in range(k):
-        np.multiply(segs[i][:, None], rr[i:i + m], out=tmp)
-        np.add(out, tmp, out=out)
-    return out.reshape((m * n,) + r.shape[1:])
+    return _per_sample(sample_matrices(segs, km - k + 1), r)
 
 
 def autocorr_bands(segs: np.ndarray) -> np.ndarray:
@@ -152,11 +174,4 @@ def apply_inverse(inv: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.shape[0] != m * n:
         raise ValueError(f"input length {x.shape[0]} != M*N = {m * n}")
-    xb = x.reshape(m, n, -1)
-    v = np.zeros(xb.shape, dtype=np.result_type(inv, xb))
-    tmp = np.empty(xb.shape[1:], dtype=v.dtype)
-    for a in range(m):
-        for i in range(m):
-            np.multiply(inv[:, a, i, None], xb[i], out=tmp)
-            np.add(v[a], tmp, out=v[a])
-    return v.reshape((m * n,) + x.shape[1:])
+    return _per_sample(inv.transpose(0, 2, 1), x)

@@ -64,7 +64,10 @@ def channel_profile(cfg: RunConfig) -> PowerDelayProfile:
     """The configured power-delay profile: ``pdp_file`` if given, else the
     exponential default."""
     if cfg.pdp_file:
-        pdp = PowerDelayProfile.from_file(cfg.pdp_file)
+        try:
+            pdp = PowerDelayProfile.from_file(cfg.pdp_file)
+        except ValueError as exc:      # the file's contents, e.g. a negative power
+            raise ConfigError(f"invalid configuration:\n  pdp_file: {exc}") from exc
         # the limit RunConfig.violations puts on channel_taps
         if pdp.n_taps * 2 > cfg.n:
             raise ConfigError(f"invalid configuration:\n  pdp_file: {cfg.pdp_file} "

@@ -11,9 +11,10 @@ encoder and row-major (codeword, state) decoder that the package's
 vectorized versions must match exactly, tie decisions included. The same
 holds for the block-by-block delay tables, the row-by-row ``mse.csv`` and
 the validator that receives every feed at every SNR point, and for the
-whole-window tap, filter, adjoint, inverse, OFDM and QAM kernels (map,
-decisions and LLRs) that the blocked and per-level ones must match byte for
-byte. The per-draw FFT leakage
+whole-window tap, OFDM and QAM kernels (map, decisions and LLRs) that the
+blocked and per-level ones must match byte for byte; the chunk reference
+runs the live filter-bank kernels over the whole batch, which pins their
+column invariance. The per-draw FFT leakage
 sums, the einsum propagation and the roll-based covariance diagonals keep
 the arithmetic the closed forms had before the cross-moment kernel, and
 ``reference_db`` formats one dB field at a time as a Python f-string:
@@ -33,7 +34,8 @@ from fbmcqam.channel import (apply_taps, complex_noise, draw_taps, freq_response
                              overlap_tail)
 from fbmcqam.cli import _csv_text
 from fbmcqam.core import dft_segments, idft_block, qam_levels, qam_map
-from fbmcqam.filterbank import autocorr_bands, window_length
+from fbmcqam.filterbank import (apply_adjoint, apply_filter, apply_inverse, autocorr_bands,
+                                window_length)
 from fbmcqam.simulator import (LinkValidationPoint, _band_grid, _check,
                                channel_profile, make_context, scheme_label)
 from fbmcqam.transceiver import (equalize, fbmc_demodulate, fbmc_transmit,
@@ -412,45 +414,6 @@ def reference_apply_taps(h, x):
     return y
 
 
-def _promote(x):
-    x = np.asarray(x)
-    return (x[:, None], True) if x.ndim == 1 else (x, False)
-
-
-def reference_apply_filter(segs, b):
-    """o = P b, one tap segment at a time over all M input segments."""
-    k, n = segs.shape
-    b2, squeeze = _promote(b)
-    m = b2.shape[0] // n
-    bb = b2.reshape(m, n, -1)
-    out = np.zeros((k + m - 1, n, bb.shape[2]), dtype=np.result_type(b2, float))
-    for i in range(k):
-        out[i:i + m] += segs[i][None, :, None] * bb
-    o = out.reshape((k + m - 1) * n, -1)
-    return o[:, 0] if squeeze else o
-
-
-def reference_apply_adjoint(segs, r):
-    """x = P^H r, one tap segment at a time over all M output segments."""
-    k, n = segs.shape
-    r2, squeeze = _promote(r)
-    m = r2.shape[0] // n - k + 1
-    rr = r2.reshape(m + k - 1, n, -1)
-    out = np.zeros((m, n, rr.shape[2]), dtype=r2.dtype)
-    for i in range(k):
-        out += segs[i][None, :, None] * rr[i:i + m]
-    x = out.reshape(m * n, -1)
-    return x[:, 0] if squeeze else x
-
-
-def reference_apply_inverse(inv, x):
-    """v = R x as one einsum over the (N, M, M) stack."""
-    n, m, _ = inv.shape
-    x2, squeeze = _promote(x)
-    v = np.einsum("nmi,inb->mnb", inv, x2.reshape(m, n, -1)).reshape(m * n, -1)
-    return v[:, 0] if squeeze else v
-
-
 def reference_ofdm_modulate(S, cp_len):
     """Prefix by concatenation, then serialize through moveaxis and reshape."""
     n, nsym = S.shape[0], S.shape[1]
@@ -507,8 +470,9 @@ def reference_run_chunk(engine, seed, batch, sigma2):
     """``_MultiserviceEngine.run_chunk`` on the whole-window kernels over the
     full batch at once: each user's window shifted into a fresh zeroed copy,
     noise drawn as the chain reaches it, and the matched filter applied again
-    for each receiver mode. Only the engine's symbol draws and its
-    demap/decode tally of the middle band are shared with the package."""
+    for each receiver mode. The engine's symbol draws, its demap/decode tally
+    of the middle band and the filter-bank kernels, run here on the whole
+    batch, are shared with the package."""
     cfg, ctx = engine.cfg, engine.ctx
     n, m = engine.n, engine.m
     rng = np.random.default_rng(seed)
@@ -521,7 +485,7 @@ def reference_run_chunk(engine, seed, batch, sigma2):
     r = np.zeros((engine.t_len, batch), dtype=complex)
     for u in range(3):
         grid = _band_grid(grids[u], n, engine.starts[u])
-        tx = reference_apply_filter(ctx.segs, idft_block(grid))
+        tx = apply_filter(ctx.segs, idft_block(grid))
         r += _reference_shift_window(reference_apply_taps(taps[u], tx),
                                      engine.offsets[u])
     r += complex_noise(rng, r.shape, sigma2)
@@ -529,9 +493,9 @@ def reference_run_chunk(engine, seed, batch, sigma2):
     eq = make_equalizer(mid_c, cfg.equalizer, sigma2, cfg.symbol_power)
     coeffs = eq.coeffs.T
     for mode in engine.modes:
-        x = reference_apply_adjoint(ctx.segs, r)
+        x = apply_adjoint(ctx.segs, r)
         if mode == "if":
-            x = reference_apply_inverse(ctx.inv_rx, x)
+            x = apply_inverse(ctx.inv_rx, x)
         est = equalize(coeffs, dft_segments(x, n))
         zeta = ctx.zeta_m if mode == "if" else np.ones(m)
         nv = sigma2 * np.abs(coeffs[:, None, :]) ** 2 * zeta[None, :, None]

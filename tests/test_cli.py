@@ -161,6 +161,21 @@ def test_analyze_csv_is_independent_of_blas_threads(tmp_path):
     assert texts[0] == texts[1]
 
 
+def test_simulate_ber_is_independent_of_blas_threads(tmp_path):
+    # the filter-bank kernels are batched BLAS products; as above, each
+    # thread count gets its own interpreter
+    texts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"run{threads}"
+        subprocess.run([sys.executable, "-m", "fbmcqam.cli", "simulate", "--preset",
+                        "async3band", "--coded", "false", "--n", "32", "--trials", "40",
+                        "--snr-db", "10,30", "--out-dir", str(out)],
+                       env=_subprocess_env(OPENBLAS_NUM_THREADS=threads),
+                       check=True, capture_output=True)
+        texts.append((out / "ber.csv").read_bytes())
+    assert texts[0] == texts[1]
+
+
 def _texts(rows):
     """The rows of a NUL-padded ASCII matrix as strings."""
     return [bytes(row).replace(b"\0", b"").decode() for row in rows]
@@ -385,6 +400,20 @@ def test_long_loaded_profile_exits_2_without_outputs(tmp_path, capsys, command):
     assert "pdp_file" in capsys.readouterr().err
     assert not out.exists()
     assert run(8) == 0
+
+
+@pytest.mark.parametrize("powers", ["0,2\n1,-1\n", "0,1\n1,nan\n"])
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_bad_profile_powers_exit_2_without_outputs(tmp_path, capsys, command, powers):
+    pdp = tmp_path / "taps.csv"
+    pdp.write_text(powers)
+    out = tmp_path / "out"
+    target = ["--out", str(out)] if command == "analyze" else ["--out-dir", str(out)]
+    assert main([command, *target, "--n", "16", "--m", "4", "--k", "2", "--trials", "20",
+                 "--theory-draws", "5", "--snr-db", "10", "--pdp-file", str(pdp)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "pdp_file" in err
+    assert not out.exists()
 
 
 def test_repeated_config_key_exits_2_without_outputs(tmp_path, capsys):
