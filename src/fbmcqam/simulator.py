@@ -210,16 +210,19 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
     exact; validation is meant for eta = 0.
 
     Every draw comes first: the channel, the data grid, the previous-block
-    grid, then each SNR point's noise over all trials. Each point's breakdown
-    and equalizer are built next, and the trials then run on the same
-    ``_trial_blocks`` as a campaign chunk. Only the one-tap equalizer
-    depends on the SNR, so the four noise-free feeds (single active symbol,
-    single active subcarrier, dispersion only and the previous-block tail)
-    are transmitted and demodulated once per block, and each point
-    multiplies the stored grids by its coefficients; the noise-only and full
-    feeds carry each point's own noise and are demodulated per point. Per-trial samples go into
-    (points, trials) vectors, and the checks are formed from them after the
-    last block, so no output depends on the block width.
+    grid, then one unit-power noise draw over all trials. Each point's
+    breakdown and equalizer are built next, and the trials then run on the
+    same ``_trial_blocks`` as a campaign chunk. The receiver is linear,
+    ``demod(r + sigma w) = demod(r) + sigma demod(w)``, so each block
+    demodulates every feed once: the four noise-free feeds (single active
+    symbol, single active subcarrier, dispersion only and the previous-block
+    tail), the noise-free full signal and the unit noise; each point scales
+    the noise by its sigma and all grids by its coefficients. The points
+    share the noise, so they are correlated, but each point's distribution
+    is unchanged and its checks do not depend on the rest of the grid.
+    Per-trial samples go into (points, trials) vectors, and the checks are
+    formed from them after the last block, so no output depends on the block
+    width.
     """
     cfg.validate()
     _keep_heap()
@@ -251,6 +254,7 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
 
     S = draw_grid()
     prev = draw_grid() if with_ibi else None    # the previous block, unfaded
+    w = complex_noise(rng_noise, (t_len, trials), 1.0)    # scaled per point
     setups = []
     for snr_db in cfg.snr_db:
         sigma2 = cfg.sigma2(snr_db)
@@ -261,7 +265,7 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
             averaged_breakdown(cfg, ctx, mode, equalizer_moments(eq, c[None, :], delta2),
                                sigma2, cov, with_ibi=with_ibi),
             Equalizer(eq.coeffs[0], eq.beta[0]),
-            complex_noise(rng_noise, (t_len, trials), sigma2)))
+            np.sqrt(sigma2)))
 
     inv_rx = ctx.inv_rx if mode == "if" else None
 
@@ -303,9 +307,12 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
         S_sub = np.zeros_like(S_b)
         S_sub[sub_sel] = S_b[sub_sel]
         y_sub = demodulate(transmit_circular(S_sub))
+        y_sig = demodulate(r_lin if tails is None else r_lin + tails)
+        y_w = demodulate(w[:, cols])
 
-        for p, (_, eq, noise) in enumerate(setups):
-            meas["noise"][p, cols] = power(eq.coeffs, demodulate(noise[:, cols]))
+        for p, (_, eq, sigma) in enumerate(setups):
+            y_noise = sigma * y_w
+            meas["noise"][p, cols] = power(eq.coeffs, y_noise)
             est_stim = equalize(eq.coeffs, y_stim)
             own = np.abs((est_stim - eq.beta[:, None, None] * S_stim)[sel]) ** 2
             meas["ici"][p, cols] = own.mean(axis=0)
@@ -321,10 +328,8 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
             meas["isi_sub"][p, cols] = rest.sum(axis=(0, 1))
             if with_ibi:
                 meas["ibi"][p, cols] = power(eq.coeffs, y_ibi)
-            r_full = (r_lin + noise[:, cols] if tails is None
-                      else r_lin + tails + noise[:, cols])
             meas["total"][p, cols] = np.mean(
-                np.abs(equalize(eq.coeffs, demodulate(r_full)) - S_b) ** 2, axis=(0, 1))
+                np.abs(equalize(eq.coeffs, y_sig + y_noise) - S_b) ** 2, axis=(0, 1))
 
     points = []
     for p, (snr_db, (bd, eq, _)) in enumerate(zip(cfg.snr_db, setups)):

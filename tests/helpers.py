@@ -1,22 +1,21 @@
 """Dense first-principles constructions shared by the structural tests, the
 reference convolutional encoder and Viterbi decoder, the straightforward
-forms of the delay tables, of the ``analyze`` CSV, of link validation, of
-the whole-window sample kernels and of one campaign chunk, and the
-BER-curve comparison used by the acceptance suite.
+forms of the delay tables, of the ``analyze`` CSV, of the whole-window
+sample kernels and of one campaign chunk, and the BER-curve comparison used
+by the acceptance suite.
 
 The dense constructions are built by explicit loops from the definitions,
 never from the package's banded/stacked representations, so agreement is
 meaningful. The coding references are the straightforward shift-register
 encoder and row-major (codeword, state) decoder that the package's
 vectorized versions must match exactly, tie decisions included. The same
-holds for the block-by-block delay tables, the row-by-row ``mse.csv`` and
-the validator that receives every feed at every SNR point, and for the
-whole-window tap, OFDM and QAM kernels (map, decisions and LLRs) that the
-blocked and per-level ones must match byte for byte; the chunk reference
-runs the live filter-bank kernels over the whole batch, which pins their
-column invariance. The per-draw FFT leakage
-sums, the einsum propagation and the roll-based covariance diagonals keep
-the arithmetic the closed forms had before the cross-moment kernel, and
+holds for the block-by-block delay tables and the row-by-row ``mse.csv``,
+and for the whole-window tap, OFDM and QAM kernels (map, decisions and
+LLRs) that the blocked and per-level ones must match byte for byte; the
+chunk reference runs the live filter-bank kernels over the whole batch,
+which pins their column invariance. The per-draw FFT leakage sums, the
+einsum propagation and the roll-based covariance diagonals keep the
+arithmetic the closed forms had before the cross-moment kernel, and
 ``reference_db`` formats one dB field at a time as a Python f-string:
 ``reference_mse_csv`` is built on them, so the live CSV must match it
 byte for byte, and every breakdown component to 1e-12.
@@ -26,20 +25,14 @@ import math
 
 import numpy as np
 
-from fbmcqam.analytics import (DisplacedCovariances, MseBreakdown, averaged_breakdown,
-                               channel_moments, displaced_covariances, ensemble_taps,
-                               interference_tables, leakage_sums, neighbor_counts,
-                               zeta_grid)
-from fbmcqam.channel import (apply_taps, complex_noise, draw_taps, freq_response,
-                             overlap_tail)
+from fbmcqam.analytics import (DisplacedCovariances, MseBreakdown, ensemble_taps,
+                               neighbor_counts, zeta_grid)
+from fbmcqam.channel import complex_noise, draw_taps, freq_response
 from fbmcqam.cli import _csv_text
-from fbmcqam.core import dft_segments, idft_block, qam_levels, qam_map
-from fbmcqam.filterbank import (apply_adjoint, apply_filter, apply_inverse, autocorr_bands,
-                                window_length)
-from fbmcqam.simulator import (LinkValidationPoint, _band_grid, _check,
-                               channel_profile, make_context, scheme_label)
-from fbmcqam.transceiver import (equalize, fbmc_demodulate, fbmc_transmit,
-                                 make_equalizer, ofdm_demodulate)
+from fbmcqam.core import dft_segments, idft_block, qam_levels
+from fbmcqam.filterbank import apply_adjoint, apply_filter, apply_inverse
+from fbmcqam.simulator import _band_grid, channel_profile, make_context, scheme_label
+from fbmcqam.transceiver import equalize, make_equalizer, ofdm_demodulate
 
 
 def dense_filter_matrix(segs, m):
@@ -253,141 +246,6 @@ def reference_mse_csv(cfg):
                         rows.append((f"{snr_db:g}", mode, mm, nu, name,
                                      reference_db(float(grid[mm, nu]))))
     return _csv_text(["snr_db", "mode", "m", "n", "component", "value_db"], rows)
-
-
-def reference_link_validation(cfg):
-    """``simulator.run_link_validation`` with every feed received (matched
-    filter, inverse, DFT and equalizer) at every SNR point."""
-    cfg.validate()
-    mode = cfg.receiver_mode
-    ctx = make_context(cfg)
-    n, m = cfg.n, cfg.m
-    delta2 = cfg.symbol_power
-    bps = int(np.log2(cfg.mod_order))
-    t_len = window_length(n, m, cfg.k)
-    with_ibi = cfg.overlap_blocks
-
-    master = np.random.SeedSequence(cfg.seed)
-    ss_channel, ss_data, ss_noise = master.spawn(3)
-    h = draw_taps(channel_profile(cfg), np.random.default_rng(ss_channel))
-    c = freq_response(h, n)
-
-    trials = cfg.trials or max(int(np.ceil(1e5 / (n * m))), 16 * m)
-    trials = int(np.ceil(trials / m)) * m   # whole round-robin cycles
-    rng_data = np.random.default_rng(ss_data)
-    rng_noise = np.random.default_rng(ss_noise)
-
-    inv_arg = ctx.inv if mode == "if" else None
-    cov = displaced_covariances(ctx.segs, m, taps=h, inv=inv_arg)
-
-    def draw_grid():
-        bits = rng_data.integers(0, 2, size=trials * n * m * bps)
-        S = qam_map(bits, cfg.mod_order, delta2).reshape(trials, m, n)
-        return np.moveaxis(S, 0, 2).swapaxes(0, 1)          # (N, M, B)
-
-    S = draw_grid()
-    o = fbmc_transmit(S, ctx.segs)
-    o_circ = fbmc_transmit(c[:, None, None] * S, ctx.segs)
-    r_lin = apply_taps(h, o)
-    r_fd = r_lin - o_circ
-    tails = None
-    if with_ibi:
-        # overlap_tail applies the channel; feed it the unfaded previous block
-        tails = overlap_tail(h, fbmc_transmit(draw_grid(), ctx.segs), t_len)
-
-    # single-active-symbol stimulus, round robin over block positions
-    stim_col = np.arange(trials) % m
-    S_stim = np.zeros_like(S)
-    sel = (np.arange(n)[:, None], stim_col[None, :], np.arange(trials)[None, :])
-    S_stim[sel] = S[sel]
-    r_stim = fbmc_transmit(c[:, None, None] * S_stim, ctx.segs)
-
-    # single-active-subcarrier stimulus, round robin over subcarriers of the
-    # middle symbol; measures per-donor leakage sums
-    m0 = m // 2
-    sub_q = np.arange(trials) % n
-    sub_sel = (sub_q, np.full(trials, m0), np.arange(trials))
-    S_sub = np.zeros_like(S)
-    S_sub[sub_sel] = S[sub_sel]
-    r_sub = fbmc_transmit(c[:, None, None] * S_sub, ctx.segs)
-    tables = interference_tables(autocorr_bands(ctx.segs), m)
-    inv_rx = ctx.inv_rx if mode == "if" else None
-
-    points = []
-    for snr_db in cfg.snr_db:
-        sigma2 = cfg.sigma2(snr_db)
-        bd = averaged_breakdown(cfg, ctx, mode, channel_moments(cfg, c, sigma2), sigma2,
-                                cov, with_ibi=with_ibi)
-        eq = make_equalizer(c, cfg.equalizer, sigma2, delta2)
-
-        def receive(r):
-            return equalize(eq.coeffs, fbmc_demodulate(r, ctx.segs, inv_rx))
-
-        noise = complex_noise(rng_noise, (t_len, trials), sigma2)
-        meas_noise = np.mean(np.abs(receive(noise)) ** 2, axis=(0, 1))
-
-        est_stim = receive(r_stim)
-        own = np.abs((est_stim - eq.beta[:, None, None] * S_stim)[sel]) ** 2
-        meas_ici = own.mean(axis=0)                          # per trial
-        cross = np.abs(est_stim) ** 2
-        cross[sel] = 0.0
-        # one stimulus cycle accumulates the full cross-symbol error per block
-        meas_isi = cross.sum(axis=(0, 1)).reshape(-1, m).sum(axis=1) / (n * m)
-
-        meas_fd = np.mean(np.abs(receive(r_fd)) ** 2, axis=(0, 1))
-
-        est_sub = receive(r_sub)
-        col = np.abs(est_sub[:, m0, :]) ** 2
-        meas_ici_sub = col.sum(axis=0) - col[sub_q, np.arange(trials)]
-        rest = np.abs(est_sub) ** 2
-        rest[:, m0, :] = 0.0
-        meas_isi_sub = rest.sum(axis=(0, 1))
-        # per-donor-subcarrier leakage sums over receivers, from the live
-        # leakage kernel: the profiles are symmetric in the lag, so row q of
-        # the cross moment is every receiver's |E|^2
-        cq2 = delta2 * np.abs(c) ** 2
-        pq_ici = np.zeros(n)
-        pq_isi = np.zeros(n)
-        if bd.mode == "nif":
-            own, per_d = leakage_sums(
-                tables, np.broadcast_to(np.abs(eq.coeffs) ** 2, (n, n)))
-            pq_ici = cq2 * own
-            for d in range(1, cfg.k):
-                count = (m0 - d >= 0) + (m0 + d < m)
-                pq_isi += count * cq2 * per_d[:, d - 1]
-
-        pred_ici_m = bd.ici.mean(axis=1)                     # per stimulus position
-        pred_fd = bd.fd_exact if bd.mode == "if" else bd.fd
-        atol = 1e-15 * delta2     # exactly-cancelled components measure as roundoff
-        checks = [
-            _check("noise", meas_noise, float(bd.noise.mean())),
-            _check("ici", meas_ici - pred_ici_m[stim_col] + pred_ici_m.mean(),
-                   float(pred_ici_m.mean()), atol),
-            _check("isi", meas_isi, float(bd.isi.mean()), atol),
-            _check("fd", meas_fd, float(pred_fd.mean()), atol),
-            _check("ici_sub", meas_ici_sub - pq_ici[sub_q] + pq_ici[sub_q].mean(),
-                   float(pq_ici[sub_q].mean()), atol),
-            _check("isi_sub", meas_isi_sub - pq_isi[sub_q] + pq_isi[sub_q].mean(),
-                   float(pq_isi[sub_q].mean()), atol),
-        ]
-        pred_total = float((bd.resd + bd.ici + bd.isi + pred_fd + bd.noise).mean())
-        if with_ibi:
-            pred_ibi = bd.ibi_exact if bd.mode == "if" else bd.ibi
-            meas_ibi = np.mean(np.abs(receive(tails)) ** 2, axis=(0, 1))
-            checks.append(_check("ibi", meas_ibi, float(pred_ibi.mean()), atol))
-            pred_total += float(pred_ibi.mean())
-
-        r_full = r_lin + noise if tails is None else r_lin + tails + noise
-        meas_total = np.mean(np.abs(receive(r_full) - S) ** 2, axis=(0, 1))
-        total_measured = float(meas_total.mean())
-        gap_db = abs(10 * np.log10(total_measured / pred_total))
-        points.append(LinkValidationPoint(
-            snr_db=snr_db, checks=tuple(checks),
-            total_measured=total_measured, total_predicted=pred_total,
-            total_gap_db=gap_db,
-            sinr_db=float(10 * np.log10(delta2 / total_measured)),
-            breakdown=bd))
-    return points
 
 
 # ---------------------------------------------------------------------------

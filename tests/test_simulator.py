@@ -17,7 +17,7 @@ from fbmcqam.simulator import (make_context, run_link_validation, run_multiservi
                                scheme_label, wilson_halfwidth,
                                wilson_interval)
 
-from helpers import reference_link_validation, reference_run_chunk
+from helpers import reference_run_chunk
 
 
 def _val_cfg(**kw):
@@ -78,10 +78,15 @@ def test_validation_components_match_closed_forms(mode):
 
 
 def test_validation_with_block_overlap():
-    pts = run_link_validation(_val_cfg(overlap_blocks=True))
-    names = [c.name for c in pts[0].checks]
+    cfg = _val_cfg(overlap_blocks=True)
+    pt = run_link_validation(cfg)[0]
+    names = [c.name for c in pt.checks]
     assert names[-1] == "ibi"
-    assert all(c.within_3sigma for c in pts[0].checks)
+    assert all(c.within_3sigma for c in pt.checks)
+    # the previous block reaches the ibi feed and the full feed only
+    alone = run_link_validation(replace(cfg, overlap_blocks=False))[0]
+    assert pt.checks[:-1] == alone.checks
+    assert pt.total_measured != alone.total_measured
 
 
 def test_validation_deterministic():
@@ -111,22 +116,37 @@ def test_validation_flat_channel_has_no_dispersion():
     assert all(c.within_3sigma for c in pt.checks)
 
 
+def _same_points(got, want):
+    """Equal checks, totals and SINRs, float for float."""
+    assert len(got) == len(want)
+    for pt, ref in zip(got, want):
+        assert pt.snr_db == ref.snr_db
+        assert pt.checks == ref.checks
+        assert pt.total_measured == ref.total_measured
+        assert pt.total_predicted == ref.total_predicted
+        assert pt.sinr_db == ref.sinr_db
+
+
+def _one_block(monkeypatch, cfg):
+    """``cfg``'s validation with every trial in one block."""
+    with monkeypatch.context() as mp:
+        mp.setattr(simulator, "_WINDOW_BYTES", 1 << 40)
+        return run_link_validation(cfg)
+
+
 @pytest.mark.parametrize("equalizer", ["mmse", "zf"])
 @pytest.mark.parametrize("eta", [0.0, 0.5])
 @pytest.mark.parametrize("overlap", [True, False])
 @pytest.mark.parametrize("mode", ["nif", "if"])
 def test_validation_equals_per_point_reference(mode, overlap, eta, equalizer):
-    # demodulating the noise-free feeds once changes no bit of any check
+    # the reference for a point is the validator run on that point alone: its
+    # checks are the same inside a grid and in any order of the grid
     cfg = _val_cfg(receiver_mode=mode, overlap_blocks=overlap, eta=eta,
                    equalizer=equalizer, snr_db=(10.0, 30.0))
-    pts = run_link_validation(cfg)
-    refs = reference_link_validation(cfg)
-    assert len(pts) == len(refs) == 2
-    for pt, ref in zip(pts, refs):
-        assert pt.checks == ref.checks
-        assert pt.total_measured == ref.total_measured
-        assert pt.total_predicted == ref.total_predicted
-        assert pt.sinr_db == ref.sinr_db
+    alone = [run_link_validation(replace(cfg, snr_db=(snr,)))[0] for snr in cfg.snr_db]
+    _same_points(run_link_validation(cfg), alone)
+    _same_points(run_link_validation(replace(cfg, snr_db=(30.0, 20.0, 10.0)))[::2],
+                 alone[::-1])
 
 
 @pytest.mark.parametrize("block_trials", [50, 7])
@@ -136,28 +156,25 @@ def test_validation_equals_per_point_reference(mode, overlap, eta, equalizer):
 def test_validation_blocks_equal_whole_width_reference(monkeypatch, mode, overlap,
                                                        eta, block_trials):
     # 120 trials in blocks of 50, 50 and 20, or of 7 with the one-trial
-    # remainder folded into the last block; every check is bit-equal
+    # remainder folded into the last block; every check is bit-equal to the
+    # same validator run on all 120 trials in one block
     cfg = _val_cfg(receiver_mode=mode, overlap_blocks=overlap, eta=eta,
                    snr_db=(10.0, 30.0))
+    whole = _one_block(monkeypatch, cfg)
     t_len = window_length(cfg.n, cfg.m, cfg.k)
     monkeypatch.setattr(simulator, "_WINDOW_BYTES", block_trials * 16 * t_len)
-    pts = run_link_validation(cfg)
-    refs = reference_link_validation(cfg)
-    assert len(pts) == len(refs) == 2
-    for pt, ref in zip(pts, refs):
-        assert pt.checks == ref.checks
-        assert pt.total_measured == ref.total_measured
-        assert pt.total_predicted == ref.total_predicted
-        assert pt.sinr_db == ref.sinr_db
+    assert len(simulator._trial_blocks(cfg.trials, t_len)) > 1
+    _same_points(run_link_validation(cfg), whole)
 
 
 @pytest.mark.parametrize("overlap, fixed", [(True, 4), (False, 3)])
 @pytest.mark.parametrize("points", [1, 3])
 def test_validation_demodulates_noise_free_feeds_once(monkeypatch, overlap, fixed,
                                                       points):
-    # every trial column of the noise-free feeds is demodulated once per run;
-    # only the noise-only and full feeds are demodulated at every SNR point.
-    # 16 trials run in one block, then in blocks of 6, 6 and 4
+    # every trial column of every feed is demodulated once per run, whatever
+    # the number of SNR points: the noise-free feeds, the noise-free full
+    # signal and the unit noise. 16 trials run in one block, then in blocks
+    # of 6, 6 and 4
     cfg = _val_cfg(overlap_blocks=overlap, trials=16,
                    snr_db=tuple(10.0 * (i + 1) for i in range(points)))
     t_len = window_length(cfg.n, cfg.m, cfg.k)
@@ -173,14 +190,31 @@ def test_validation_demodulates_noise_free_feeds_once(monkeypatch, overlap, fixe
         monkeypatch.setattr(simulator, "_WINDOW_BYTES", window_bytes)
         monkeypatch.setattr(simulator, "fbmc_demodulate", counted)
         run_link_validation(cfg)
-        assert sum(cols) == 16 * (fixed + 2 * points)
+        assert sum(cols) == 16 * (fixed + 2)
         assert set(cols) == widths
+
+
+@pytest.mark.parametrize("points", [1, 3])
+def test_validation_draws_unit_noise_once(monkeypatch, points):
+    # one unit-power (t_len, trials) draw serves every SNR point
+    calls = []
+    draw = simulator.complex_noise
+
+    def recording(rng, shape, sigma2):
+        calls.append((shape, sigma2))
+        return draw(rng, shape, sigma2)
+
+    monkeypatch.setattr(simulator, "complex_noise", recording)
+    cfg = _val_cfg(overlap_blocks=True, trials=16,
+                   snr_db=tuple(10.0 * (i + 1) for i in range(points)))
+    run_link_validation(cfg)
+    assert calls == [((window_length(cfg.n, cfg.m, cfg.k), 16), 1.0)]
 
 
 @pytest.mark.parametrize("mode", ["nif", "if"])
 def test_validation_builds_each_points_equalizer_once(monkeypatch, mode):
     # one equalizer per SNR point serves both the breakdown's moments and
-    # the feeds; the points' checks stay bit-equal (see the reference tests)
+    # the feeds
     calls = []
     make = simulator.make_equalizer
 
@@ -197,21 +231,23 @@ def test_validation_builds_each_points_equalizer_once(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("mode", ["nif", "if"])
-def test_validation_working_set_below_whole_width_reference(mode):
+def test_validation_working_set_below_whole_width_reference(monkeypatch, mode):
     # the feeds live one trial block at a time, so the traced peak of the
-    # blocked validator stays well under that of the whole-width one
+    # blocked validator stays well under that of the same validator run on
+    # all trials in one block
     cfg = RunConfig(n=64, m=14, k=5, trials=224, overlap_blocks=True,
                     snr_db=(10.0, 20.0, 30.0), receiver_mode=mode)
 
     def traced_peak(validate):
         tracemalloc.start()
         try:
-            validate(cfg)
+            validate()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert traced_peak(run_link_validation) <= 0.7 * traced_peak(reference_link_validation)
+    blocked = traced_peak(lambda: run_link_validation(cfg))
+    assert blocked <= 0.7 * traced_peak(lambda: _one_block(monkeypatch, cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 
 from fbmcqam.channel import apply_taps, complex_noise, freq_response
 from fbmcqam.core import design_prototype, qam_demap, qam_map
-from fbmcqam.filterbank import autocorr_bands, gram_stack, inverse_stack, tap_segments
+from fbmcqam.filterbank import (autocorr_bands, gram_stack, inverse_stack, kept_mask,
+                                sparsify_inverse, tap_segments)
 from fbmcqam.transceiver import (equalize, fbmc_demodulate, fbmc_transmit,
                                  make_equalizer, ofdm_demodulate, ofdm_modulate)
 
@@ -103,6 +104,24 @@ def test_chain_batches_like_a_loop():
         single = equalize(coeffs[:, b],
                           fbmc_demodulate(fbmc_transmit(S[..., b], segs), segs, inv))
         np.testing.assert_allclose(est[..., b], single, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode, eta", [("nif", 0.0), ("if", 0.0), ("if", 0.5)])
+def test_demodulation_is_linear(mode, eta):
+    # demod(r + s w) = demod(r) + s demod(w): the link validator forms every
+    # SNR point's full feed from one signal and one unit-noise demodulation
+    rng = np.random.default_rng(25)
+    n, m, k, batch = 32, 6, 4, 5
+    segs, inv = _chain(n, m, k)
+    inv = None if mode == "nif" else (
+        sparsify_inverse(inv, kept_mask(n, eta)) if eta > 0 else inv)
+    S = qam_map(rng.integers(0, 2, size=4 * n * m * batch), 16).reshape(n, m, batch)
+    r = apply_taps(np.array([0.9, 0.3 - 0.2j, 0.1j]), fbmc_transmit(S, segs))
+    w = complex_noise(rng, r.shape, 1.0)
+    for s in (0.3, 1e-3):
+        got = fbmc_demodulate(r + s * w, segs, inv)
+        want = fbmc_demodulate(r, segs, inv) + s * fbmc_demodulate(w, segs, inv)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_transmit_rejects_wrong_grid_height():
