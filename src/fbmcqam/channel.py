@@ -6,14 +6,21 @@ first, normalized to unit total power so that SNR = symbol_power / sigma^2
 at the receiver input. A window's sample axis leads and a trailing axis, if
 any, is the batch; taps are (L,), shared by every column, or (B, L), a row each.
 
-Order contract of ``apply_taps``: every output sample starts at zero and
-receives the products ``h[l] * x[t - l]`` in ascending ``l``, with the
-multiply and the add rounded separately as two ufunc calls.
+``apply_taps`` is one real batched matrix product over the columns: each
+column's window, cut into blocks of Q = L output samples, is its stack of
+overlapping (Q+L-1)-sample input runs times its own (Q+L-1) x Q Toeplitz
+matrix of taps. That is Q+L-1 = 2L-1 complex multiplications per output
+sample, zeros included, where the textbook loop does L. Two rules hold for
+it, as for the filter-bank kernels: it equals its dense lower-triangular
+Toeplitz operator to rounding, and a column's bytes do not depend on how
+many columns, or which, it is computed with, since every column is a
+product of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -99,17 +106,64 @@ def freq_response(h: np.ndarray, n: int) -> np.ndarray:
     return np.fft.fft(h, n=n, axis=-1)
 
 
-def apply_taps(h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Convolve within the window: y[t] = sum_l h[l] x[t-l], truncated to len(x)."""
+def _toeplitz_pairs(h: np.ndarray) -> np.ndarray:
+    """Each row of (B, L) taps as the real (2(2L-1), 2L) form of its Toeplitz
+    matrix T[i, j] = h[j + L-1 - i] (zero off the band): complex entry c
+    becomes the 2 x 2 block [[re c, im c], [-im c, re c]], which maps an
+    interleaved (real, imaginary) input pair to the output pair."""
+    b, taps = h.shape
+    k = 2 * taps - 1
+    # g[:, s, m] is row s of the block of tap m - (L-1), zero off [0, L)
+    g = np.zeros((b, 2, k + taps - 1, 2))
+    g[:, 0, taps - 1:k, 0] = g[:, 1, taps - 1:k, 1] = h.real
+    g[:, 0, taps - 1:k, 1] = h.imag
+    g[:, 1, taps - 1:k, 0] = -h.imag
+    # block row i is the run of L blocks from tap L-1 - i on: a view that
+    # steps back one block per row, copied out by the reshape
+    st = g.strides
+    rows = np.ndarray((b, k, 2, 2 * taps), float, g, (k - 1) * st[2],
+                      (st[0], -st[2], st[1], st[3]))
+    return rows.reshape(b, 2 * k, 2 * taps)
+
+
+def _convolve(h: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """y[t] = sum_l h[l] x[t-l], truncated to len(x), one product per column.
+
+    The kernel of ``apply_taps``. ``overlap_tail`` calls it directly, so a
+    wrapped ``apply_taps`` (``bench/tracing.py`` counts its products) sees
+    only its own calls."""
     x = np.asarray(x)
     h = np.asarray(h)
-    y = np.zeros(x.shape, dtype=np.result_type(x, h))
-    tmp = np.empty_like(y)
-    t_len = x.shape[0]
-    for l in range(min(h.shape[-1], t_len)):
-        np.multiply(h[..., l], x[:t_len - l], out=tmp[l:])  # no tap-l term before row l
-        np.add(y[l:], tmp[l:], out=y[l:])
-    return y
+    t_len, taps = x.shape[0], h.shape[-1]
+    dtype = np.result_type(x, h)
+    b = math.prod(x.shape[1:])
+    pairs = -(-t_len // (2 * taps))      # pairs of L-sample output blocks
+    # every column's window, trial-major, after L-1 zeros and zero-extended
+    # to whole pairs; real input is promoted here
+    pad = np.empty((b, taps - 1 + 2 * taps * pairs), dtype=complex)
+    pad[:, :taps - 1] = 0
+    pad[:, taps - 1:taps - 1 + t_len] = x.reshape(t_len, b).T
+    pad[:, taps - 1 + t_len:] = 0
+    # output block 2j + s reads the 2L-1 padded samples from (2j + s) L on.
+    # All runs overlap, but the runs of one parity s are rows 2L apart, so
+    # each parity is a strided view that BLAS takes as it is, with no copy
+    flat = pad.view(float)
+    f = flat.itemsize
+    runs = np.ndarray((2, b, pairs, 2 * (2 * taps - 1)), float, flat, 0,
+                      (2 * taps * f, flat.strides[0], 4 * taps * f, f))
+    y = np.empty((b, pairs, 2, 2 * taps))
+    np.matmul(runs, _toeplitz_pairs(np.broadcast_to(h.reshape(-1, taps), (b, taps))),
+              out=y.transpose(2, 0, 1, 3))
+    y = y.view(complex).reshape(b, 2 * taps * pairs)[:, :t_len]
+    y = np.ascontiguousarray(y.T)
+    if dtype.kind != "c":
+        y = y.real.copy()
+    return y.reshape(x.shape)
+
+
+def apply_taps(h: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Convolve within the window: y[t] = sum_l h[l] x[t-l], truncated to len(x)."""
+    return _convolve(h, x)
 
 
 def overlap_tail(h: np.ndarray, prev: np.ndarray, out_len: int) -> np.ndarray:
@@ -120,11 +174,15 @@ def overlap_tail(h: np.ndarray, prev: np.ndarray, out_len: int) -> np.ndarray:
     """
     prev = np.asarray(prev)
     h = np.asarray(h)
-    t = prev.shape[0]
-    y = np.zeros((out_len,) + prev.shape[1:], dtype=np.result_type(prev, h))
-    for l in range(1, h.shape[-1]):
-        span = min(l, out_len)
-        y[:span] += h[..., l] * prev[t - l:t - l + span]
+    t, span = prev.shape[0], h.shape[-1] - 1
+    dtype = np.result_type(prev, h)
+    # only prev's last L-1 samples reach past its end: convolve them, zero-
+    # extended in front when prev is shorter, and then L-1 zeros
+    z = np.zeros((2 * span,) + prev.shape[1:], dtype=dtype)
+    kept = min(t, span)
+    z[span - kept:span] = prev[t - kept:]
+    y = np.zeros((out_len,) + prev.shape[1:], dtype=dtype)
+    y[:span] = _convolve(h, z)[span:span + out_len]
     return y
 
 

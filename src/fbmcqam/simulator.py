@@ -120,10 +120,12 @@ def wilson_interval(errors: int, n: int, z: float = _Z95) -> tuple[float, float]
 
 
 # bytes of one trial block's received window (complex128): at the default
-# N = 64 a block is 28 trials, so apply_taps's three window-sized arrays fit
-# a core's L2. The blocks size the cache working set only; that freed block
-# buffers come back without page faults is the allocator policy's job
-# (_keep_heap). The kernels do no blocking of their own.
+# N = 64 a block is 28 trials. apply_taps holds the most per block: the
+# window, its trial-major copy, their product and the result: four
+# window-sized arrays, about 2 MiB, the order of a core's L2. The blocks
+# size the cache working set only; that freed block buffers come back
+# without page faults is the allocator policy's job (_keep_heap). The
+# kernels do no blocking of their own.
 _WINDOW_BYTES = 1 << 19
 
 # glibc's allocator policy for the Monte-Carlo entry points: arrays below
@@ -152,9 +154,11 @@ def _keep_heap() -> tuple[int, int] | None:
 
 def _trial_blocks(trials: int, t_len: int) -> list[slice]:
     """Contiguous column blocks covering ``range(trials)``, each one received
-    window of at most ``_WINDOW_BYTES`` but at least two trials wide. numpy
-    sums a lone column in another order than a column of a wider array, so a
-    one-trial remainder joins the block before it."""
+    window of at most ``_WINDOW_BYTES`` but at least two trials wide. The
+    sample kernels are column-invariant, but numpy reduces the (N, M) axes of
+    a lone (N, M, 1) grid pairwise, in another order than a column of a wider
+    grid: the validator's per-trial means and sums would change with a
+    one-trial block, so a one-trial remainder joins the block before it."""
     step = max(_WINDOW_BYTES // (16 * t_len), 2)
     starts = list(range(0, trials, step))
     if len(starts) > 1 and trials - starts[-1] == 1:

@@ -10,12 +10,13 @@ meaningful. The coding references are the straightforward shift-register
 encoder and row-major (codeword, state) decoder that the package's
 vectorized versions must match exactly, tie decisions included. The same
 holds for the block-by-block delay tables and the row-by-row ``mse.csv``,
-and for the whole-window tap, OFDM and QAM kernels (map, decisions and
-LLRs) that the blocked and per-level ones must match byte for byte; the
-chunk reference runs the live filter-bank kernels over the whole batch,
-which pins their column invariance. The per-draw FFT leakage sums, the
-einsum propagation and the roll-based covariance diagonals keep the
-arithmetic the closed forms had before the cross-moment kernel, and
+and for the whole-window OFDM and QAM kernels (map, decisions and LLRs)
+that the blocked and per-level ones must match byte for byte; the chunk
+reference runs the live tap and filter-bank kernels over the whole batch,
+which pins their column invariance (``column_invariant`` states it for one
+kernel at a time). The per-draw FFT leakage sums, the einsum propagation
+and the roll-based covariance diagonals keep the arithmetic the closed
+forms had before the cross-moment kernel, and
 ``reference_db`` formats one dB field at a time as a Python f-string:
 ``reference_mse_csv`` is built on them, so the live CSV must match it
 byte for byte, and every breakdown component to 1e-12.
@@ -27,7 +28,7 @@ import numpy as np
 
 from fbmcqam.analytics import (DisplacedCovariances, MseBreakdown, ensemble_taps,
                                neighbor_counts, zeta_grid)
-from fbmcqam.channel import complex_noise, draw_taps, freq_response
+from fbmcqam.channel import apply_taps, complex_noise, draw_taps, freq_response
 from fbmcqam.cli import _csv_text
 from fbmcqam.core import dft_segments, idft_block, qam_levels
 from fbmcqam.filterbank import apply_adjoint, apply_filter, apply_inverse
@@ -46,6 +47,16 @@ def dense_filter_matrix(segs, m):
             if 0 <= d < k * n:
                 p[t, mm * n + (t % n)] = taps[d]
     return p
+
+
+def dense_tap_matrix(h, t_len):
+    """The channel's window operator from its definition: D[t, s] = h[t - s]
+    for 0 <= t - s < L, so y = D x is the convolution truncated to t_len."""
+    d = np.zeros((t_len, t_len), dtype=np.result_type(h, float))
+    for t in range(t_len):
+        for s in range(max(0, t - len(h) + 1), t + 1):
+            d[t, s] = h[t - s]
+    return d
 
 
 def dense_gram_blocks(p, n, m):
@@ -250,7 +261,7 @@ def reference_mse_csv(cfg):
 
 # ---------------------------------------------------------------------------
 # Whole-window sample kernels and one campaign chunk, as the package had them
-# before they were blocked for cache
+# before they were blocked for cache, and the column-invariance rule
 # ---------------------------------------------------------------------------
 
 def same_array(a, b):
@@ -258,18 +269,19 @@ def same_array(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def reference_apply_taps(h, x):
-    """y[t] = sum_l h[l] x[t-l] over the whole window, one tap at a time."""
-    x = np.asarray(x)
-    h = np.asarray(h)
-    y = np.zeros(x.shape, dtype=np.result_type(x, h))
-    for l in range(h.shape[-1]):
-        hl = h[..., l] if h.ndim > 1 else h[l]
-        if l == 0:
-            y += hl * x
-        else:
-            y[l:] += hl * x[:-l]
-    return y
+def column_invariant(kernel, a, x, per_column=False, widths=None):
+    """The column-invariance rule of a sample kernel ``kernel(a, x)``: a lone
+    vector and every contiguous block of columns give the bytes of the same
+    columns of the whole-width call. With ``per_column`` the rows of ``a``
+    belong to the columns of x and are cut with them. ``widths`` limits the
+    block widths checked (default: every width from 1 to B)."""
+    x = x.reshape(x.shape[0], -1)
+    whole, width = kernel(a, x), x.shape[1]
+    lone = kernel(a[0] if per_column else a, x[:, 0])
+    return same_array(lone, whole[:, 0]) and all(
+        same_array(kernel(a[lo:lo + w] if per_column else a, x[:, lo:lo + w]),
+                   whole[:, lo:lo + w])
+        for w in (widths or range(1, width + 1)) for lo in range(width - w + 1))
 
 
 def reference_ofdm_modulate(S, cp_len):
@@ -329,8 +341,8 @@ def reference_run_chunk(engine, seed, batch, sigma2):
     full batch at once: each user's window shifted into a fresh zeroed copy,
     noise drawn as the chain reaches it, and the matched filter applied again
     for each receiver mode. The engine's symbol draws, its demap/decode tally
-    of the middle band and the filter-bank kernels, run here on the whole
-    batch, are shared with the package."""
+    of the middle band and the tap and filter-bank kernels, run here on the
+    whole batch, are shared with the package."""
     cfg, ctx = engine.cfg, engine.ctx
     n, m = engine.n, engine.m
     rng = np.random.default_rng(seed)
@@ -344,8 +356,7 @@ def reference_run_chunk(engine, seed, batch, sigma2):
     for u in range(3):
         grid = _band_grid(grids[u], n, engine.starts[u])
         tx = apply_filter(ctx.segs, idft_block(grid))
-        r += _reference_shift_window(reference_apply_taps(taps[u], tx),
-                                     engine.offsets[u])
+        r += _reference_shift_window(apply_taps(taps[u], tx), engine.offsets[u])
     r += complex_noise(rng, r.shape, sigma2)
 
     eq = make_equalizer(mid_c, cfg.equalizer, sigma2, cfg.symbol_power)
@@ -367,8 +378,7 @@ def reference_run_chunk(engine, seed, batch, sigma2):
         train = np.concatenate([dummy[:, :1], grids[u], dummy[:, 1:]], axis=1)
         stream = reference_ofdm_modulate(_band_grid(train, n, engine.starts[u]),
                                          engine.cp)
-        buf += _reference_shift_window(reference_apply_taps(taps[u], stream),
-                                       engine.offsets[u])
+        buf += _reference_shift_window(apply_taps(taps[u], stream), engine.offsets[u])
     buf += complex_noise(rng, buf.shape, sigma2_ofdm)
     grid_rx = ofdm_demodulate(buf, n, engine.cp)[:, 1:m + 1]
     eqo = make_equalizer(mid_c, cfg.equalizer, sigma2_ofdm, cfg.symbol_power)

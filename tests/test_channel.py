@@ -6,7 +6,7 @@ import pytest
 from fbmcqam.channel import (PowerDelayProfile, apply_taps, complex_noise,
                              draw_taps, freq_response, overlap_tail)
 
-from helpers import reference_apply_taps, same_array
+from helpers import column_invariant, dense_tap_matrix
 
 
 def test_exponential_profile():
@@ -142,22 +142,68 @@ def _cplx(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-@pytest.mark.parametrize("t, cols, per_column", [
-    (1000, 256, True),
-    (1000, 256, False),
-    (5, 3, True),          # window shorter than the channel memory
-    (777, None, False),    # a single (T,) stream
-    (300, 1, True),        # one column
+@pytest.mark.parametrize("t, cols, per_column, taps", [
+    pytest.param(1000, 256, True, 8, id="1000-256-True"),
+    pytest.param(1000, 256, False, 8, id="1000-256-False"),
+    # window shorter than the channel memory
+    pytest.param(5, 3, True, 8, id="5-3-True"),
+    # a single (T,) stream
+    pytest.param(777, None, False, 8, id="777-None-False"),
+    # one column
+    pytest.param(300, 1, True, 8, id="300-1-True"),
+    # a flat channel
+    pytest.param(40, 6, True, 1, id="40-6-True-L1"),
+    pytest.param(40, 6, False, 1, id="40-6-False-L1"),
 ])
 @pytest.mark.parametrize("real_input", [False, True])
-def test_apply_taps_bit_equal_to_whole_window_loop(t, cols, per_column, real_input):
-    rng = np.random.default_rng(t)
+def test_apply_taps_bit_equal_to_whole_window_loop(t, cols, per_column, taps, real_input):
+    # the two rules of the tap kernel: each column is its dense lower-
+    # triangular Toeplitz operator applied to its window, to rounding, and a
+    # column's bytes do not depend on which or how many columns are computed
+    # with it, so a trial block gives the bytes of the whole-width call
+    rng = np.random.default_rng(t * taps)
     x = _cplx(rng, (t,) if cols is None else (t, cols))
     if real_input:
         x = x.real.copy()
-    h = _cplx(rng, (cols, 8) if per_column else (8,))
-    assert apply_taps(h, x).tobytes() == reference_apply_taps(h, x).tobytes()
-    # a lone stream is a batch of one column, under shared or per-column taps
-    lone = x if x.ndim == 1 else x[:, 0]
-    h_lone, h_col = (h[0], h[:1]) if per_column else (h, h)
-    assert same_array(apply_taps(h_lone, lone), apply_taps(h_col, lone[:, None])[:, 0])
+    h = _cplx(rng, (cols, taps) if per_column else (taps,))
+    y = apply_taps(h, x)
+    assert y.shape == x.shape and y.dtype == complex
+    ys, xs = y.reshape(t, -1), x.reshape(t, -1)
+    want = np.stack([dense_tap_matrix(h[c] if per_column else h, t) @ xs[:, c]
+                     for c in range(xs.shape[1])], axis=1)
+    assert np.max(np.abs(ys - want)) <= 1e-13 * np.max(np.abs(want))
+    widths = (1, 2, 3, 7, 28, 255, 256) if xs.shape[1] > 64 else None
+    assert column_invariant(apply_taps, h, x, per_column, widths)
+
+
+def test_apply_taps_keeps_real_arithmetic_real():
+    rng = np.random.default_rng(12)
+    h, x = rng.standard_normal(3), rng.standard_normal((20, 2))
+    y = apply_taps(h, x)
+    assert y.dtype == float
+    np.testing.assert_allclose(y, dense_tap_matrix(h, 20) @ x, atol=1e-13)
+
+
+@pytest.mark.parametrize("t", [1, 3, 4, 9])
+@pytest.mark.parametrize("per_column", [False, True])
+def test_overlap_tail_matches_convolution_for_short_and_long_blocks(t, per_column):
+    # L = 5: blocks of 1 and 3 samples are shorter than the channel memory
+    # (L - 1 = 4), 9 is longer; the tail is what np.convolve emits past the
+    # block's end, up to out_len
+    rng = np.random.default_rng(t)
+    cols, taps, out_len = 3, 5, 6
+    h = _cplx(rng, (cols, taps) if per_column else (taps,))
+    prev = _cplx(rng, (t, cols))
+    tail = overlap_tail(h, prev, out_len)
+    assert tail.shape == (out_len, cols)
+    for c in range(cols):
+        full = np.convolve(prev[:, c], h[c] if per_column else h)
+        want = np.zeros(out_len, dtype=complex)
+        want[:len(full) - t] = full[t:]
+        np.testing.assert_allclose(tail[:, c], want, atol=1e-13)
+
+
+def test_overlap_tail_of_a_block_shorter_than_the_channel():
+    # a negative slice start once wrapped round to the block's end here
+    tail = overlap_tail(np.arange(1.0, 6.0), np.array([1.0, 10.0, 100.0]), 6)
+    assert tail.tolist() == [234.0, 345.0, 450.0, 500.0, 0.0, 0.0]

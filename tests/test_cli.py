@@ -176,6 +176,41 @@ def test_simulate_ber_is_independent_of_blas_threads(tmp_path):
     assert texts[0] == texts[1]
 
 
+_VALIDATION_HEX = """
+import dataclasses
+import numpy as np
+from fbmcqam.config import RunConfig
+from fbmcqam.simulator import run_link_validation
+
+def hexed(v):
+    if dataclasses.is_dataclass(v):
+        return [hexed(getattr(v, f.name)) for f in dataclasses.fields(v)]
+    if isinstance(v, (tuple, list)):
+        return [hexed(e) for e in v]
+    if isinstance(v, np.ndarray):
+        return [float(e).hex() for e in v.ravel()]
+    return float(v).hex() if isinstance(v, float) else repr(v)
+
+for mode in ("if", "nif"):
+    cfg = RunConfig(n=256, trials=16, snr_db=(10.0, 30.0), seed=5150,
+                    overlap_blocks=True, receiver_mode=mode)
+    print(hexed(run_link_validation(cfg)))
+"""
+
+
+def test_link_validation_is_independent_of_blas_threads():
+    # the channel and the filter bank are batched BLAS products, which
+    # OpenBLAS may split across threads once they are large enough (at
+    # N = 256 most stay on one); as above, each thread count gets its own
+    # interpreter. Every field of every point is compared as float hex
+    texts = []
+    for threads in ("1", "2"):
+        texts.append(subprocess.run([sys.executable, "-c", _VALIDATION_HEX],
+                                    env=_subprocess_env(OPENBLAS_NUM_THREADS=threads),
+                                    check=True, capture_output=True, text=True).stdout)
+    assert texts[0] == texts[1] and "0x" in texts[0]
+
+
 def _texts(rows):
     """The rows of a NUL-padded ASCII matrix as strings."""
     return [bytes(row).replace(b"\0", b"").decode() for row in rows]

@@ -10,7 +10,8 @@ from fbmcqam.filterbank import (apply_adjoint, apply_filter, apply_inverse,
                                 autocorr_bands, gram_stack, inverse_stack,
                                 kept_mask, sample_matrices, sparsify_inverse,
                                 tap_segments, window_length)
-from helpers import dense_filter_matrix, dense_gram_blocks, same_array, stack_to_dense
+from helpers import (column_invariant, dense_filter_matrix, dense_gram_blocks,
+                     stack_to_dense)
 
 SMALL_SHAPES = [(4, 2, 2), (8, 3, 3), (8, 4, 4), (4, 1, 3), (8, 2, 1)]
 
@@ -210,15 +211,6 @@ def test_blocked_kernels_bit_equal_to_whole_window_loops(n, m, k, cols):
     def draw(rows):
         shape = (rows,) if cols is None else (rows, cols)
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    def column_invariant(kernel, a, x):
-        # a lone vector and every contiguous block of columns give the bytes
-        # of the same columns of the whole-width call
-        x = x.reshape(x.shape[0], -1)
-        whole, width = kernel(a, x), x.shape[1]
-        return (same_array(kernel(a, x[:, 0]), whole[:, 0])
-                and all(same_array(kernel(a, x[:, lo:lo + w]), whole[:, lo:lo + w])
-                        for w in range(1, width + 1) for lo in range(width - w + 1)))
 
     b, r = draw(m * n), draw(window_length(n, m, k))
     for bb in (b, b.real.copy()):
