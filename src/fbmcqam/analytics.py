@@ -20,15 +20,15 @@ given the channel realization (or its ensemble average): ici/isi from the
 interference tables weighted by the cross moment E[|E_n|^2 |C_q|^2] of
 equalizer and channel, fd/ibi from structured covariance quadratic forms.
 The inverse-filter (``if``) breakdown multiplies fd/ibi/noise by the
-enhancement factor zeta, which is exact for white noise but understates the
-structured fd error; the exact R-transformed values are exposed separately
-as ``fd_exact``/``ibi_exact`` diagnostics.
+enhancement factor zeta_m, exact for white noise but understating the
+structured fd error; ``fd_exact``/``ibi_exact`` hold the R-transformed
+values, which for ``nif`` are ``fd``/``ibi`` themselves.
 
 The channel enters a breakdown only through three moments of the one-tap
 equalizer E and the channel response C, formed once per SNR point by
 :func:`channel_moments` over the D channel draws (D = 1 for one
-realization): the bias delta^2 E(1 - beta_n)^2, the gain E|E_n|^2 and the
-cross moment x[n, q] = E[|E_n|^2 |C_q|^2], one (N x D)(D x N) product.
+realization) and their equalizer: bias delta^2 E(1 - beta_n)^2, gain
+E|E_n|^2, cross moment x[n, q] = E[|E_n|^2 |C_q|^2], an (N x D)(D x N) product.
 Closed forms of these moments plug in at the same place.
 
 The matched-filter leakage closed form lives in one place:
@@ -59,7 +59,7 @@ import numpy as np
 
 from .channel import PowerDelayProfile, draw_taps
 from .filterbank import kept_mask
-from .transceiver import Equalizer, make_equalizer
+from .transceiver import Equalizer
 
 __all__ = [
     "InterferenceTables",
@@ -67,14 +67,12 @@ __all__ = [
     "neighbor_counts",
     "leakage_sums",
     "zeta_factors",
-    "zeta_grid",
     "MseBreakdown",
     "DisplacedCovariances",
     "displaced_covariances",
     "ensemble_taps",
     "ChannelMoments",
     "channel_moments",
-    "equalizer_moments",
     "averaged_breakdown",
     "ComplexityReport",
     "complexity_report",
@@ -152,12 +150,6 @@ def zeta_factors(inv: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """
     z = np.einsum("nab,nbc,nac->na", inv, gram, inv)
     return z.mean(axis=0)
-
-
-def zeta_grid(inv: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """zeta as an (M, N) grid, matching the per-(m, n) breakdown shape."""
-    n = inv.shape[0]
-    return np.repeat(zeta_factors(inv, gram)[:, None], n, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +289,11 @@ class MseBreakdown:
     fd: np.ndarray
     ibi: np.ndarray
     noise: np.ndarray
-    zeta: np.ndarray
+    fd_exact: np.ndarray
+    ibi_exact: np.ndarray
     delta2: float = 1.0
     total: np.ndarray = field(default=None)
     sinr: np.ndarray = field(default=None)
-    fd_exact: np.ndarray | None = None
-    ibi_exact: np.ndarray | None = None
 
     def __post_init__(self):
         total = self.resd + self.ici + self.isi + self.fd + self.ibi + self.noise
@@ -312,12 +303,9 @@ class MseBreakdown:
         object.__setattr__(self, "sinr", sinr)
 
     def component(self, name: str) -> np.ndarray:
-        if name not in _COMPONENTS + ("total", "sinr", "zeta", "fd_exact", "ibi_exact"):
+        if name not in _COMPONENTS + ("total", "sinr", "fd_exact", "ibi_exact"):
             raise KeyError(name)
-        val = getattr(self, name)
-        if val is None:
-            raise KeyError(f"{name} not available in this breakdown")
-        return val
+        return getattr(self, name)
 
 
 def ensemble_taps(pdp: PowerDelayProfile, draws: int, seed: int) -> np.ndarray:
@@ -336,22 +324,11 @@ class ChannelMoments:
     cross: np.ndarray   # (N, N) E[|E_n|^2 |C_q|^2], receiver n, donor q
 
 
-def channel_moments(cfg, c: np.ndarray, sigma2: float) -> ChannelMoments:
-    """The equalizer moments a breakdown needs at noise variance ``sigma2``.
-
-    ``c`` is one frequency response (N,), which gives the conditional
-    moments of that realization, or a (D, N) stack of them (the
-    ``freq_response`` of :func:`ensemble_taps`), which gives the ensemble
-    averages. ``cfg`` supplies the equalizer and the symbol power.
-    """
-    c = np.atleast_2d(c)
-    eq = make_equalizer(c, cfg.equalizer, sigma2, cfg.symbol_power)
-    return equalizer_moments(eq, c, cfg.symbol_power)
-
-
-def equalizer_moments(eq: Equalizer, c: np.ndarray, delta2: float) -> ChannelMoments:
-    """:func:`channel_moments` of an equalizer already built for the (D, N)
-    responses ``c``, for a caller that applies the same equalizer too."""
+def channel_moments(eq: Equalizer, c: np.ndarray, delta2: float) -> ChannelMoments:
+    """The moments a breakdown needs at one SNR point, over a (D, N) stack
+    ``c`` of responses and ``eq = make_equalizer(c, ...)`` at that point:
+    D = 1 for one realization, the ``freq_response`` of
+    :func:`ensemble_taps` for the ensemble average."""
     absc2 = np.abs(c) ** 2
     abse2 = np.abs(eq.coeffs) ** 2
     return ChannelMoments(resd=delta2 * ((1.0 - eq.beta) ** 2).mean(axis=0),
@@ -379,7 +356,6 @@ def averaged_breakdown(cfg, ctx, mode: str, moments: ChannelMoments, sigma2: flo
     abse2_bar = moments.abse2
     # equalizer bias delta^2 (1 - beta_n)^2; zero for ZF
     resd = np.repeat(moments.resd[None, :], m, axis=0)
-    zgrid = zeta_grid(ctx.inv, ctx.gram)
 
     if mode == "nif":
         own, per_d = leakage_sums(ctx.tables, moments.cross)
@@ -388,18 +364,18 @@ def averaged_breakdown(cfg, ctx, mode: str, moments: ChannelMoments, sigma2: flo
         fd = delta2 * abse2_bar * cov.fd_nif
         ibi = delta2 * abse2_bar * cov.ibi_nif if with_ibi else np.zeros((m, n))
         noise = np.repeat((sigma2 * abse2_bar)[None, :], m, axis=0)
-        return MseBreakdown("nif", resd, ici, isi, fd, ibi, noise, zgrid,
+        return MseBreakdown("nif", resd, ici, isi, fd, ibi, noise, fd, ibi,
                             delta2=delta2)
 
     # inverse filter: self-interference cancelled; fd/ibi/noise enhanced
-    fd = zgrid * (delta2 * abse2_bar * cov.fd_nif)
-    ibi = zgrid * (delta2 * abse2_bar * cov.ibi_nif) if with_ibi else np.zeros((m, n))
-    noise = zgrid * (sigma2 * abse2_bar)[None, :]
+    zeta = zeta_factors(ctx.inv, ctx.gram)[:, None]
+    fd = zeta * (delta2 * abse2_bar * cov.fd_nif)
+    ibi = zeta * (delta2 * abse2_bar * cov.ibi_nif) if with_ibi else np.zeros((m, n))
+    noise = zeta * (sigma2 * abse2_bar)[None, :]
     fd_exact = delta2 * abse2_bar * cov.fd_if
     ibi_exact = (delta2 * abse2_bar * cov.ibi_if) if with_ibi else np.zeros((m, n))
     return MseBreakdown("if", resd, np.zeros((m, n)), np.zeros((m, n)),
-                        fd, ibi, noise, zgrid, delta2=delta2,
-                        fd_exact=fd_exact, ibi_exact=ibi_exact)
+                        fd, ibi, noise, fd_exact, ibi_exact, delta2=delta2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ profile is exponential over L = 8 taps with the last tap 20 dB below the
 first, normalized to unit total power so that SNR = symbol_power / sigma^2
 at the receiver input. A window's sample axis leads and a trailing axis, if
 any, is the batch; taps are (L,), shared by every column, or (B, L), a row each.
+The kernels compute in complex: real taps or windows are promoted.
 
 ``apply_taps`` is one real batched matrix product over the columns: each
 column's window, cut into blocks of Q = L output samples, is its stack of
@@ -135,7 +136,6 @@ def _convolve(h: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     h = np.asarray(h)
     t_len, taps = x.shape[0], h.shape[-1]
-    dtype = np.result_type(x, h)
     b = math.prod(x.shape[1:])
     pairs = -(-t_len // (2 * taps))      # pairs of L-sample output blocks
     # every column's window, trial-major, after L-1 zeros and zero-extended
@@ -155,10 +155,7 @@ def _convolve(h: np.ndarray, x: np.ndarray) -> np.ndarray:
     np.matmul(runs, _toeplitz_pairs(np.broadcast_to(h.reshape(-1, taps), (b, taps))),
               out=y.transpose(2, 0, 1, 3))
     y = y.view(complex).reshape(b, 2 * taps * pairs)[:, :t_len]
-    y = np.ascontiguousarray(y.T)
-    if dtype.kind != "c":
-        y = y.real.copy()
-    return y.reshape(x.shape)
+    return np.ascontiguousarray(y.T).reshape(x.shape)
 
 
 def apply_taps(h: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -173,15 +170,13 @@ def overlap_tail(h: np.ndarray, prev: np.ndarray, out_len: int) -> np.ndarray:
     that fall past the end of ``prev``'s own window.
     """
     prev = np.asarray(prev)
-    h = np.asarray(h)
-    t, span = prev.shape[0], h.shape[-1] - 1
-    dtype = np.result_type(prev, h)
+    t, span = prev.shape[0], np.shape(h)[-1] - 1
     # only prev's last L-1 samples reach past its end: convolve them, zero-
     # extended in front when prev is shorter, and then L-1 zeros
-    z = np.zeros((2 * span,) + prev.shape[1:], dtype=dtype)
+    z = np.zeros((2 * span,) + prev.shape[1:], dtype=complex)
     kept = min(t, span)
     z[span - kept:span] = prev[t - kept:]
-    y = np.zeros((out_len,) + prev.shape[1:], dtype=dtype)
+    y = np.zeros((out_len,) + prev.shape[1:], dtype=complex)
     y[:span] = _convolve(h, z)[span:span + out_len]
     return y
 

@@ -33,6 +33,7 @@ from .channel import freq_response
 from .config import (ConfigError, RunConfig, apply_overrides, format_config,
                      load_config_file, WORKER_ENV_VAR)
 from .simulator import channel_profile, make_context, run_multiservice
+from .transceiver import make_equalizer
 
 __all__ = ["main", "cmd_filter", "cmd_analyze", "cmd_simulate", "cmd_complexity"]
 
@@ -267,10 +268,9 @@ def cmd_filter(args: argparse.Namespace, cfg: RunConfig) -> int:
             ["m", "i", "frobenius"],
             ((mm, i, f"{norms[mm, i]:.12g}")
              for mm in range(cfg.m) for i in range(cfg.m))))
-        zeta = np.repeat(ctx.zeta_m[:, None], cfg.n, axis=1)
         out.write_text(join("zeta.csv"), _csv_text(
             ["m", "n", "zeta"],
-            ((mm, nu, f"{zeta[mm, nu]:.12g}")
+            ((mm, nu, f"{ctx.zeta_m[mm]:.12g}")
              for mm in range(cfg.m) for nu in range(cfg.n))))
         out.write_text(join("complexity.csv"),
                        _csv_text(["metric", "value"], _complexity_rows(cfg)))
@@ -297,16 +297,17 @@ def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
             covs = {mode: displaced_covariances(ctx.segs, cfg.m, weights=pdp.powers,
                                                 inv=ctx.inv if mode == "if" else None)
                     for mode in mode_components}
-            # the moments exist only between the covariances of two points:
-            # with an (N, N) moment alive through them, glibc kept their
-            # scratch resident, 26 MiB more peak RSS at --n 1024
-            moments = channel_moments(cfg, c, sigma2)
+            # the moments and their (D, N) equalizer live only between two
+            # points' covariances: an (N, N) moment alive through them kept
+            # glibc's scratch resident, 26 MiB more peak RSS at --n 1024
+            eq = make_equalizer(c, cfg.equalizer, sigma2, cfg.symbol_power)
+            moments = channel_moments(eq, c, cfg.symbol_power)
             for mode, names in mode_components.items():
                 bd = averaged_breakdown(cfg, ctx, mode, moments, sigma2, covs[mode],
                                         with_ibi=True)
                 values = np.stack([bd.component(name) for name in names], axis=-1)
                 yield _db_rows(f"{snr_db:g},{mode},", keys[mode], values)
-            del moments
+            del moments, eq
             log.info("analyzed snr=%g dB", snr_db)
 
     with _OutputSet() as out:

@@ -141,6 +141,10 @@ class RunConfig:
             errs.append(f"snr_db: {snr:g} given more than once")
         if self.trials < 0:
             errs.append(f"trials: {self.trials} must be >= 0")
+        if self.seed < 0:
+            errs.append(f"seed: {self.seed} must be >= 0")
+        if self.min_info_bits < 1:
+            errs.append(f"min_info_bits: {self.min_info_bits} must be >= 1")
         if not (0 < self.ci_target < 1):
             errs.append(f"ci_target: {self.ci_target} outside (0, 1)")
         if self.theory_draws < 1:

@@ -4,7 +4,8 @@ The transmit matrix P is block-banded: block (i, j) is nonzero only for
 0 <= i - j <= K-1 and equals a diagonal N x N block carrying tap segment
 i - j. So P never mixes samples: for each sample v of a segment it is one
 (K+M-1) x M matrix P_v, with P_v[j+i, j] = segs[i, v] (``sample_matrices``).
-Samples lead and trailing axes are a batch, so a lone vector is one column.
+Samples lead and trailing axes are a batch, so a lone vector is one column,
+and real input is promoted: every output is complex.
 
 Per-subcarrier decoupling: because every block of G is diagonal, G splits
 into N independent M x M symmetric banded Toeplitz systems, one per
@@ -72,18 +73,14 @@ def _per_sample(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
     (``W @ x``) they were seen to depend on the block width.
     """
     n, rows_in, rows_out = mats.shape
-    dtype = np.result_type(mats, x)
-    # real input is paired with zeros and the output kept at least two wide,
-    # so no product degenerates to a matrix-vector one: numpy hands those to
-    # gemv, whose sums depend on the number of columns
-    xr = np.ascontiguousarray(x.reshape(rows_in, n, -1),
-                              dtype=np.result_type(dtype, complex)).view(float)
+    # real input is promoted, pairing it with zeros, and the output is kept
+    # at least two wide, so no product degenerates to a matrix-vector one:
+    # numpy hands those to gemv, whose sums depend on the number of columns
+    xr = np.ascontiguousarray(x.reshape(rows_in, n, -1), dtype=complex).view(float)
     if rows_out == 1:
         mats = np.concatenate((mats, np.zeros_like(mats)), axis=2)
     y = np.matmul(xr.transpose(1, 2, 0), mats)[:, :, :rows_out]
     y = np.ascontiguousarray(y.transpose(2, 0, 1)).view(complex)
-    if dtype.kind != "c":
-        y = y.real.copy()
     return y.reshape((rows_out * n,) + x.shape[1:])
 
 

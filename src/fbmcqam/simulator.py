@@ -16,7 +16,7 @@ import logging
 import numpy as np
 
 from .analytics import (InterferenceTables, MseBreakdown, averaged_breakdown,
-                        displaced_covariances, equalizer_moments, interference_tables,
+                        channel_moments, displaced_covariances, interference_tables,
                         leakage_sums, neighbor_counts, zeta_factors)
 from .channel import (PowerDelayProfile, apply_taps, complex_noise, draw_taps,
                       freq_response, overlap_tail)
@@ -27,8 +27,8 @@ from .fec import conv_encode, viterbi_decode
 from .filterbank import (apply_adjoint, apply_inverse, autocorr_bands, gram_stack,
                          inverse_stack, kept_mask, sparsify_inverse, tap_segments,
                          window_length)
-from .transceiver import (Equalizer, equalize, fbmc_demodulate, fbmc_transmit,
-                          make_equalizer, ofdm_demodulate, ofdm_modulate)
+from .transceiver import (equalize, fbmc_demodulate, fbmc_transmit, make_equalizer,
+                          ofdm_demodulate, ofdm_modulate)
 
 __all__ = [
     "build_filter",
@@ -53,7 +53,10 @@ _Z95 = 1.959963984540054
 
 def build_filter(cfg: RunConfig) -> PrototypeFilter:
     if cfg.filter_file:
-        return load_prototype_file(cfg.filter_file, cfg.k, cfg.n)
+        try:
+            return load_prototype_file(cfg.filter_file, cfg.k, cfg.n)
+        except ValueError as exc:      # the file's contents, e.g. a wrong length
+            raise ConfigError(f"invalid configuration:\n  filter_file: {exc}") from exc
     if cfg.k not in SUPPORTED_OVERLAPS:
         raise ConfigError(f"invalid configuration:\n  k: no tabulated design for "
                           f"overlap {cfg.k}; supported: {SUPPORTED_OVERLAPS}")
@@ -241,15 +244,14 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
     master = np.random.SeedSequence(cfg.seed)
     ss_channel, ss_data, ss_noise = master.spawn(3)
     h = draw_taps(channel_profile(cfg), np.random.default_rng(ss_channel))
-    c = freq_response(h, n)
+    c = freq_response(h[None, :], n)                    # (1, N)
 
     trials = cfg.trials or max(int(np.ceil(1e5 / (n * m))), 16 * m)
-    trials = int(np.ceil(trials / m)) * m   # whole round-robin cycles
+    trials = max(int(np.ceil(trials / m)), 2) * m   # >= 2 whole round-robin cycles
     rng_data = np.random.default_rng(ss_data)
     rng_noise = np.random.default_rng(ss_noise)
 
-    inv_arg = ctx.inv if mode == "if" else None
-    cov = displaced_covariances(ctx.segs, m, taps=h, inv=inv_arg)
+    cov = displaced_covariances(ctx.segs, m, taps=h, inv=ctx.inv if mode == "if" else None)
 
     def draw_grid():
         bits = rng_data.integers(0, 2, size=trials * n * m * bps)
@@ -262,14 +264,12 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
     setups = []
     for snr_db in cfg.snr_db:
         sigma2 = cfg.sigma2(snr_db)
-        # one equalizer of the (1, N) response gives the breakdown's moments
-        # and, as its row, the coefficients the feeds are equalized with
-        eq = make_equalizer(c[None, :], cfg.equalizer, sigma2, delta2)
+        # one (1, N) equalizer gives the moments and, transposed, the feeds' column
+        eq = make_equalizer(c, cfg.equalizer, sigma2, delta2)
         setups.append((
-            averaged_breakdown(cfg, ctx, mode, equalizer_moments(eq, c[None, :], delta2),
+            averaged_breakdown(cfg, ctx, mode, channel_moments(eq, c, delta2),
                                sigma2, cov, with_ibi=with_ibi),
-            Equalizer(eq.coeffs[0], eq.beta[0]),
-            np.sqrt(sigma2)))
+            eq.coeffs.T, eq.beta.T, np.sqrt(sigma2)))
 
     inv_rx = ctx.inv_rx if mode == "if" else None
 
@@ -277,7 +277,7 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
         return fbmc_demodulate(r, ctx.segs, inv_rx)
 
     def transmit_circular(grid):
-        return fbmc_transmit(c[:, None, None] * grid, ctx.segs)
+        return fbmc_transmit(c.T[:, :, None] * grid, ctx.segs)
 
     def power(coeffs, y):
         """Per-trial mean power of an equalized grid."""
@@ -314,64 +314,62 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
         y_sig = demodulate(r_lin if tails is None else r_lin + tails)
         y_w = demodulate(w[:, cols])
 
-        for p, (_, eq, sigma) in enumerate(setups):
+        for p, (_, coeffs, beta, sigma) in enumerate(setups):
             y_noise = sigma * y_w
-            meas["noise"][p, cols] = power(eq.coeffs, y_noise)
-            est_stim = equalize(eq.coeffs, y_stim)
-            own = np.abs((est_stim - eq.beta[:, None, None] * S_stim)[sel]) ** 2
+            meas["noise"][p, cols] = power(coeffs, y_noise)
+            est_stim = equalize(coeffs, y_stim)
+            own = np.abs((est_stim - beta[:, :, None] * S_stim)[sel]) ** 2
             meas["ici"][p, cols] = own.mean(axis=0)
             cross = np.abs(est_stim) ** 2
             cross[sel] = 0.0
             meas["cross"][p, cols] = cross.sum(axis=(0, 1))
-            meas["fd"][p, cols] = power(eq.coeffs, y_fd)
-            est_sub = equalize(eq.coeffs, y_sub)
+            meas["fd"][p, cols] = power(coeffs, y_fd)
+            est_sub = equalize(coeffs, y_sub)
             col = np.abs(est_sub[:, m0, :]) ** 2
             meas["ici_sub"][p, cols] = col.sum(axis=0) - col[q, b]
             rest = np.abs(est_sub) ** 2
             rest[:, m0, :] = 0.0
             meas["isi_sub"][p, cols] = rest.sum(axis=(0, 1))
             if with_ibi:
-                meas["ibi"][p, cols] = power(eq.coeffs, y_ibi)
+                meas["ibi"][p, cols] = power(coeffs, y_ibi)
             meas["total"][p, cols] = np.mean(
-                np.abs(equalize(eq.coeffs, y_sig + y_noise) - S_b) ** 2, axis=(0, 1))
+                np.abs(equalize(coeffs, y_sig + y_noise) - S_b) ** 2, axis=(0, 1))
 
     points = []
-    for p, (snr_db, (bd, eq, _)) in enumerate(zip(cfg.snr_db, setups)):
+    for p, (snr_db, (bd, coeffs, _, _)) in enumerate(zip(cfg.snr_db, setups)):
         got = {name: samples[p] for name, samples in meas.items()}
         # one stimulus cycle accumulates the full cross-symbol error per block
         meas_isi = got["cross"].reshape(-1, m).sum(axis=1) / (n * m)
         # per-donor-subcarrier leakage sums over receivers
-        cq2 = delta2 * np.abs(c) ** 2
+        cq2 = delta2 * np.abs(c[0]) ** 2
         pq_ici = np.zeros(n)
         pq_isi = np.zeros(n)
         if bd.mode == "nif":
             # the profiles are symmetric in the lag, so rows may index the
             # donor q: x[q, n] = |E_n|^2 sums each donor's leakage over receivers
-            gain2 = np.broadcast_to(np.abs(eq.coeffs) ** 2, (n, n))
+            gain2 = np.broadcast_to(np.abs(coeffs[:, 0]) ** 2, (n, n))
             own, per_d = leakage_sums(ctx.tables, gain2)
             pq_ici = cq2 * own
             for count, cross_d in zip(neighbor_counts(m, cfg.k)[m0], per_d.T):
                 pq_isi += count * cq2 * cross_d
 
         pred_ici_m = bd.ici.mean(axis=1)                     # per stimulus position
-        pred_fd = bd.fd_exact if bd.mode == "if" else bd.fd
         atol = 1e-15 * delta2     # exactly-cancelled components measure as roundoff
         checks = [
             _check("noise", got["noise"], float(bd.noise.mean())),
             _check("ici", got["ici"] - pred_ici_m[stim_col] + pred_ici_m.mean(),
                    float(pred_ici_m.mean()), atol),
             _check("isi", meas_isi, float(bd.isi.mean()), atol),
-            _check("fd", got["fd"], float(pred_fd.mean()), atol),
+            _check("fd", got["fd"], float(bd.fd_exact.mean()), atol),
             _check("ici_sub", got["ici_sub"] - pq_ici[sub_q] + pq_ici[sub_q].mean(),
                    float(pq_ici[sub_q].mean()), atol),
             _check("isi_sub", got["isi_sub"] - pq_isi[sub_q] + pq_isi[sub_q].mean(),
                    float(pq_isi[sub_q].mean()), atol),
         ]
-        pred_total = float((bd.resd + bd.ici + bd.isi + pred_fd + bd.noise).mean())
+        pred_total = float((bd.resd + bd.ici + bd.isi + bd.fd_exact + bd.noise).mean())
         if with_ibi:
-            pred_ibi = bd.ibi_exact if bd.mode == "if" else bd.ibi
-            checks.append(_check("ibi", got["ibi"], float(pred_ibi.mean()), atol))
-            pred_total += float(pred_ibi.mean())
+            checks.append(_check("ibi", got["ibi"], float(bd.ibi_exact.mean()), atol))
+            pred_total += float(bd.ibi_exact.mean())
 
         total_measured = float(got["total"].mean())
         gap_db = abs(10 * np.log10(total_measured / pred_total))
@@ -603,7 +601,7 @@ def run_multiservice(cfg: RunConfig, modes: tuple[str, ...] = ("nif", "if"),
     pool = ThreadPoolExecutor(workers) if workers > 1 else None
 
     bits_per_trial = engine.info_len
-    floor_bits = max(cfg.min_info_bits, 1)
+    floor_bits = cfg.min_info_bits
     pilot_bits = max(floor_bits // 10, 50_000)
     cap_bits = 3 * floor_bits
     points: list[BerPoint] = []

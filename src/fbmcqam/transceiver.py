@@ -35,7 +35,7 @@ __all__ = [
 class Equalizer:
     """One-tap frequency-domain equalizer: estimates = E * observations."""
 
-    coeffs: np.ndarray        # E, complex (N,)
+    coeffs: np.ndarray        # E, complex, the shape of C
     beta: np.ndarray          # E * C, real in [0, 1]; exactly 1 for ZF
 
 
@@ -84,10 +84,9 @@ def fbmc_demodulate(r: np.ndarray, segs: np.ndarray,
 
 
 def equalize(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Apply one-tap coefficients, shared (N,) or per trial (N, B), to an
-    N x M (x B) grid."""
-    e = np.expand_dims(coeffs, tuple(range(1, y.ndim - coeffs.ndim + 1)))
-    return e * y
+    """Apply per-trial one-tap coefficients (N, B) to an N x M x B grid; a
+    set shared by every trial is one column, (N, 1)."""
+    return coeffs[:, None, :] * y
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from fbmcqam.analytics import (DisplacedCovariances, MseBreakdown, ensemble_taps,
-                               neighbor_counts, zeta_grid)
+                               neighbor_counts, zeta_factors)
 from fbmcqam.channel import apply_taps, complex_noise, draw_taps, freq_response
 from fbmcqam.cli import _csv_text
 from fbmcqam.core import dft_segments, idft_block, qam_levels
@@ -190,7 +190,7 @@ def reference_averaged_breakdown(cfg, ctx, mode, taps, sigma2, cov, with_ibi=Fal
     abse2 = np.abs(eq.coeffs) ** 2
     abse2_bar = abse2.mean(axis=0)
     resd = np.repeat((delta2 * ((1.0 - eq.beta) ** 2).mean(axis=0))[None, :], m, axis=0)
-    zgrid = zeta_grid(ctx.inv, ctx.gram)
+    zgrid = np.repeat(zeta_factors(ctx.inv, ctx.gram)[:, None], n, axis=1)
     if mode == "nif":
         own, per_d = reference_leakage_sums(ctx.tables, absc2)
         ici_n = delta2 * (abse2 * own).mean(axis=0)
@@ -206,7 +206,7 @@ def reference_averaged_breakdown(cfg, ctx, mode, taps, sigma2, cov, with_ibi=Fal
         fd = delta2 * abse2_bar * cov.fd_nif
         ibi = delta2 * abse2_bar * cov.ibi_nif if with_ibi else np.zeros((m, n))
         noise = np.repeat((sigma2 * abse2_bar)[None, :], m, axis=0)
-        return MseBreakdown("nif", resd, ici, isi, fd, ibi, noise, zgrid,
+        return MseBreakdown("nif", resd, ici, isi, fd, ibi, noise, fd, ibi,
                             delta2=delta2)
     fd = zgrid * (delta2 * abse2_bar * cov.fd_nif)
     ibi = zgrid * (delta2 * abse2_bar * cov.ibi_nif) if with_ibi else np.zeros((m, n))
@@ -214,8 +214,7 @@ def reference_averaged_breakdown(cfg, ctx, mode, taps, sigma2, cov, with_ibi=Fal
     fd_exact = delta2 * abse2_bar * cov.fd_if
     ibi_exact = (delta2 * abse2_bar * cov.ibi_if) if with_ibi else np.zeros((m, n))
     return MseBreakdown("if", resd, np.zeros((m, n)), np.zeros((m, n)),
-                        fd, ibi, noise, zgrid, delta2=delta2,
-                        fd_exact=fd_exact, ibi_exact=ibi_exact)
+                        fd, ibi, noise, fd_exact, ibi_exact, delta2=delta2)
 
 
 def reference_db(value):

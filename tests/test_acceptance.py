@@ -19,7 +19,7 @@ import pytest
 
 from fbmcqam.analytics import (averaged_breakdown, channel_moments, complexity_report,
                                displaced_covariances, ensemble_taps,
-                               interference_tables, zeta_factors, zeta_grid)
+                               interference_tables, zeta_factors)
 from fbmcqam.channel import PowerDelayProfile, apply_taps, freq_response
 from fbmcqam.config import RunConfig
 from fbmcqam.core import design_prototype, dft_segments, idft_block, qam_map
@@ -28,7 +28,7 @@ from fbmcqam.filterbank import (apply_adjoint, apply_filter, apply_inverse,
                                 autocorr_bands, gram_stack, inverse_stack,
                                 tap_segments)
 from fbmcqam.simulator import make_context, run_link_validation, run_multiservice
-from fbmcqam.transceiver import ofdm_modulate
+from fbmcqam.transceiver import make_equalizer, ofdm_modulate
 from helpers import (dense_filter_matrix, dense_gram_blocks, snr_offset_db,
                      unitary_dft)
 
@@ -90,7 +90,9 @@ def test_c04_high_snr_interference_floor_gap():
     pdp = PowerDelayProfile.exponential(cfg.channel_taps, cfg.pdp_decay_db)
     taps = ensemble_taps(pdp, 400, seed=1)
     sigma2 = cfg.symbol_power / 10.0 ** 5
-    moments = channel_moments(cfg, freq_response(taps, cfg.n), sigma2)
+    c = freq_response(taps, cfg.n)
+    moments = channel_moments(make_equalizer(c, cfg.equalizer, sigma2, cfg.symbol_power),
+                              c, cfg.symbol_power)
     totals = {}
     for mode in ("nif", "if"):
         cov = displaced_covariances(ctx.segs, cfg.m, weights=pdp.powers,
@@ -114,8 +116,13 @@ def test_c05_noise_enhancement_profile():
     mean = float(z.mean())
     print(f"block-average zeta = {mean:.4f} (required within [1.15, 1.50])")
     assert 1.15 <= mean <= 1.50
-    grid = zeta_grid(inv, gram)
+    # the transform-domain diagonals of the (m, m) blocks of R G R^H, which
+    # are diagonal per sample: constant across n
+    f = np.fft.fft(np.eye(64), norm="ortho")
+    per_sample = np.einsum("vab,vbc,vac->av", inv, gram, inv)
+    grid = np.einsum("nv,av,nv->an", f, per_sample, f.conj()).real
     assert np.max(np.abs(grid - grid[:, :1])) < 1e-12   # constant across n
+    np.testing.assert_allclose(grid[:, 0], z, atol=1e-12)
     assert np.argmax(z) in (6, 7) and z[0] < z[6]       # middle symbols worst
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0, f"{elapsed:.1f} s"

@@ -11,7 +11,7 @@ from fbmcqam.analytics import (_delay_tables, _diagonals, _propagate, averaged_b
                                channel_moments, complexity_report, displaced_covariances,
                                ensemble_taps,
                                interference_tables, leakage_sums, neighbor_counts,
-                               zeta_factors, zeta_grid)
+                               zeta_factors)
 from fbmcqam.channel import PowerDelayProfile, draw_taps, freq_response
 from fbmcqam.config import RunConfig
 from fbmcqam.core import design_prototype
@@ -167,10 +167,15 @@ def test_zeta_anchor_and_shape():
 
 
 def test_zeta_grid_constant_across_subcarriers():
-    _, _, gram, inv = _setup(32, 6, 4)
-    grid = zeta_grid(inv, gram)
-    assert grid.shape == (6, 32)
+    # the per-(m, n) transform-domain diagonals of R G R^H do not depend on
+    # n, so the breakdowns broadcast the (M,) zeta_m over subcarriers
+    n, m, k = 32, 6, 4
+    _, _, gram, inv = _setup(n, m, k)
+    rd = stack_to_dense(inv)
+    grid = _dense_block_diags(rd @ stack_to_dense(gram) @ rd.T, n, m)
+    assert grid.shape == (m, n)
     assert np.max(np.abs(grid - grid[:, :1])) < 1e-12
+    np.testing.assert_allclose(zeta_factors(inv, gram), grid[:, 0], atol=1e-12)
 
 
 def test_zeta_is_transformed_diagonal():
@@ -180,7 +185,7 @@ def test_zeta_is_transformed_diagonal():
     rd = stack_to_dense(inv)
     gd = stack_to_dense(gram)
     w = rd @ gd @ rd.T
-    np.testing.assert_allclose(zeta_grid(inv, gram),
+    np.testing.assert_allclose(np.broadcast_to(zeta_factors(inv, gram)[:, None], (m, n)),
                                _dense_block_diags(w, n, m), atol=1e-12)
 
 
@@ -370,6 +375,13 @@ def _system(**kw):
     return RunConfig(**{"n": 64, "m": 14, "k": 5, **kw})
 
 
+def _moments(cfg, c, sigma2):
+    """The channel moments of a (D, N) response stack under ``cfg``'s
+    equalizer at noise variance ``sigma2``."""
+    eq = make_equalizer(c, cfg.equalizer, sigma2, cfg.symbol_power)
+    return channel_moments(eq, c, cfg.symbol_power)
+
+
 def _conditional(cfg, taps, sigma2, with_ibi=False):
     """One realization's breakdown for ``cfg.receiver_mode``, with the
     displaced covariances of those taps."""
@@ -377,7 +389,7 @@ def _conditional(cfg, taps, sigma2, with_ibi=False):
     mode = cfg.receiver_mode
     cov = displaced_covariances(ctx.segs, cfg.m, taps=taps,
                                 inv=ctx.inv if mode == "if" else None)
-    moments = channel_moments(cfg, freq_response(taps, cfg.n), sigma2)
+    moments = _moments(cfg, freq_response(taps[None, :], cfg.n), sigma2)
     return averaged_breakdown(cfg, ctx, mode, moments, sigma2, cov, with_ibi)
 
 
@@ -428,11 +440,23 @@ def test_if_mode_cancels_self_interference():
     assert np.all(bd.ici == 0.0) and np.all(bd.isi == 0.0)
     # noise enhancement by zeta, constant per symbol row
     nif = _conditional(_system(receiver_mode="nif"), h, 0.01)
-    np.testing.assert_allclose(bd.noise, bd.zeta * nif.noise, rtol=1e-12)
+    ctx = make_context(sys_cfg)
+    np.testing.assert_allclose(bd.noise, zeta_factors(ctx.inv, ctx.gram)[:, None]
+                               * nif.noise, rtol=1e-12)
     # the zeta-scaled dispersion form understates the exact propagated one
     assert bd.component("fd_exact").mean() > bd.fd.mean()
-    with pytest.raises(KeyError):
-        nif.component("fd_exact")
+
+
+@pytest.mark.parametrize("with_ibi", [False, True])
+def test_nif_exact_fields_are_its_own_fd_and_ibi(with_ibi):
+    # the matched filter has no R to propagate through, so both receivers'
+    # breakdowns have the same fields and nif's exact ones are fd and ibi
+    h = draw_taps(PowerDelayProfile.exponential(8, 20.0),
+                  np.random.default_rng(34))
+    bd = _conditional(_system(receiver_mode="nif"), h, 0.01, with_ibi=with_ibi)
+    assert bd.fd_exact is bd.fd and bd.ibi_exact is bd.ibi
+    assert bd.component("fd_exact") is bd.fd and bd.component("ibi_exact") is bd.ibi
+    assert np.any(bd.fd > 0) and np.any(bd.ibi > 0) == with_ibi
 
 
 def test_zf_has_no_bias_error():
@@ -464,7 +488,7 @@ def test_averaged_breakdown_deterministic():
 
     def averaged(seed):
         c = freq_response(ensemble_taps(pdp, 20, seed), cfg.n)
-        return averaged_breakdown(cfg, ctx, "if", channel_moments(cfg, c, 0.01),
+        return averaged_breakdown(cfg, ctx, "if", _moments(cfg, c, 0.01),
                                   0.01, cov, with_ibi=True)
 
     a = averaged(3)
@@ -475,30 +499,6 @@ def test_averaged_breakdown_deterministic():
     assert np.all(a.total > 0) and np.all(np.isfinite(a.sinr))
 
 
-@pytest.mark.parametrize("mode", ["nif", "if"])
-def test_one_realization_equals_one_draw_stack(mode):
-    # a conditional breakdown is the average over a stack of one draw: the
-    # moments of one response (N,) are those of a (1, N) stack, bit for bit
-    cfg = _system(n=32, k=4)
-    ctx = make_context(cfg)
-    h = draw_taps(PowerDelayProfile.exponential(4, 20.0),
-                  np.random.default_rng(37))
-    one_m = channel_moments(cfg, freq_response(h, cfg.n), 0.01)
-    stack_m = channel_moments(cfg, freq_response(h[None, :], cfg.n), 0.01)
-    for name in ("resd", "abse2", "cross"):
-        assert getattr(one_m, name).tobytes() == getattr(stack_m, name).tobytes(), name
-    cov = displaced_covariances(ctx.segs, cfg.m, taps=h, inv=ctx.inv)
-    one = averaged_breakdown(cfg, ctx, mode, one_m, 0.01, cov, with_ibi=True)
-    stack = averaged_breakdown(cfg, ctx, mode, stack_m, 0.01, cov, with_ibi=True)
-    names = ["resd", "ici", "isi", "fd", "ibi", "noise", "total", "sinr", "zeta"]
-    if mode == "if":
-        names += ["fd_exact", "ibi_exact"]
-    for name in names:
-        np.testing.assert_array_equal(one.component(name), stack.component(name),
-                                      err_msg=name)
-    assert one.mode == stack.mode == mode
-
-
 @pytest.mark.parametrize("equalizer", ["zf", "mmse"])
 def test_channel_moments_are_means_over_draws(equalizer):
     # each moment is the mean of its one-draw value over the stack
@@ -506,13 +506,13 @@ def test_channel_moments_are_means_over_draws(equalizer):
     pdp = PowerDelayProfile.exponential(4, 10.0)
     c = freq_response(ensemble_taps(pdp, 30, seed=8), cfg.n)
     sigma2 = 0.05
-    got = channel_moments(cfg, c, sigma2)
+    got = _moments(cfg, c, sigma2)
     assert got.resd.shape == got.abse2.shape == (16,) and got.cross.shape == (16, 16)
     e2 = []
     for row in c:
         eq = make_equalizer(row, equalizer, sigma2, cfg.symbol_power)
         e2.append(np.abs(eq.coeffs) ** 2)
-        one = channel_moments(cfg, row, sigma2)
+        one = _moments(cfg, row[None, :], sigma2)
         np.testing.assert_allclose(one.resd, 2.0 * (1.0 - eq.beta) ** 2, rtol=1e-12)
         np.testing.assert_allclose(one.cross, np.outer(e2[-1], np.abs(row) ** 2),
                                    rtol=1e-12)
@@ -532,10 +532,8 @@ def test_channel_moments_are_means_over_draws(equalizer):
         assert np.all(got.resd == 0.0)
 
 
-_BREAKDOWN_NAMES = {"nif": ("resd", "ici", "isi", "fd", "ibi", "noise", "total",
-                             "sinr", "zeta"),
-                    "if": ("resd", "ici", "isi", "fd", "ibi", "noise", "total",
-                           "sinr", "zeta", "fd_exact", "ibi_exact")}
+_BREAKDOWN_NAMES = ("resd", "ici", "isi", "fd", "ibi", "noise", "total", "sinr",
+                    "fd_exact", "ibi_exact")
 
 
 @pytest.mark.parametrize("settings", [
@@ -566,12 +564,12 @@ def test_breakdowns_match_reference_arithmetic(settings, spec):
                                    rtol=1e-12, atol=0, err_msg=name)
     for snr_db in (0.0, 30.0):
         sigma2 = cfg.symbol_power / 10.0 ** (snr_db / 10.0)
-        moments = channel_moments(cfg, freq_response(taps, cfg.n), sigma2)
-        for mode, names in _BREAKDOWN_NAMES.items():
+        moments = _moments(cfg, freq_response(np.atleast_2d(taps), cfg.n), sigma2)
+        for mode in ("nif", "if"):
             bd = averaged_breakdown(cfg, ctx, mode, moments, sigma2, cov, with_ibi=True)
             ref = reference_averaged_breakdown(cfg, ctx, mode, taps, sigma2, ref_cov,
                                                with_ibi=True)
-            for name in names:
+            for name in _BREAKDOWN_NAMES:
                 np.testing.assert_allclose(bd.component(name), ref.component(name),
                                            rtol=1e-12, atol=0,
                                            err_msg=f"{mode} {name} at {snr_db} dB")

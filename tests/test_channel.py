@@ -5,8 +5,12 @@ import pytest
 
 from fbmcqam.channel import (PowerDelayProfile, apply_taps, complex_noise,
                              draw_taps, freq_response, overlap_tail)
+from fbmcqam.core import design_prototype
+from fbmcqam.filterbank import (apply_adjoint, apply_filter, apply_inverse,
+                                autocorr_bands, gram_stack, inverse_stack,
+                                tap_segments)
 
-from helpers import column_invariant, dense_tap_matrix
+from helpers import column_invariant, dense_tap_matrix, same_array
 
 
 def test_exponential_profile():
@@ -176,12 +180,28 @@ def test_apply_taps_bit_equal_to_whole_window_loop(t, cols, per_column, taps, re
     assert column_invariant(apply_taps, h, x, per_column, widths)
 
 
-def test_apply_taps_keeps_real_arithmetic_real():
-    rng = np.random.default_rng(12)
-    h, x = rng.standard_normal(3), rng.standard_normal((20, 2))
-    y = apply_taps(h, x)
-    assert y.dtype == float
-    np.testing.assert_allclose(y, dense_tap_matrix(h, 20) @ x, atol=1e-13)
+@pytest.mark.parametrize("kernel", ["apply_taps", "overlap_tail", "apply_filter",
+                                    "apply_adjoint", "apply_inverse"])
+@pytest.mark.parametrize("cols", [None, 1, 3])
+def test_sample_kernels_compute_in_complex(kernel, cols):
+    # every sample kernel promotes real input and returns complex128, with
+    # the bytes it gives for the same input as complex
+    n, m, k = 8, 3, 2
+    segs = tap_segments(design_prototype(k, n))
+    inv = inverse_stack(gram_stack(autocorr_bands(segs), m))
+    h = np.random.default_rng(12).standard_normal(3)
+    calls = {"apply_taps": (lambda x: apply_taps(h, x), n),
+             "overlap_tail": (lambda x: overlap_tail(h, x, 5), 4),
+             "apply_filter": (lambda x: apply_filter(segs, x), m * n),
+             "apply_adjoint": (lambda x: apply_adjoint(segs, x), (k + m - 1) * n),
+             "apply_inverse": (lambda x: apply_inverse(inv, x), m * n)}
+    run, rows = calls[kernel]
+    x = np.random.default_rng(13).standard_normal((rows,) if cols is None else (rows, cols))
+    y = run(x)
+    assert y.dtype == np.complex128
+    assert same_array(y, run(x.astype(complex)))
+    if kernel == "apply_taps":
+        assert same_array(y, apply_taps(h.astype(complex), x.astype(complex)))
 
 
 @pytest.mark.parametrize("t", [1, 3, 4, 9])

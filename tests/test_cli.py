@@ -516,6 +516,40 @@ def test_untabulated_overlap_exits_2_without_outputs(tmp_path, capsys, command,
     assert main(["complexity", "--k", "9"]) == 0
 
 
+@pytest.mark.parametrize("command,target", COMMAND_TARGETS)
+@pytest.mark.parametrize("key,value", [("seed", "-1"), ("min_info_bits", "-5")])
+def test_negative_seed_and_info_floor_exit_2_without_outputs(tmp_path, capsys,
+                                                             command, target,
+                                                             key, value):
+    out = tmp_path / "out"
+    assert main([command, target, str(out), "--" + key.replace("_", "-"), value]
+                + SMALL) == 2
+    captured = capsys.readouterr()
+    assert f"invalid configuration:\n  {key}: {value} must be >= " in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("content", ["0.1\n0.2\n0.3\n", "0.5\nabc\n",
+                                     "0\n" * 32])
+@pytest.mark.parametrize("command,target", [t for t in COMMAND_TARGETS
+                                            if t[0] != "complexity"])
+def test_bad_filter_file_content_exits_2_without_outputs(tmp_path, capsys, command,
+                                                         target, content):
+    # wrong length, a non-number and all zeros are configuration errors, as
+    # a bad pdp_file is; a missing file stays an I/O error (exit 1)
+    path = tmp_path / "bad_filter.txt"
+    path.write_text(content)
+    out = tmp_path / "out"
+    assert main([command, target, str(out), "--filter-file", str(path), "--trials", "4",
+                 "--theory-draws", "5", "--snr-db", "10"] + SMALL) == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration:\n  filter_file: " in err
+    assert not out.exists()
+    assert main([command, target, str(out), "--filter-file",
+                 str(tmp_path / "missing.txt")] + SMALL) == 1
+    assert not out.exists()
+
+
 def test_retired_guard_samples_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["complexity", "--guard-samples", "0"])

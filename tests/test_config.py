@@ -53,6 +53,17 @@ def test_all_violations_reported_at_once():
         assert field in msg
 
 
+@pytest.mark.parametrize("key, bad, good", [("seed", -1, 0),
+                                            ("min_info_bits", -5, 1),
+                                            ("min_info_bits", 0, 1)])
+def test_negative_seed_and_nonpositive_info_floor_rejected(key, bad, good):
+    # numpy seeds only from non-negative integers, and a campaign's info-bit
+    # floor is at least one bit; both are rejected before any command runs
+    errs = RunConfig(**{key: bad}).violations()
+    assert errs == [f"{key}: {bad} must be >= {good}"]
+    assert RunConfig(**{key: good}).violations() == []
+
+
 def test_band_violations():
     with pytest.raises(ConfigError, match="overlap"):
         RunConfig(subband_starts=(0, 8, 40)).validate()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fbmcqam import analytics, simulator
+from fbmcqam import simulator
 from fbmcqam.config import ConfigError, RunConfig
 from fbmcqam.filterbank import window_length
 from fbmcqam.simulator import (make_context, run_link_validation, run_multiservice,
@@ -211,6 +211,26 @@ def test_validation_draws_unit_noise_once(monkeypatch, points):
     assert calls == [((window_length(cfg.n, cfg.m, cfg.k), 16), 1.0)]
 
 
+@pytest.mark.parametrize("trials, cycles", [(1, 2), (3, 2), (4, 2), (5, 2), (9, 3)])
+def test_validation_runs_at_least_two_stimulus_cycles(monkeypatch, trials, cycles):
+    # the isi check's spread is taken over per-cycle sums, so a run rounds up
+    # to whole round-robin cycles of M trials, and to at least two of them:
+    # over one cycle sigma is nan and the check fails without a message
+    shapes = []
+    draw = simulator.complex_noise
+
+    def recording(rng, shape, sigma2):
+        shapes.append(shape)
+        return draw(rng, shape, sigma2)
+
+    monkeypatch.setattr(simulator, "complex_noise", recording)
+    cfg = RunConfig(n=16, m=4, k=3, trials=trials, snr_db=(20.0,))
+    (point,) = run_link_validation(cfg)
+    assert shapes == [(window_length(16, 4, 3), cycles * 4)]
+    assert all(np.isfinite(c.sigma) and np.isfinite(c.measured) for c in point.checks)
+    assert {c.name for c in point.checks} >= {"isi", "ici", "fd"}
+
+
 @pytest.mark.parametrize("mode", ["nif", "if"])
 def test_validation_builds_each_points_equalizer_once(monkeypatch, mode):
     # one equalizer per SNR point serves both the breakdown's moments and
@@ -223,7 +243,6 @@ def test_validation_builds_each_points_equalizer_once(monkeypatch, mode):
         return make(*args, **kwargs)
 
     monkeypatch.setattr(simulator, "make_equalizer", counted)
-    monkeypatch.setattr(analytics, "make_equalizer", counted)
     cfg = _val_cfg(receiver_mode=mode, overlap_blocks=True, trials=16,
                    snr_db=(10.0, 20.0, 30.0))
     run_link_validation(cfg)

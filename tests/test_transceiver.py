@@ -69,9 +69,9 @@ def test_inverse_receiver_is_exact_without_channel():
     rng = np.random.default_rng(20)
     n, m, k = 16, 6, 4
     segs, inv = _chain(n, m, k)
-    S = qam_map(rng.integers(0, 2, size=4 * n * m), 16).reshape(n, m)
+    S = qam_map(rng.integers(0, 2, size=4 * n * m), 16).reshape(n, m, 1)
     eq = make_equalizer(np.ones(n), "zf", sigma2=0.0)
-    est = equalize(eq.coeffs, fbmc_demodulate(fbmc_transmit(S, segs), segs, inv))
+    est = equalize(eq.coeffs[:, None], fbmc_demodulate(fbmc_transmit(S, segs), segs, inv))
     np.testing.assert_allclose(est, S, atol=1e-12)
 
 
@@ -79,9 +79,9 @@ def test_matched_only_receiver_leaks_without_inverse():
     rng = np.random.default_rng(21)
     n, m, k = 16, 6, 4
     segs, _ = _chain(n, m, k)
-    S = qam_map(rng.integers(0, 2, size=4 * n * m), 16).reshape(n, m)
+    S = qam_map(rng.integers(0, 2, size=4 * n * m), 16).reshape(n, m, 1)
     eq = make_equalizer(np.ones(n), "zf", sigma2=0.0)
-    est = equalize(eq.coeffs, fbmc_demodulate(fbmc_transmit(S, segs), segs))
+    est = equalize(eq.coeffs[:, None], fbmc_demodulate(fbmc_transmit(S, segs), segs))
     err = np.mean(np.abs(est - S) ** 2)
     assert err > 1e-3            # own-filter interference remains
 
@@ -91,19 +91,20 @@ def test_chain_batches_like_a_loop():
     n, m, k = 8, 3, 3
     segs, inv = _chain(n, m, k)
     S = rng.normal(size=(n, m, 4)) + 1j * rng.normal(size=(n, m, 4))
-    eq = make_equalizer(np.ones(n), "zf", sigma2=0.0)
-    est = equalize(eq.coeffs, fbmc_demodulate(fbmc_transmit(S, segs), segs, inv))
+    # a shared set of coefficients is one (N, 1) column
+    shared = make_equalizer(np.ones(n), "zf", sigma2=0.0).coeffs[:, None]
+    est = equalize(shared, fbmc_demodulate(fbmc_transmit(S, segs), segs, inv))
     for b in range(4):
-        single = equalize(eq.coeffs,
-                          fbmc_demodulate(fbmc_transmit(S[..., b], segs), segs, inv))
-        np.testing.assert_allclose(est[..., b], single, atol=1e-12)
+        single = equalize(shared, fbmc_demodulate(fbmc_transmit(S[..., b:b + 1], segs),
+                                                  segs, inv))
+        np.testing.assert_allclose(est[..., b:b + 1], single, atol=1e-12)
     # per-trial (N, B) equalizers act on their own trial's symbols only
     coeffs = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
     est = equalize(coeffs, fbmc_demodulate(fbmc_transmit(S, segs), segs, inv))
     for b in range(4):
-        single = equalize(coeffs[:, b],
-                          fbmc_demodulate(fbmc_transmit(S[..., b], segs), segs, inv))
-        np.testing.assert_allclose(est[..., b], single, atol=1e-12)
+        single = equalize(coeffs[:, b:b + 1],
+                          fbmc_demodulate(fbmc_transmit(S[..., b:b + 1], segs), segs, inv))
+        np.testing.assert_allclose(est[..., b:b + 1], single, atol=1e-12)
 
 
 @pytest.mark.parametrize("mode, eta", [("nif", 0.0), ("if", 0.0), ("if", 0.5)])
