@@ -45,10 +45,17 @@ allow.
 The fd/ibi covariances never form a matrix of size MN x MN. For a delay of
 l samples, block (j', j) of P^T B_l, with B_l the dispersion or the
 previous-block operator, is a diagonal times a cyclic shift by l, and so is
-its image under R, which is diagonal inside each block.
-:func:`displaced_covariances` therefore works on (L, M, M, N) tables of
-those diagonals and on the channel's tap second moments; R acts on a table
-as one batched (M, M) x (M, L M) product per sample.
+its image under R, which is diagonal inside each block. The diagonal of
+block (j', j) depends on j' and j only through the offset j' - j, so one
+(L, 2M - 1, N) offset table holds the fd operators, and the tail operators
+are one (L, N) block. For one realization (complex taps),
+:func:`displaced_covariances` gathers that table into (L, M, M, N) tables,
+R acts on a table as one batched (M, M) x (M, L M) product per sample, and
+the cross-delay phases make the result vary over n. For the ensemble
+(diagonal tap second moments) no cross-delay term survives, so every
+component is the same on every subcarrier: a weighted sum of squares over
+delays, donor blocks and samples, into which R enters through one (M, M)
+Gram of the weighted operators per sample.
 """
 
 from __future__ import annotations
@@ -156,14 +163,14 @@ def zeta_factors(inv: np.ndarray, gram: np.ndarray) -> np.ndarray:
 # Displaced-filter covariance forms
 # ---------------------------------------------------------------------------
 
-def _delay_tables(segs: np.ndarray, m: int, n_delay: int):
-    """Per-subcarrier tables of A_l = P^T B_l for the dispersion and tail
+def _offset_tables(segs: np.ndarray, m: int, n_delay: int):
+    """Per-sample entries of A_l = P^T B_l for the dispersion and tail
     operators B_l, delays l < ``n_delay`` <= N + 1.
 
     Block (j', j) of A_l is diag(d_l[j', j]) Pi_l, where Pi_l moves sample v
-    to (v + l) mod N, so each operator is an (L, M, M, N) table d. With
-    seg(i, v) = segs[i, v] for 0 <= i < K (0 otherwise) and w = [v' < l]
-    (``crossed``) the flag of a delayed sample that crossed a segment edge:
+    to (v + l) mod N. With seg(i, v) = segs[i, v] for 0 <= i < K (0
+    otherwise) and w = [v' < l] (``crossed``) the flag of a delayed sample
+    that crossed a segment edge:
 
     * fd:   d_l[j', j][v'] = sum_i segs[i, v'] (seg(j'-j+i-w, (v'-l) mod N)
                                                 - seg(j'-j+i, v')),
@@ -171,11 +178,11 @@ def _delay_tables(segs: np.ndarray, m: int, n_delay: int):
             d_l[0, M-1][v'] = w segs[0, v'] segs[K-1, (v'-l) mod N].
 
     Both are exactly zero at l = 0. The fd entry depends on (j', j) only
-    through the block offset j' - j, so the K-term sum is taken once per
-    offset, into an (L, 2M - 1, N) table t with t[:, j' - j + M - 1] =
-    d_l[j', j], and then gathered into the blocks. Every entry goes through
-    the same floating-point operations, in the same order, as a sum taken
-    block by block.
+    through the block offset j' - j, so it is returned as an (L, 2M - 1, N)
+    table t with t[:, j' - j + M - 1] = d_l[j', j]; offsets outside
+    [1 - K, K] are zero and the K-term sum skips them. Every entry goes
+    through the same floating-point operations, in the same order, as a sum
+    taken block by block. The tail is returned as its one (L, N) block.
     """
     k, n = segs.shape
     ext = np.zeros((2 * m + k, n))              # ext[x + m] = seg(x)
@@ -184,14 +191,26 @@ def _delay_tables(segs: np.ndarray, m: int, n_delay: int):
     lag = np.arange(n_delay)[:, None]
     crossed = (v < lag).astype(int)              # (L, N)
     src = (v - lag) % n                          # (L, N)
-    row = np.arange(1, 2 * m)[None, :, None]     # offset j' - j, plus M
+    lo, hi = max(0, m - k), min(2 * m - 1, m + k)    # rows of offsets 1 - K .. K
+    # flat index into ext of seg(r - M + 1 - w, src) for row r of t, at i = 0
+    at = ((np.arange(lo + 1, hi + 1)[None, :, None] - crossed[:, None, :]) * n
+          + src[:, None, :])
     t = np.zeros((n_delay, 2 * m - 1, n))
+    part = t[:, lo:hi]
     for i in range(k):
-        t += segs[i] * (ext[row + i - crossed[:, None, :], src[:, None, :]]
-                        - ext[row + i, v])
+        part += segs[i] * (np.take(ext, at + i * n) - ext[lo + 1 + i:hi + 1 + i])
+    return t, crossed * segs[0] * segs[k - 1, src]
+
+
+def _delay_tables(segs: np.ndarray, m: int, n_delay: int):
+    """The (L, M, M, N) tables d of the fd and tail operators A_l of
+    :func:`_offset_tables`, block (j', j) of A_l being diag(d_l[j', j]) Pi_l:
+    the offset table gathered into the blocks, the tail put in block
+    (0, M - 1)."""
+    t, tail_block = _offset_tables(segs, m, n_delay)
     fd = np.take(t, np.arange(m)[:, None] - np.arange(m) + m - 1, axis=1)
     tail = np.zeros_like(fd)
-    tail[:, 0, m - 1] = crossed * segs[0] * segs[k - 1, src]
+    tail[:, 0, m - 1] = tail_block
     return fd, tail
 
 
@@ -239,6 +258,47 @@ class DisplacedCovariances:
     ibi_if: np.ndarray    # (M, N)
 
 
+def _ensemble_covariances(segs: np.ndarray, m: int, weights: np.ndarray,
+                          inv: np.ndarray | None) -> DisplacedCovariances:
+    """The covariances for diagonal tap second moments p_l = ``weights[l]``
+    (the ensemble's rho_l^2).
+
+    No cross-delay term survives, so every component is the same on every
+    subcarrier n: a p-weighted sum of squares of the offset table of
+    :func:`_offset_tables` over delays, donor blocks and samples. With
+    D_{l,v}[i, j] = d_l[i, j][v], the per-sample Gram G_v = sum_l p_l
+    D_{l,v} D_{l,v}^T and R_v the inverse at sample v:
+
+    * fd_nif[m] = (1/N) sum_v G_v[m, m],
+    * fd_if[a] = (1/N) sum_v (R_v G_v R_v^T)[a, a],
+    * ibi_nif[0] = (1/N) sum_v tail2(v), exactly zero at every m > 0,
+    * ibi_if[a] = (1/N) sum_v R_v[a, 0]^2 tail2(v),
+
+    where tail2(v) = sum_l p_l tail_l(v)^2. D_{l,v} is Toeplitz in the block
+    offset, so G_v is the sum of the M principal (M, M) windows of the
+    offset Gram S_v[p, q] = sum_l p_l t[l, p, v] t[l, q, v], and no
+    (L, M, M, N) table is formed.
+    """
+    n = segs.shape[1]
+    t, tail = _offset_tables(segs, m, len(weights))
+    tv = t.transpose(2, 1, 0)                                   # (N, 2M - 1, L)
+    s = (tv * weights) @ tv.transpose(0, 2, 1)                  # (N, 2M - 1, 2M - 1)
+    gram = np.zeros((n, m, m))
+    for top in range(m):
+        gram += s[:, top:top + m, top:top + m]
+    tail2 = weights @ tail ** 2                                 # (N,)
+    fd_nif = np.diagonal(gram, axis1=1, axis2=2).sum(axis=0) / n
+    ibi_nif = np.zeros(m)
+    ibi_nif[0] = tail2.sum() / n
+    if inv is not None:
+        fd_if = ((inv @ gram) * inv).sum(axis=2).sum(axis=0) / n
+        ibi_if = tail2 @ inv[:, :, 0] ** 2 / n
+    else:
+        fd_if = ibi_if = np.zeros(m)
+    return DisplacedCovariances(*(np.repeat(c[:, None], n, axis=1)
+                                  for c in (fd_nif, fd_if, ibi_nif, ibi_if)))
+
+
 def displaced_covariances(segs: np.ndarray, m: int,
                           weights: np.ndarray | None = None,
                           taps: np.ndarray | None = None,
@@ -246,20 +306,21 @@ def displaced_covariances(segs: np.ndarray, m: int,
     """Exact quadratic forms for the delay-induced error covariances.
 
     Pass ``taps`` (complex h_l) for a fixed realization, or ``weights``
-    (rho_l^2) for the channel-ensemble average. ``inv`` enables the
-    inverse-filter variants; zeros are returned for them otherwise. Delays
-    up to N samples (N + 1 taps) are supported.
+    (rho_l^2) for the channel-ensemble average, whose components are the
+    same on every subcarrier. ``inv`` enables the inverse-filter variants;
+    zeros are returned for them otherwise. Delays up to N samples (N + 1
+    taps) are supported.
     """
     if (weights is None) == (taps is None):
         raise ValueError("exactly one of weights/taps must be given")
     n = segs.shape[1]
-    if taps is not None:
-        moments = np.outer(taps, np.conj(taps))
-    else:
-        moments = np.diag(weights)
-    if len(moments) > n + 1:
-        raise ValueError(f"channel of {len(moments)} taps exceeds N + 1 = {n + 1}")
-    fd, tail = _delay_tables(segs, m, len(moments))
+    n_taps = len(weights if taps is None else taps)
+    if n_taps > n + 1:
+        raise ValueError(f"channel of {n_taps} taps exceeds N + 1 = {n + 1}")
+    if taps is None:
+        return _ensemble_covariances(segs, m, weights, inv)
+    moments = np.outer(taps, np.conj(taps))
+    fd, tail = _delay_tables(segs, m, n_taps)
     fd_nif = _diagonals(fd, moments)
     ibi_nif = _diagonals(tail, moments)
     if inv is not None:

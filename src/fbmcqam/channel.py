@@ -81,7 +81,10 @@ class PowerDelayProfile:
                 parts = line.split(",")
                 if len(parts) != 2:
                     raise ValueError(f"{path}:{lineno}: expected 'l,rho2'")
-                l, rho2 = int(parts[0]), float(parts[1])
+                try:
+                    l, rho2 = int(parts[0]), float(parts[1])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
                 if l in entries:
                     raise ValueError(f"{path}:{lineno}: duplicate tap index {l}")
                 entries[l] = rho2

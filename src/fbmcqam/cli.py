@@ -171,19 +171,24 @@ def _db_fields(values: np.ndarray) -> np.ndarray:
     matrix (see :func:`_fixed6`): each reads ``f"{10 * log10(v):.6f}"``,
     with ``math.log10`` taken per value, or one of two markers: ``-inf``
     for a power of zero or below (an exactly cancelled component) and
-    ``inf`` for +inf (the sinr of a zero total). NaN raises ValueError."""
+    ``inf`` for +inf (the sinr of a zero total). NaN raises ValueError.
+
+    A field is a function of its value alone, so each distinct value is
+    formatted once and the rows are gathered from those (0.0 and -0.0 merge,
+    both ``-inf``)."""
     v = np.asarray(values, dtype=float).ravel()
     if np.isnan(v).any():
         raise ValueError(f"cannot write {float(v[np.isnan(v)][0])!r} as a dB value")
+    v, rows = np.unique(v, return_inverse=True)
     pos = (v > 0.0) & (v < math.inf)
     d = np.zeros(v.shape)
     d[pos] = 10.0 * np.fromiter(map(math.log10, v[pos].tolist()), float,
                                 np.count_nonzero(pos))
     out = _fixed6(d)
-    for marker, rows in ((b"-inf", v <= 0.0), (b"inf", v == math.inf)):
-        out[rows] = 0
-        out[rows, :len(marker)] = np.frombuffer(marker, dtype=np.uint8)
-    return out
+    for marker, at in ((b"-inf", v <= 0.0), (b"inf", v == math.inf)):
+        out[at] = 0
+        out[at, :len(marker)] = np.frombuffer(marker, dtype=np.uint8)
+    return out[rows]
 
 
 def _ascii_rows(texts: list[str]) -> np.ndarray:

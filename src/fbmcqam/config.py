@@ -74,14 +74,14 @@ class RunConfig:
     # resolved (auto-aware) values -----------------------------------------
 
     def cp(self) -> int:
-        return self.cp_len if self.cp_len >= 0 else self.n // 8
+        return self.n // 8 if self.cp_len == -1 else self.cp_len
 
     def sigma2(self, snr_db: float) -> float:
         """Complex noise variance at an SNR point: delta^2 / 10^(snr_db/10)."""
         return self.symbol_power / 10.0 ** (snr_db / 10.0)
 
     def band_width(self) -> int:
-        return self.subband_width if self.subband_width > 0 else self.n // 4
+        return self.n // 4 if self.subband_width == -1 else self.subband_width
 
     def band_starts(self) -> tuple[int, ...]:
         if self.subband_starts:
@@ -126,7 +126,7 @@ class RunConfig:
         if not (0 <= self.pdp_decay_db < math.inf):
             errs.append(f"pdp_decay_db: {self.pdp_decay_db} must be finite and >= 0")
         if self.cp() < 0:
-            errs.append(f"cp_len: {self.cp_len} must be >= 0")
+            errs.append(f"cp_len: {self.cp_len} must be >= 0, or -1 for N/8")
         if not self.snr_db:
             errs.append("snr_db: at least one SNR point required")
         # +inf is a noiseless point (sigma^2 = 0); -inf has no finite noise
@@ -158,7 +158,7 @@ class RunConfig:
         if len(starts) != 3:
             errs.append(f"subband_starts: {len(starts)} bands given, exactly 3 required")
         if w < 1:
-            errs.append(f"subband_width: {w} must be >= 1")
+            errs.append(f"subband_width: {w} must be >= 1, or -1 for N/4")
             return errs
         spans = sorted((s, s + w) for s in starts)
         for s, e in spans:

@@ -264,10 +264,13 @@ def load_prototype_file(path, overlap: int, n_subcarriers: int) -> PrototypeFilt
     """
     vals = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                vals.append(float(line))
+                try:
+                    vals.append(float(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
     w = np.asarray(vals, dtype=float)
     if w.size != overlap * n_subcarriers:
         raise ValueError(

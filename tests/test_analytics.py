@@ -4,6 +4,8 @@ The covariance forms are checked against dense matrix evaluations built in
 helpers.py straight from the definitions.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -267,6 +269,13 @@ def test_covariances_match_dense_oracle(n, m, k, n_taps, spec):
     np.testing.assert_allclose(cov.ibi_nif, ibi_nif, atol=1e-12)
     np.testing.assert_allclose(cov.fd_if, fd_if, atol=1e-12)
     np.testing.assert_allclose(cov.ibi_if, ibi_if, atol=1e-12)
+    if spec == "weights":
+        # diagonal tap moments leave no cross-delay phase: every component
+        # is exactly the same on every subcarrier
+        for name in ("fd_nif", "fd_if", "ibi_nif", "ibi_if"):
+            grid = getattr(cov, name)
+            assert grid.shape == (m, n)
+            assert np.array_equal(grid, np.repeat(grid[:, :1], n, axis=1)), name
 
 
 @pytest.mark.parametrize("n,m,k,n_taps",
@@ -327,6 +336,25 @@ def test_diagonals_depend_on_values_not_layout():
             assert np.array_equal(_diagonals(other, moments),
                                   _diagonals(c_order, moments))
         assert not wide[..., 1].flags.c_contiguous
+
+
+@pytest.mark.parametrize("with_inv,parent_peak", [(False, 2.78e6), (True, 3.60e6)])
+def test_ensemble_covariances_stay_small_in_memory(with_inv, parent_peak):
+    # the ensemble route sums per-delay squares and per-sample Grams
+    # without the (L, M, M, N) delay tables; at the defaults its peak
+    # allocation is at most half of what building those tables took
+    cfg = RunConfig()
+    ctx = make_context(cfg)
+    weights = PowerDelayProfile.exponential(cfg.channel_taps, cfg.pdp_decay_db).powers
+    inv = ctx.inv if with_inv else None
+    displaced_covariances(ctx.segs, cfg.m, weights=weights, inv=inv)
+    tracemalloc.start()
+    try:
+        displaced_covariances(ctx.segs, cfg.m, weights=weights, inv=inv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= parent_peak / 2
 
 
 def test_covariances_reject_channels_longer_than_a_segment():

@@ -266,6 +266,10 @@ def _tie_neighbour(k, sign, step):
 # near a tie, where numpy's vectorized log10 differs from math.log10 in the
 # last bit on some builds, enough to change the six-decimal text
 @example([2.025390413209399e-14, 1.3047384168982455e-15, 828850588182243.9])
+# each distinct value is formatted once and its text gathered back: repeats
+# in any order, both zeros, both infinities and subnormals
+@example([0.5, 5e-324, 0.5, -0.0, 0.0, math.inf, 1e-310, -math.inf, 0.5, 0.0,
+          -0.0, 5e-324, 1e-310, math.inf, 2.0, -math.inf, 2.0, -1.0, -1.0])
 def test_db_writer_equals_reference_row_by_row(values):
     assert _db_texts(values) == [reference_db(v) for v in values]
 
@@ -547,6 +551,42 @@ def test_bad_filter_file_content_exits_2_without_outputs(tmp_path, capsys, comma
     assert not out.exists()
     assert main([command, target, str(out), "--filter-file",
                  str(tmp_path / "missing.txt")] + SMALL) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,content,command,target", [
+    ("filter_file", "0.5\nabc\n", "filter", "--out-dir"),
+    ("filter_file", "0.5\nabc\n", "analyze", "--out"),
+    ("filter_file", "0.5\nabc\n", "simulate", "--out-dir"),
+    ("pdp_file", "0,1\nx,0.5\n", "analyze", "--out"),
+    ("pdp_file", "0,1\nx,0.5\n", "simulate", "--out-dir"),
+    ("pdp_file", "0,1\n1,abc\n", "analyze", "--out")])
+def test_unparsable_loader_line_is_named_by_file_and_line(tmp_path, capsys, key,
+                                                          content, command, target):
+    path = tmp_path / "data.txt"
+    path.write_text(content)
+    out = tmp_path / "out"
+    assert main([command, target, str(out), "--" + key.replace("_", "-"), str(path),
+                 "--trials", "4", "--theory-draws", "5", "--snr-db", "10"]
+                + SMALL) == 2
+    err = capsys.readouterr().err
+    assert f"invalid configuration:\n  {key}: {path}:2: " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,target", COMMAND_TARGETS)
+@pytest.mark.parametrize("key,value", [("cp_len", "-5"), ("subband_width", "0"),
+                                       ("subband_width", "-7")])
+def test_auto_sentinel_is_only_minus_one(tmp_path, capsys, command, target, key,
+                                         value):
+    out = tmp_path / "out"
+    flag = "--" + key.replace("_", "-")
+    assert main([command, target, str(out), flag, value] + SMALL) == 2
+    captured = capsys.readouterr()
+    assert f"{key}: {value} must be >= " in captured.err
+    assert captured.out == "" and not out.exists()
+    assert main([command, target, str(out), flag, "-1", "--print-config"] + SMALL) == 0
+    assert getattr(parse_config_text(capsys.readouterr().out), key) == -1
     assert not out.exists()
 
 

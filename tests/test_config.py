@@ -64,6 +64,20 @@ def test_negative_seed_and_nonpositive_info_floor_rejected(key, bad, good):
     assert RunConfig(**{key: good}).violations() == []
 
 
+@pytest.mark.parametrize("key, bad, message", [
+    ("cp_len", -5, "cp_len: -5 must be >= 0, or -1 for N/8"),
+    ("cp_len", -2, "cp_len: -2 must be >= 0, or -1 for N/8"),
+    ("subband_width", 0, "subband_width: 0 must be >= 1, or -1 for N/4"),
+    ("subband_width", -7, "subband_width: -7 must be >= 1, or -1 for N/4")])
+def test_only_minus_one_selects_the_automatic_value(key, bad, message):
+    # -1 is the one documented "auto"; any other value out of range is an
+    # error, not a silent N/8 or N/4
+    assert RunConfig(**{key: bad}).violations() == [message]
+    auto = RunConfig(cp_len=-1, subband_width=-1)
+    assert auto.violations() == []
+    assert (auto.cp(), auto.band_width()) == (auto.n // 8, auto.n // 4)
+
+
 def test_band_violations():
     with pytest.raises(ConfigError, match="overlap"):
         RunConfig(subband_starts=(0, 8, 40)).validate()
