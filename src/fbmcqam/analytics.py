@@ -19,10 +19,11 @@ matched-filter (``nif``) components are exact conditional second moments
 given the channel realization (or its ensemble average): ici/isi from the
 interference tables weighted by the cross moment E[|E_n|^2 |C_q|^2] of
 equalizer and channel, fd/ibi from structured covariance quadratic forms.
-The inverse-filter (``if``) breakdown multiplies fd/ibi/noise by the
-enhancement factor zeta_m, exact for white noise but understating the
-structured fd error; ``fd_exact``/``ibi_exact`` hold the R-transformed
-values, which for ``nif`` are ``fd``/``ibi`` themselves.
+The inverse-filter (``if``) breakdown multiplies fd/ibi/noise by the link
+context's ``zeta_m``, the enhancement of the inverse R the receiver applies:
+exact for white noise but understating the structured fd error;
+``fd_exact``/``ibi_exact`` hold the values propagated through that R, which
+for ``nif`` are ``fd``/``ibi`` themselves.
 
 The channel enters a breakdown only through three moments of the one-tap
 equalizer E and the channel response C, formed once per SNR point by
@@ -398,8 +399,7 @@ def channel_moments(eq: Equalizer, c: np.ndarray, delta2: float) -> ChannelMomen
 
 
 def averaged_breakdown(cfg, ctx, mode: str, moments: ChannelMoments, sigma2: float,
-                       cov: DisplacedCovariances,
-                       with_ibi: bool = False) -> MseBreakdown:
+                       cov: DisplacedCovariances) -> MseBreakdown:
     """Per-(m, n) error powers of receiver ``mode`` ("nif" or "if"), averaged
     over channel realizations.
 
@@ -408,9 +408,9 @@ def averaged_breakdown(cfg, ctx, mode: str, moments: ChannelMoments, sigma2: flo
     of draws, whose equalizer-dependent terms are then averaged. ``cov``
     holds the displaced covariances for the same channel: ``taps=`` for one
     realization, the ensemble ``weights=`` for a stack; the inverse-filter
-    variants are needed for ``mode="if"``. ``ctx`` supplies the filter bank
-    (the interference ``tables``, ``gram`` and the exact inverse ``inv``);
-    ``cfg`` the numerology and symbol power.
+    variants (through ``ctx.inv``) are needed for ``mode="if"``. ``ctx``
+    supplies the interference ``tables`` and the ``zeta_m`` of the applied
+    inverse; ``cfg`` the numerology and symbol power.
     """
     n, m = cfg.n, cfg.m
     delta2 = cfg.symbol_power
@@ -423,18 +423,18 @@ def averaged_breakdown(cfg, ctx, mode: str, moments: ChannelMoments, sigma2: flo
         ici = np.repeat((delta2 * own)[None, :], m, axis=0)
         isi = delta2 * (neighbor_counts(m, cfg.k) @ per_d.T)
         fd = delta2 * abse2_bar * cov.fd_nif
-        ibi = delta2 * abse2_bar * cov.ibi_nif if with_ibi else np.zeros((m, n))
+        ibi = delta2 * abse2_bar * cov.ibi_nif
         noise = np.repeat((sigma2 * abse2_bar)[None, :], m, axis=0)
         return MseBreakdown("nif", resd, ici, isi, fd, ibi, noise, fd, ibi,
                             delta2=delta2)
 
     # inverse filter: self-interference cancelled; fd/ibi/noise enhanced
-    zeta = zeta_factors(ctx.inv, ctx.gram)[:, None]
+    zeta = ctx.zeta_m[:, None]
     fd = zeta * (delta2 * abse2_bar * cov.fd_nif)
-    ibi = zeta * (delta2 * abse2_bar * cov.ibi_nif) if with_ibi else np.zeros((m, n))
+    ibi = zeta * (delta2 * abse2_bar * cov.ibi_nif)
     noise = zeta * (sigma2 * abse2_bar)[None, :]
     fd_exact = delta2 * abse2_bar * cov.fd_if
-    ibi_exact = (delta2 * abse2_bar * cov.ibi_if) if with_ibi else np.zeros((m, n))
+    ibi_exact = delta2 * abse2_bar * cov.ibi_if
     return MseBreakdown("if", resd, np.zeros((m, n)), np.zeros((m, n)),
                         fd, ibi, noise, fd_exact, ibi_exact, delta2=delta2)
 

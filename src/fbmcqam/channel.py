@@ -58,7 +58,7 @@ class PowerDelayProfile:
         return self.powers.size
 
     @classmethod
-    def exponential(cls, n_taps: int = 8, decay_db: float = 20.0) -> "PowerDelayProfile":
+    def exponential(cls, n_taps: int, decay_db: float) -> "PowerDelayProfile":
         """Exponential profile; ``decay_db`` is the first-to-last tap drop."""
         if n_taps < 1:
             raise ValueError("n_taps must be >= 1")

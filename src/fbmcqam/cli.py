@@ -268,7 +268,7 @@ def cmd_filter(args: argparse.Namespace, cfg: RunConfig) -> int:
             ["d", "nu", "value"],
             ((d, nu, f"{ctx.bands[d, nu]:.12g}")
              for d in range(cfg.k) for nu in range(cfg.n))))
-        norms = np.sqrt(np.sum(ctx.inv_rx ** 2, axis=0))
+        norms = np.sqrt(np.sum(ctx.inv ** 2, axis=0))
         out.write_text(join("inverse_block_norms.csv"), _csv_text(
             ["m", "i", "frobenius"],
             ((mm, i, f"{norms[mm, i]:.12g}")
@@ -283,7 +283,8 @@ def cmd_filter(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
-    ctx = make_context(cfg)
+    # the exact inverse whatever eta is (ROADMAP item 3: honour eta here)
+    ctx = make_context(replace(cfg, eta=0.0))
     pdp = channel_profile(cfg)
     c = freq_response(ensemble_taps(pdp, cfg.theory_draws, cfg.seed), cfg.n)
     mode_components = {"nif": ("resd", "ici", "isi", "fd", "ibi", "noise",
@@ -308,8 +309,7 @@ def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
             eq = make_equalizer(c, cfg.equalizer, sigma2, cfg.symbol_power)
             moments = channel_moments(eq, c, cfg.symbol_power)
             for mode, names in mode_components.items():
-                bd = averaged_breakdown(cfg, ctx, mode, moments, sigma2, covs[mode],
-                                        with_ibi=True)
+                bd = averaged_breakdown(cfg, ctx, mode, moments, sigma2, covs[mode])
                 values = np.stack([bd.component(name) for name in names], axis=-1)
                 yield _db_rows(f"{snr_db:g},{mode},", keys[mode], values)
             del moments, eq

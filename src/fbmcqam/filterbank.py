@@ -126,11 +126,11 @@ def gram_stack(bands: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def inverse_stack(gram: np.ndarray, max_cond: float = 1e12) -> np.ndarray:
-    """Invert each per-subcarrier system; reject ill-conditioned ones."""
+def inverse_stack(gram: np.ndarray) -> np.ndarray:
+    """Invert each per-subcarrier system; reject condition numbers above 1e12."""
     conds = np.linalg.cond(gram)
     worst = int(np.argmax(conds))
-    if not np.all(np.isfinite(conds)) or conds[worst] > max_cond:
+    if not np.all(np.isfinite(conds)) or conds[worst] > 1e12:
         raise ValueError(
             f"autocorrelation system ill-conditioned at subcarrier {worst} "
             f"(condition number {conds[worst]:.3e})")

@@ -15,7 +15,7 @@ import logging
 
 import numpy as np
 
-from .analytics import (InterferenceTables, MseBreakdown, averaged_breakdown,
+from .analytics import (InterferenceTables, averaged_breakdown,
                         channel_moments, displaced_covariances, interference_tables,
                         leakage_sums, neighbor_counts, zeta_factors)
 from .channel import (PowerDelayProfile, apply_taps, complex_noise, draw_taps,
@@ -43,12 +43,12 @@ __all__ = [
     "run_multiservice",
     "scheme_label",
     "wilson_halfwidth",
-    "wilson_interval",
 ]
 
 log = logging.getLogger("fbmcqam")
 
 _Z95 = 1.959963984540054
+_CHUNK_TRIALS = 256          # trials per campaign chunk, each on its own spawned seed
 
 
 def build_filter(cfg: RunConfig) -> PrototypeFilter:
@@ -88,9 +88,8 @@ class LinkContext:
     bands: np.ndarray        # (K, N) autocorrelation bands of the filter
     tables: InterferenceTables   # matched-filter leakage profiles of ``bands``
     gram: np.ndarray
-    inv: np.ndarray          # exact inverse stack
-    inv_rx: np.ndarray       # inverse actually applied (masked when eta > 0)
-    zeta_m: np.ndarray       # per-symbol enhancement of the applied inverse
+    inv: np.ndarray          # inverse stack the receiver applies (sparsified when eta > 0)
+    zeta_m: np.ndarray       # per-symbol noise enhancement of ``inv``
 
 
 def make_context(cfg: RunConfig) -> LinkContext:
@@ -99,27 +98,19 @@ def make_context(cfg: RunConfig) -> LinkContext:
     bands = autocorr_bands(segs)
     gram = gram_stack(bands, cfg.m)
     inv = inverse_stack(gram)
-    inv_rx = sparsify_inverse(inv, kept_mask(cfg.n, cfg.eta)) if cfg.eta > 0 else inv
+    if cfg.eta > 0:
+        inv = sparsify_inverse(inv, kept_mask(cfg.n, cfg.eta))
     return LinkContext(filt, segs, bands, interference_tables(bands, cfg.m), gram,
-                       inv, inv_rx, zeta_factors(inv_rx, gram))
+                       inv, zeta_factors(inv, gram))
 
 
-def wilson_halfwidth(errors: int, n: int, z: float = _Z95) -> float:
-    """Half-width of the Wilson score interval for a binomial proportion."""
+def wilson_halfwidth(errors: int, n: int) -> float:
+    """Half-width of the 95% Wilson score interval for a binomial proportion."""
     if n <= 0:
         return float("nan")
     p = errors / n
-    denom = 1.0 + z * z / n
-    return z * np.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
-
-
-def wilson_interval(errors: int, n: int, z: float = _Z95) -> tuple[float, float]:
-    if n <= 0:
-        return (0.0, 1.0)
-    p = errors / n
-    center = (p + z * z / (2 * n)) / (1.0 + z * z / n)
-    hw = wilson_halfwidth(errors, n, z)
-    return (max(0.0, center - hw), min(1.0, center + hw))
+    denom = 1.0 + _Z95 * _Z95 / n
+    return _Z95 * np.sqrt(p * (1.0 - p) / n + _Z95 * _Z95 / (4.0 * n * n)) / denom
 
 
 # bytes of one trial block's received window (complex128): at the default
@@ -190,7 +181,6 @@ class LinkValidationPoint:
     total_predicted: float
     total_gap_db: float
     sinr_db: float
-    breakdown: MseBreakdown
 
 
 def _check(name: str, samples: np.ndarray, predicted: float,
@@ -212,9 +202,10 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
     cycle of stimuli), a matching run with a single active subcarrier whose
     leakage sums are paired with the per-donor profiles, a dispersion-only
     feed (true channel output minus its circular equivalent), and a
-    previous-block-only feed when block overlap is enabled. With a sparsified
-    inverse (eta > 0) the cancelled-interference predictions are no longer
-    exact; validation is meant for eta = 0.
+    previous-block-only feed when block overlap is enabled. The predictions
+    use the inverse the receiver applies, so noise, fd and ibi are exact at
+    any eta; with a sparsified inverse (eta > 0) the four leakage checks still
+    predict exact cancellation, which no longer holds.
 
     Every draw comes first: the channel, the data grid, the previous-block
     grid, then one unit-power noise draw over all trials. Each point's
@@ -251,7 +242,8 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
     rng_data = np.random.default_rng(ss_data)
     rng_noise = np.random.default_rng(ss_noise)
 
-    cov = displaced_covariances(ctx.segs, m, taps=h, inv=ctx.inv if mode == "if" else None)
+    inv = ctx.inv if mode == "if" else None
+    cov = displaced_covariances(ctx.segs, m, taps=h, inv=inv)
 
     def draw_grid():
         bits = rng_data.integers(0, 2, size=trials * n * m * bps)
@@ -267,14 +259,11 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
         # one (1, N) equalizer gives the moments and, transposed, the feeds' column
         eq = make_equalizer(c, cfg.equalizer, sigma2, delta2)
         setups.append((
-            averaged_breakdown(cfg, ctx, mode, channel_moments(eq, c, delta2),
-                               sigma2, cov, with_ibi=with_ibi),
+            averaged_breakdown(cfg, ctx, mode, channel_moments(eq, c, delta2), sigma2, cov),
             eq.coeffs.T, eq.beta.T, np.sqrt(sigma2)))
 
-    inv_rx = ctx.inv_rx if mode == "if" else None
-
     def demodulate(r):
-        return fbmc_demodulate(r, ctx.segs, inv_rx)
+        return fbmc_demodulate(r, ctx.segs, inv)
 
     def transmit_circular(grid):
         return fbmc_transmit(c.T[:, :, None] * grid, ctx.segs)
@@ -377,8 +366,7 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
             snr_db=snr_db, checks=tuple(checks),
             total_measured=total_measured, total_predicted=pred_total,
             total_gap_db=gap_db,
-            sinr_db=float(10 * np.log10(delta2 / total_measured)),
-            breakdown=bd))
+            sinr_db=float(10 * np.log10(delta2 / total_measured))))
         log.info("validated snr=%g dB: total %.2f dB measured vs %.2f dB predicted",
                  snr_db, 10 * np.log10(total_measured), 10 * np.log10(pred_total))
     return points
@@ -410,15 +398,6 @@ class MultiserviceResult:
     points: tuple[BerPoint, ...]
     decision_snr_db: float | None
     schemes: tuple[str, ...]
-
-    def curve(self, scheme: str) -> list[BerPoint]:
-        return [p for p in self.points if p.scheme == scheme]
-
-    def at(self, snr_db: float, scheme: str) -> BerPoint:
-        for p in self.points:
-            if p.snr_db == snr_db and p.scheme == scheme:
-                return p
-        raise KeyError((snr_db, scheme))
 
 
 @dataclass
@@ -453,6 +432,7 @@ class _MultiserviceEngine:
         self.cfg = cfg
         self.ctx = ctx
         self.modes = modes
+        self.schemes = tuple(scheme_label(mode, cfg.eta) for mode in modes)
         self.n, self.m = cfg.n, cfg.m
         self.width = cfg.band_width()
         self.starts = cfg.band_starts()
@@ -502,9 +482,8 @@ class _MultiserviceEngine:
                                 cfg.symbol_power).coeffs.T[self.band]    # (width, B)
         coeffs_ofdm = make_equalizer(mid_c, cfg.equalizer, sigma2_ofdm,
                                      cfg.symbol_power).coeffs.T[self.band]
-        schemes = [scheme_label(mode, cfg.eta) for mode in self.modes]
         est = {s: np.empty((self.width, m, batch), dtype=complex)
-               for s in schemes + ["ofdm"]}
+               for s in self.schemes + ("ofdm",)}
         # trials are independent, so the chain runs on trial blocks whose
         # windows stay small; each block's filter-bank buffers are gone
         # before its OFDM buffers exist
@@ -518,7 +497,7 @@ class _MultiserviceEngine:
         del grids, taps, mid_c, noise, dummies, noise_ofdm
 
         out: dict[str, _Tally] = {}
-        for mode, scheme in zip(self.modes, schemes):
+        for mode, scheme in zip(self.modes, self.schemes):
             zeta = self.ctx.zeta_m if mode == "if" else np.ones(m)
             nv = sigma2 * np.abs(coeffs[:, None, :]) ** 2 * zeta[None, :, None]
             out[scheme] = self._tally(est[scheme], nv, info)
@@ -544,9 +523,9 @@ class _MultiserviceEngine:
         r = self._superpose(lambda grid: fbmc_transmit(grid, ctx.segs),
                             (g[:, :, cols] for g in grids), taps[:, cols], noise[:, cols])
         x = apply_adjoint(ctx.segs, r)
-        for mode in self.modes:
-            y = apply_inverse(ctx.inv_rx, x) if mode == "if" else x
-            est[scheme_label(mode, self.cfg.eta)][:, :, cols] = equalize(
+        for mode, scheme in zip(self.modes, self.schemes):
+            y = apply_inverse(ctx.inv, x) if mode == "if" else x
+            est[scheme][:, :, cols] = equalize(
                 coeffs[:, cols], dft_segments(y, n)[self.band])
 
     def _ofdm_block(self, grids, taps, dummies, noise, coeffs, cols: slice,
@@ -581,8 +560,8 @@ class _MultiserviceEngine:
         return _Tally(errors=int(np.count_nonzero(decoded != info)), bits=info.size)
 
 
-def run_multiservice(cfg: RunConfig, modes: tuple[str, ...] = ("nif", "if"),
-                     chunk_trials: int = 256) -> MultiserviceResult:
+def run_multiservice(cfg: RunConfig,
+                     modes: tuple[str, ...] = ("nif", "if")) -> MultiserviceResult:
     """Three-band campaign measuring the middle band's BER for each scheme.
 
     Trials per SNR point are staged deterministically: a pilot stage, then up
@@ -597,7 +576,7 @@ def run_multiservice(cfg: RunConfig, modes: tuple[str, ...] = ("nif", "if"),
     engine = _MultiserviceEngine(cfg, ctx, modes)
     _keep_heap()
     master = np.random.SeedSequence(cfg.seed)
-    schemes = tuple(scheme_label(mode, cfg.eta) for mode in modes) + ("ofdm",)
+    schemes = engine.schemes + ("ofdm",)
     pool = ThreadPoolExecutor(workers) if workers > 1 else None
 
     bits_per_trial = engine.info_len
@@ -615,9 +594,9 @@ def run_multiservice(cfg: RunConfig, modes: tuple[str, ...] = ("nif", "if"),
             def run_stage(target_bits: int) -> None:
                 pending = target_bits - tallies["ofdm"].bits
                 n_trials = max(0, -(-pending // bits_per_trial))
-                sizes = [chunk_trials] * (n_trials // chunk_trials)
-                if n_trials % chunk_trials:
-                    sizes.append(n_trials % chunk_trials)
+                sizes = [_CHUNK_TRIALS] * (n_trials // _CHUNK_TRIALS)
+                if n_trials % _CHUNK_TRIALS:
+                    sizes.append(n_trials % _CHUNK_TRIALS)
                 seeds = master.spawn(len(sizes))
                 jobs = list(zip(seeds, sizes))
 

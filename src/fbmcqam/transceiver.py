@@ -40,7 +40,7 @@ class Equalizer:
 
 
 def make_equalizer(c: np.ndarray, kind: str, sigma2: float,
-                   delta2: float = 1.0) -> Equalizer:
+                   delta2: float) -> Equalizer:
     """Build the per-subcarrier equalizer from the channel frequency response.
 
     ZF refuses exact spectral nulls rather than regularizing them.

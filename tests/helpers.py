@@ -22,6 +22,7 @@ forms had before the cross-moment kernel, and
 byte for byte, and every breakdown component to 1e-12.
 """
 
+from dataclasses import replace
 import math
 
 import numpy as np
@@ -128,20 +129,15 @@ def reference_delay_tables(segs, m, n_delay):
     return fd, tail
 
 
-def reference_circconv(a, fb):
-    """(a * b)[n] = sum_q a[(n - q) mod N] b[q] over the leading axes of b,
-    given ``fb = np.fft.fft(b, axis=-1)``."""
-    return np.fft.ifft(np.fft.fft(a) * fb, axis=-1).real
-
-
 def reference_leakage_sums(tables, w):
     """The leakage sums of the tables circularly convolved with a weight
-    ``w`` (..., N) by FFT: the same-symbol sum without the desired term and
-    a list of the cross-symbol sums at band distances 1, ..., K - 1, each of
-    the shape of ``w``."""
+    ``w`` (..., N) by FFT, (p * w)[n] = sum_q p[(n - q) mod N] w[..., q]:
+    the same-symbol sum without the desired term and a list of the
+    cross-symbol sums at band distances 1, ..., K - 1, each of the shape of
+    ``w``."""
     fw = np.fft.fft(w, axis=-1)
-    own = reference_circconv(tables.power[0], fw) - tables.power[0, 0] * w
-    return own, [reference_circconv(p, fw) for p in tables.power[1:]]
+    conv = [np.fft.ifft(np.fft.fft(p) * fw, axis=-1).real for p in tables.power]
+    return conv[0] - tables.power[0, 0] * w, conv[1:]
 
 
 def reference_propagate(inv, d):
@@ -178,7 +174,7 @@ def reference_displaced_covariances(segs, m, weights=None, taps=None, inv=None):
                                 reference_diagonals(tail, moments), ibi_if)
 
 
-def reference_averaged_breakdown(cfg, ctx, mode, taps, sigma2, cov, with_ibi=False):
+def reference_averaged_breakdown(cfg, ctx, mode, taps, sigma2, cov):
     """``analytics.averaged_breakdown`` with the matched-filter leakage taken
     per draw (FFT leakage sums weighted by that draw's |E|^2, then averaged)
     and the cross-symbol sums accumulated per reference symbol."""
@@ -204,15 +200,15 @@ def reference_averaged_breakdown(cfg, ctx, mode, taps, sigma2, cov, with_ibi=Fal
                     acc += count * conv
             isi[ref] = delta2 * acc
         fd = delta2 * abse2_bar * cov.fd_nif
-        ibi = delta2 * abse2_bar * cov.ibi_nif if with_ibi else np.zeros((m, n))
+        ibi = delta2 * abse2_bar * cov.ibi_nif
         noise = np.repeat((sigma2 * abse2_bar)[None, :], m, axis=0)
         return MseBreakdown("nif", resd, ici, isi, fd, ibi, noise, fd, ibi,
                             delta2=delta2)
     fd = zgrid * (delta2 * abse2_bar * cov.fd_nif)
-    ibi = zgrid * (delta2 * abse2_bar * cov.ibi_nif) if with_ibi else np.zeros((m, n))
+    ibi = zgrid * (delta2 * abse2_bar * cov.ibi_nif)
     noise = zgrid * (sigma2 * abse2_bar)[None, :]
     fd_exact = delta2 * abse2_bar * cov.fd_if
-    ibi_exact = (delta2 * abse2_bar * cov.ibi_if) if with_ibi else np.zeros((m, n))
+    ibi_exact = delta2 * abse2_bar * cov.ibi_if
     return MseBreakdown("if", resd, np.zeros((m, n)), np.zeros((m, n)),
                         fd, ibi, noise, fd_exact, ibi_exact, delta2=delta2)
 
@@ -233,8 +229,9 @@ def reference_db(value):
 def reference_mse_csv(cfg):
     """The text of ``fbmcqam analyze``'s CSV for ``cfg``, one row tuple per
     (SNR, mode, m, n, component), joined by ``cli._csv_text``, from the
-    reference covariances and breakdowns above."""
-    ctx = make_context(cfg)
+    reference covariances and breakdowns above, on the exact inverse
+    whatever ``cfg.eta`` is, as ``cmd_analyze`` builds its context."""
+    ctx = make_context(replace(cfg, eta=0.0))
     pdp = channel_profile(cfg)
     taps = ensemble_taps(pdp, cfg.theory_draws, cfg.seed)
     mode_components = {"nif": ("resd", "ici", "isi", "fd", "ibi", "noise",
@@ -247,8 +244,7 @@ def reference_mse_csv(cfg):
             cov = reference_displaced_covariances(
                 ctx.segs, cfg.m, weights=pdp.powers,
                 inv=ctx.inv if mode == "if" else None)
-            bd = reference_averaged_breakdown(cfg, ctx, mode, taps, sigma2, cov,
-                                              with_ibi=True)
+            bd = reference_averaged_breakdown(cfg, ctx, mode, taps, sigma2, cov)
             grids = {name: bd.component(name) for name in mode_components[mode]}
             for mm in range(cfg.m):
                 for nu in range(cfg.n):
@@ -363,7 +359,7 @@ def reference_run_chunk(engine, seed, batch, sigma2):
     for mode in engine.modes:
         x = apply_adjoint(ctx.segs, r)
         if mode == "if":
-            x = apply_inverse(ctx.inv_rx, x)
+            x = apply_inverse(ctx.inv, x)
         est = equalize(coeffs, dft_segments(x, n))
         zeta = ctx.zeta_m if mode == "if" else np.ones(m)
         nv = sigma2 * np.abs(coeffs[:, None, :]) ** 2 * zeta[None, :, None]
@@ -385,6 +381,11 @@ def reference_run_chunk(engine, seed, batch, sigma2):
     nvo = sigma2_ofdm * np.abs(eqo.coeffs.T[:, None, :]) ** 2 * np.ones((1, m, 1))
     out["ofdm"] = engine._tally(esto[band], nvo[band], info)
     return out
+
+
+def ber_points(res):
+    """A campaign's BER points keyed by (SNR, scheme)."""
+    return {(p.snr_db, p.scheme): p for p in res.points}
 
 
 def snr_offset_db(ref_snr, ref_ber, snr, ber):

@@ -29,7 +29,7 @@ from fbmcqam.filterbank import (apply_adjoint, apply_filter, apply_inverse,
                                 tap_segments)
 from fbmcqam.simulator import make_context, run_link_validation, run_multiservice
 from fbmcqam.transceiver import make_equalizer, ofdm_modulate
-from helpers import (dense_filter_matrix, dense_gram_blocks, snr_offset_db,
+from helpers import (ber_points, dense_filter_matrix, dense_gram_blocks, snr_offset_db,
                      unitary_dft)
 
 
@@ -97,7 +97,7 @@ def test_c04_high_snr_interference_floor_gap():
     for mode in ("nif", "if"):
         cov = displaced_covariances(ctx.segs, cfg.m, weights=pdp.powers,
                                     inv=ctx.inv if mode == "if" else None)
-        bd = averaged_breakdown(cfg, ctx, mode, moments, sigma2, cov, with_ibi=True)
+        bd = averaged_breakdown(cfg, ctx, mode, moments, sigma2, cov)
         totals[mode] = float(bd.total.mean())
     gap_db = 10 * np.log10(totals["nif"] / totals["if"])
     print(f"50 dB floors: nif {10 * np.log10(totals['nif']):.2f} dB, "
@@ -191,21 +191,22 @@ def test_c07_synchronous_coded_ber_comparability():
     print(f"elapsed {elapsed:.0f} s, decision snr {res.decision_snr_db}")
     assert elapsed < 900.0, f"{elapsed:.1f} s"
 
+    at = ber_points(res)
     assert res.decision_snr_db is not None
-    assert res.at(res.decision_snr_db, "ofdm").info_bits >= 2_000_000
+    assert at[res.decision_snr_db, "ofdm"].info_bits >= 2_000_000
 
     high = [s for s in cfg.snr_db if s >= 20.0]
     for snr in high:
-        nif = res.at(snr, "fbmc-nif").ber
-        assert nif > res.at(snr, "fbmc-if").ber
-        assert nif > res.at(snr, "ofdm").ber
+        nif = at[snr, "fbmc-nif"].ber
+        assert nif > at[snr, "fbmc-if"].ber
+        assert nif > at[snr, "ofdm"].ber
 
     delta_db = _c07_predicted_offset_db(cfg)
-    ofdm = res.curve("ofdm")
+    ofdm = [p for p in res.points if p.scheme == "ofdm"]
     grid = [p.snr_db for p in ofdm]
     window, bad = _c07_offset_faults(
         grid, [p.ber for p in ofdm],
-        [res.at(s, "fbmc-if").ber for s in grid], delta_db)
+        [at[s, "fbmc-if"].ber for s in grid], delta_db)
     print(f"predicted offset {delta_db:.3f} dB, window snr {window}")
     assert len(window) >= 3, window
     assert not bad, (
@@ -253,15 +254,16 @@ def test_c08_asynchronous_coded_ber_ordering():
     assert elapsed < 1200.0, f"{elapsed:.1f} s"
 
     # dense inverse beats the sparsified one, within joint confidence
-    for p0 in runs[0.0].curve("fbmc-if"):
-        p1 = runs[1.0].at(p0.snr_db, "fbmc-if+eta1")
+    at0, at1 = ber_points(runs[0.0]), ber_points(runs[1.0])
+    for p0 in (p for p in runs[0.0].points if p.scheme == "fbmc-if"):
+        p1 = at1[p0.snr_db, "fbmc-if+eta1"]
         assert p0.ber <= p1.ber + p0.ci_halfwidth + p1.ci_halfwidth, p0.snr_db
 
     bad = []
-    for p in runs[0.0].curve("ofdm"):
-        if p.ber < 1e-3:
+    for p in runs[0.0].points:
+        if p.scheme != "ofdm" or p.ber < 1e-3:
             continue
-        q = runs[0.0].at(p.snr_db, "fbmc-if")
+        q = at0[p.snr_db, "fbmc-if"]
         if not q.ber < p.ber:
             bad.append(f"snr={p.snr_db:g}: if {q.ber:.4e} >= ofdm {p.ber:.4e}")
     assert not bad, (

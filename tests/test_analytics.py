@@ -410,7 +410,7 @@ def _moments(cfg, c, sigma2):
     return channel_moments(eq, c, cfg.symbol_power)
 
 
-def _conditional(cfg, taps, sigma2, with_ibi=False):
+def _conditional(cfg, taps, sigma2):
     """One realization's breakdown for ``cfg.receiver_mode``, with the
     displaced covariances of those taps."""
     ctx = make_context(cfg)
@@ -418,7 +418,7 @@ def _conditional(cfg, taps, sigma2, with_ibi=False):
     cov = displaced_covariances(ctx.segs, cfg.m, taps=taps,
                                 inv=ctx.inv if mode == "if" else None)
     moments = _moments(cfg, freq_response(taps[None, :], cfg.n), sigma2)
-    return averaged_breakdown(cfg, ctx, mode, moments, sigma2, cov, with_ibi)
+    return averaged_breakdown(cfg, ctx, mode, moments, sigma2, cov)
 
 
 def test_flat_channel_matches_published_forms():
@@ -428,11 +428,11 @@ def test_flat_channel_matches_published_forms():
     filt = design_prototype(5, 64)
     h = np.array([0.8 + 0.3j])
     sigma2 = 0.05
-    bd = _conditional(sys_cfg, h, sigma2, with_ibi=True)
+    bd = _conditional(sys_cfg, h, sigma2)
     segs = tap_segments(filt)
     tables = interference_tables(autocorr_bands(segs), 14)
     c2 = abs(h[0]) ** 2
-    eq = make_equalizer(freq_response(h, 64), "mmse", sigma2)
+    eq = make_equalizer(freq_response(h, 64), "mmse", sigma2, 1.0)
     e2 = np.abs(eq.coeffs) ** 2
     np.testing.assert_allclose(
         bd.ici, np.broadcast_to(e2 * c2 * tables.alpha_ici, (14, 64)),
@@ -450,7 +450,7 @@ def test_breakdown_totals_and_accessor():
     sys_cfg = _system(receiver_mode="nif")
     h = draw_taps(PowerDelayProfile.exponential(8, 20.0),
                   np.random.default_rng(33))
-    bd = _conditional(sys_cfg, h, 0.01, with_ibi=True)
+    bd = _conditional(sys_cfg, h, 0.01)
     np.testing.assert_allclose(
         bd.total, bd.resd + bd.ici + bd.isi + bd.fd + bd.ibi + bd.noise,
         atol=1e-15)
@@ -464,7 +464,7 @@ def test_if_mode_cancels_self_interference():
     sys_cfg = _system(receiver_mode="if")
     h = draw_taps(PowerDelayProfile.exponential(8, 20.0),
                   np.random.default_rng(34))
-    bd = _conditional(sys_cfg, h, 0.01, with_ibi=True)
+    bd = _conditional(sys_cfg, h, 0.01)
     assert np.all(bd.ici == 0.0) and np.all(bd.isi == 0.0)
     # noise enhancement by zeta, constant per symbol row
     nif = _conditional(_system(receiver_mode="nif"), h, 0.01)
@@ -475,16 +475,15 @@ def test_if_mode_cancels_self_interference():
     assert bd.component("fd_exact").mean() > bd.fd.mean()
 
 
-@pytest.mark.parametrize("with_ibi", [False, True])
-def test_nif_exact_fields_are_its_own_fd_and_ibi(with_ibi):
+def test_nif_exact_fields_are_its_own_fd_and_ibi():
     # the matched filter has no R to propagate through, so both receivers'
     # breakdowns have the same fields and nif's exact ones are fd and ibi
     h = draw_taps(PowerDelayProfile.exponential(8, 20.0),
                   np.random.default_rng(34))
-    bd = _conditional(_system(receiver_mode="nif"), h, 0.01, with_ibi=with_ibi)
+    bd = _conditional(_system(receiver_mode="nif"), h, 0.01)
     assert bd.fd_exact is bd.fd and bd.ibi_exact is bd.ibi
     assert bd.component("fd_exact") is bd.fd and bd.component("ibi_exact") is bd.ibi
-    assert np.any(bd.fd > 0) and np.any(bd.ibi > 0) == with_ibi
+    assert np.any(bd.fd > 0) and np.any(bd.ibi > 0)
 
 
 def test_zf_has_no_bias_error():
@@ -498,11 +497,9 @@ def test_zf_has_no_bias_error():
 def test_symbol_power_scales_signal_terms():
     h = draw_taps(PowerDelayProfile.exponential(4, 20.0),
                   np.random.default_rng(36))
-    a = _conditional(_system(n=32, k=4, receiver_mode="nif"),
-                     h, 1e-3, with_ibi=True)
-    b = _conditional(
-        _system(n=32, k=4, receiver_mode="nif", symbol_power=4.0),
-        h, 4e-3, with_ibi=True)
+    a = _conditional(_system(n=32, k=4, receiver_mode="nif"), h, 1e-3)
+    b = _conditional(_system(n=32, k=4, receiver_mode="nif", symbol_power=4.0),
+                     h, 4e-3)
     # equal SNR: every term scales by delta^2, SINR is invariant
     np.testing.assert_allclose(b.total, 4.0 * a.total, rtol=1e-9)
     np.testing.assert_allclose(b.sinr, a.sinr, rtol=1e-9)
@@ -516,8 +513,7 @@ def test_averaged_breakdown_deterministic():
 
     def averaged(seed):
         c = freq_response(ensemble_taps(pdp, 20, seed), cfg.n)
-        return averaged_breakdown(cfg, ctx, "if", _moments(cfg, c, 0.01),
-                                  0.01, cov, with_ibi=True)
+        return averaged_breakdown(cfg, ctx, "if", _moments(cfg, c, 0.01), 0.01, cov)
 
     a = averaged(3)
     b = averaged(3)
@@ -594,9 +590,8 @@ def test_breakdowns_match_reference_arithmetic(settings, spec):
         sigma2 = cfg.symbol_power / 10.0 ** (snr_db / 10.0)
         moments = _moments(cfg, freq_response(np.atleast_2d(taps), cfg.n), sigma2)
         for mode in ("nif", "if"):
-            bd = averaged_breakdown(cfg, ctx, mode, moments, sigma2, cov, with_ibi=True)
-            ref = reference_averaged_breakdown(cfg, ctx, mode, taps, sigma2, ref_cov,
-                                               with_ibi=True)
+            bd = averaged_breakdown(cfg, ctx, mode, moments, sigma2, cov)
+            ref = reference_averaged_breakdown(cfg, ctx, mode, taps, sigma2, ref_cov)
             for name in _BREAKDOWN_NAMES:
                 np.testing.assert_allclose(bd.component(name), ref.component(name),
                                            rtol=1e-12, atol=0,

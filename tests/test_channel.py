@@ -34,7 +34,7 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         PowerDelayProfile(np.array([1.5, -0.5]))
     with pytest.raises(ValueError):
-        PowerDelayProfile.exponential(0)
+        PowerDelayProfile.exponential(0, 20.0)
 
 
 def test_profile_from_file(tmp_path):

@@ -219,5 +219,5 @@ def test_blocked_kernels_bit_equal_to_whole_window_loops(n, m, k, cols):
         assert column_invariant(apply_adjoint, segs, rr)
     inv = inverse_stack(gram_stack(autocorr_bands(segs), m))
     for eta in (0.0, 0.5):
-        inv_rx = sparsify_inverse(inv, kept_mask(n, eta)) if eta else inv
-        assert column_invariant(apply_inverse, inv_rx, b)
+        applied = sparsify_inverse(inv, kept_mask(n, eta)) if eta else inv
+        assert column_invariant(apply_inverse, applied, b)

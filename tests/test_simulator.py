@@ -11,13 +11,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fbmcqam import simulator
+from fbmcqam.analytics import displaced_covariances, zeta_factors
+from fbmcqam.channel import draw_taps, freq_response
 from fbmcqam.config import ConfigError, RunConfig
-from fbmcqam.filterbank import window_length
-from fbmcqam.simulator import (make_context, run_link_validation, run_multiservice,
-                               scheme_label, wilson_halfwidth,
-                               wilson_interval)
+from fbmcqam.filterbank import kept_mask, sparsify_inverse, window_length
+from fbmcqam.simulator import (channel_profile, make_context, run_link_validation,
+                               run_multiservice, scheme_label, wilson_halfwidth)
+from fbmcqam.transceiver import make_equalizer
 
-from helpers import reference_run_chunk
+from helpers import ber_points, reference_run_chunk
 
 
 def _val_cfg(**kw):
@@ -39,20 +41,16 @@ def _ms_cfg(**kw):
 # ---------------------------------------------------------------------------
 
 def test_wilson_interval_textbook_point():
-    lo, hi = wilson_interval(10, 100)
-    assert lo == pytest.approx(0.0552, abs=1e-3)
-    assert hi == pytest.approx(0.1744, abs=1e-3)
+    # the textbook 95% interval of 10 in 100 is (0.0552, 0.1744)
+    assert wilson_halfwidth(10, 100) == pytest.approx((0.1744 - 0.0552) / 2, abs=5e-4)
 
 
 def test_wilson_edge_cases():
     assert np.isnan(wilson_halfwidth(0, 0))
-    assert wilson_interval(0, 0) == (0.0, 1.0)
-    lo, hi = wilson_interval(0, 500)
-    assert lo < 1e-12 and 0.0 < hi < 0.01
+    # no errors still leaves an interval, one that narrows with n
+    assert 0.0 < wilson_halfwidth(0, 500) < 0.01
     # shrinks with sample size at fixed rate
     assert wilson_halfwidth(50, 1000) < wilson_halfwidth(5, 100)
-    lo, hi = wilson_interval(500, 500)
-    assert hi == 1.0 and 0.99 < lo < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +109,40 @@ def test_validation_flat_channel_has_no_dispersion():
     pts = run_link_validation(_val_cfg(channel_taps=1, receiver_mode="nif"))
     pt = pts[0]
     fd = next(c for c in pt.checks if c.name == "fd")
+    # every per-(m, n) fd is >= 0, so a zero mean means all of them are zero
     assert fd.predicted == 0.0 and fd.measured < 1e-12
-    assert np.all(pt.breakdown.fd == 0.0)
     assert all(c.within_3sigma for c in pt.checks)
+
+
+@pytest.mark.parametrize("eta", [0.5, 1.0])
+def test_validation_predicts_with_the_sparsified_inverse(eta):
+    # at eta > 0 the receiver applies the masked inverse; the noise, fd and
+    # ibi predictions come from that same matrix, built here from the exact
+    # stack, and hold within 3 sigma (240 trials: the 3-sigma test judges
+    # the standard error estimated from the samples). The four leakage
+    # checks still predict exact cancellation.
+    cfg = _val_cfg(receiver_mode="if", eta=eta, overlap_blocks=True, trials=240,
+                   snr_db=(10.0, 30.0))
+    exact = make_context(replace(cfg, eta=0.0))
+    applied = sparsify_inverse(exact.inv, kept_mask(cfg.n, eta))
+    zeta = zeta_factors(applied, exact.gram)
+    ss_channel = np.random.SeedSequence(cfg.seed).spawn(3)[0]
+    h = draw_taps(channel_profile(cfg), np.random.default_rng(ss_channel))
+    cov = displaced_covariances(exact.segs, cfg.m, taps=h, inv=applied)
+    c = freq_response(h[None, :], cfg.n)
+    for pt in run_link_validation(cfg):
+        sigma2 = cfg.sigma2(pt.snr_db)
+        abse2 = np.abs(make_equalizer(c, cfg.equalizer, sigma2,
+                                      cfg.symbol_power).coeffs[0]) ** 2
+        want = {"noise": (zeta[:, None] * (sigma2 * abse2)).mean(),
+                "fd": (cfg.symbol_power * abse2 * cov.fd_if).mean(),
+                "ibi": (cfg.symbol_power * abse2 * cov.ibi_if).mean()}
+        checks = {check.name: check for check in pt.checks}
+        for name, value in want.items():
+            assert checks[name].predicted == pytest.approx(value, rel=1e-12, abs=0), name
+            assert checks[name].within_3sigma, (name, checks[name])
+        for name in ("ici", "isi", "ici_sub", "isi_sub"):
+            assert checks[name].predicted == 0.0
 
 
 def _same_points(got, want):
@@ -280,64 +309,66 @@ def test_scheme_labels():
     assert scheme_label("if", 0.5) == "fbmc-if+eta0.5"
 
 
-def test_multiservice_structure():
-    res = run_multiservice(_ms_cfg(), chunk_trials=16)
+def test_multiservice_structure(monkeypatch):
+    monkeypatch.setattr(simulator, "_CHUNK_TRIALS", 16)
+    res = run_multiservice(_ms_cfg())
     assert res.schemes == ("fbmc-nif", "fbmc-if", "ofdm")
-    assert len(res.points) == 3
+    assert [(p.snr_db, p.scheme) for p in res.points] == [
+        (8.0, "fbmc-nif"), (8.0, "fbmc-if"), (8.0, "ofdm")]
     for p in res.points:
         assert p.subband == 1
         assert p.info_bits > 0 and 0.0 <= p.ber <= 1.0
         assert p.ci_halfwidth > 0.0
-    assert len(res.curve("ofdm")) == 1
-    assert res.at(8.0, "fbmc-if").scheme == "fbmc-if"
-    with pytest.raises(KeyError):
-        res.at(9.0, "fbmc-if")
 
 
 def test_multiservice_deterministic_and_worker_independent(monkeypatch):
+    monkeypatch.setattr(simulator, "_CHUNK_TRIALS", 16)
     cfg = _ms_cfg()
-    a = run_multiservice(cfg, chunk_trials=16)
-    b = run_multiservice(cfg, chunk_trials=16)
+    a = run_multiservice(cfg)
+    b = run_multiservice(cfg)
     assert a == b
     monkeypatch.setenv("FBMCQAM_WORKERS", "3")
-    c = run_multiservice(cfg, chunk_trials=16)
+    c = run_multiservice(cfg)
     assert a == c
 
 
-def test_multiservice_decision_point_marking():
+def test_multiservice_decision_point_marking(monkeypatch):
     # errors at low SNR mark the decision point; a clean high-SNR flat
     # channel leaves it unset
-    noisy = run_multiservice(_ms_cfg(coded=False, snr_db=(0.0,), trials=30),
-                             chunk_trials=16)
+    monkeypatch.setattr(simulator, "_CHUNK_TRIALS", 16)
+    noisy = run_multiservice(_ms_cfg(coded=False, snr_db=(0.0,), trials=30))
     assert noisy.decision_snr_db == 0.0
     assert all(p.ber > 1e-3 for p in noisy.points)
     # the reference scheme decides the marking; a single Rayleigh tap at
     # 60 dB leaves it error-free even though the matched filter still floors
     clean = run_multiservice(
-        _ms_cfg(coded=False, channel_taps=1, snr_db=(60.0,), trials=30),
-        chunk_trials=16)
+        _ms_cfg(coded=False, channel_taps=1, snr_db=(60.0,), trials=30))
     assert clean.decision_snr_db is None
-    assert clean.at(60.0, "ofdm").bit_errors == 0
-    assert clean.at(60.0, "fbmc-nif").ber > 0.01
+    at = ber_points(clean)
+    assert at[60.0, "ofdm"].bit_errors == 0
+    assert at[60.0, "fbmc-nif"].ber > 0.01
 
 
-def test_multiservice_ber_falls_with_snr():
-    res = run_multiservice(_ms_cfg(coded=False, snr_db=(5.0, 25.0), trials=60),
-                           chunk_trials=32)
+def test_multiservice_ber_falls_with_snr(monkeypatch):
+    monkeypatch.setattr(simulator, "_CHUNK_TRIALS", 32)
+    res = run_multiservice(_ms_cfg(coded=False, snr_db=(5.0, 25.0), trials=60))
+    at = ber_points(res)
     for scheme in res.schemes:
-        lo, hi = res.at(5.0, scheme), res.at(25.0, scheme)
+        lo, hi = at[5.0, scheme], at[25.0, scheme]
         assert hi.ber < lo.ber
 
 
-def test_async_offsets_smoke():
+def test_async_offsets_smoke(monkeypatch):
+    monkeypatch.setattr(simulator, "_CHUNK_TRIALS", 16)
     cfg = _ms_cfg(subband_offsets=(18, 0, 18))
-    res = run_multiservice(cfg, chunk_trials=16)
+    res = run_multiservice(cfg)
     assert all(np.isfinite(p.ber) for p in res.points)
-    assert res == run_multiservice(cfg, chunk_trials=16)
+    assert res == run_multiservice(cfg)
 
 
-def test_eta_label_and_run():
-    res = run_multiservice(_ms_cfg(eta=0.5), modes=("if",), chunk_trials=16)
+def test_eta_label_and_run(monkeypatch):
+    monkeypatch.setattr(simulator, "_CHUNK_TRIALS", 16)
+    res = run_multiservice(_ms_cfg(eta=0.5), modes=("if",))
     assert res.schemes == ("fbmc-if+eta0.5", "ofdm")
 
 

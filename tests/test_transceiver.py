@@ -30,14 +30,14 @@ def _qfunc(x):
 # ---------------------------------------------------------------------------
 
 def test_zf_equalizer():
-    eq = make_equalizer(np.array([0.5, 2.0j]), "zf", sigma2=0.1)
+    eq = make_equalizer(np.array([0.5, 2.0j]), "zf", sigma2=0.1, delta2=1.0)
     np.testing.assert_allclose(eq.coeffs, [2.0, -0.5j])
     np.testing.assert_allclose(eq.beta, [1.0, 1.0])
 
 
 def test_zf_refuses_spectral_null():
     with pytest.raises(ValueError, match=r"C\[1\] = 0"):
-        make_equalizer(np.array([1.0, 0.0, 2.0]), "zf", sigma2=0.1)
+        make_equalizer(np.array([1.0, 0.0, 2.0]), "zf", sigma2=0.1, delta2=1.0)
 
 
 def test_mmse_equalizer():
@@ -51,14 +51,14 @@ def test_mmse_equalizer():
 
 def test_mmse_approaches_zf_at_high_snr():
     c = np.array([0.7 - 0.4j, 1.3j])
-    eq = make_equalizer(c, "mmse", sigma2=1e-12)
+    eq = make_equalizer(c, "mmse", sigma2=1e-12, delta2=1.0)
     np.testing.assert_allclose(eq.coeffs, 1.0 / c, rtol=1e-9)
     np.testing.assert_allclose(eq.beta, [1.0, 1.0], atol=1e-9)
 
 
 def test_unknown_equalizer_kind():
     with pytest.raises(ValueError):
-        make_equalizer(np.ones(2), "dfe", sigma2=0.1)
+        make_equalizer(np.ones(2), "dfe", sigma2=0.1, delta2=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +70,7 @@ def test_inverse_receiver_is_exact_without_channel():
     n, m, k = 16, 6, 4
     segs, inv = _chain(n, m, k)
     S = qam_map(rng.integers(0, 2, size=4 * n * m), 16).reshape(n, m, 1)
-    eq = make_equalizer(np.ones(n), "zf", sigma2=0.0)
+    eq = make_equalizer(np.ones(n), "zf", sigma2=0.0, delta2=1.0)
     est = equalize(eq.coeffs[:, None], fbmc_demodulate(fbmc_transmit(S, segs), segs, inv))
     np.testing.assert_allclose(est, S, atol=1e-12)
 
@@ -80,7 +80,7 @@ def test_matched_only_receiver_leaks_without_inverse():
     n, m, k = 16, 6, 4
     segs, _ = _chain(n, m, k)
     S = qam_map(rng.integers(0, 2, size=4 * n * m), 16).reshape(n, m, 1)
-    eq = make_equalizer(np.ones(n), "zf", sigma2=0.0)
+    eq = make_equalizer(np.ones(n), "zf", sigma2=0.0, delta2=1.0)
     est = equalize(eq.coeffs[:, None], fbmc_demodulate(fbmc_transmit(S, segs), segs))
     err = np.mean(np.abs(est - S) ** 2)
     assert err > 1e-3            # own-filter interference remains
@@ -92,7 +92,7 @@ def test_chain_batches_like_a_loop():
     segs, inv = _chain(n, m, k)
     S = rng.normal(size=(n, m, 4)) + 1j * rng.normal(size=(n, m, 4))
     # a shared set of coefficients is one (N, 1) column
-    shared = make_equalizer(np.ones(n), "zf", sigma2=0.0).coeffs[:, None]
+    shared = make_equalizer(np.ones(n), "zf", sigma2=0.0, delta2=1.0).coeffs[:, None]
     est = equalize(shared, fbmc_demodulate(fbmc_transmit(S, segs), segs, inv))
     for b in range(4):
         single = equalize(shared, fbmc_demodulate(fbmc_transmit(S[..., b:b + 1], segs),
@@ -173,7 +173,7 @@ def test_cp_absorbs_multipath():
     h = rng.normal(size=4) + 1j * rng.normal(size=4)
     S = rng.normal(size=(n, nsym)) + 1j * rng.normal(size=(n, nsym))
     rx = ofdm_demodulate(apply_taps(h, ofdm_modulate(S, 4)), n, 4)
-    eq = make_equalizer(freq_response(h, n), "zf", sigma2=0.0)
+    eq = make_equalizer(freq_response(h, n), "zf", sigma2=0.0, delta2=1.0)
     est = eq.coeffs[:, None] * rx
     np.testing.assert_allclose(est, S, atol=1e-10)
     grid = ofdm_demodulate(
