@@ -6,7 +6,8 @@ Component conventions
 Every breakdown carries six per-(m, n) linear-power components:
 
 * ``resd``  equalizer bias on the desired symbol (zero for ZF),
-* ``ici``   same-symbol cross-subcarrier leakage,
+* ``ici``   same-symbol leakage: cross-subcarrier, plus any error in the
+            desired symbol's own gain,
 * ``isi``   cross-symbol leakage within the block,
 * ``fd``    delay-dispersion error: the gap between the true delayed filter
             response and its per-block circular equivalent,
@@ -14,14 +15,15 @@ Every breakdown carries six per-(m, n) linear-power components:
 * ``noise`` thermal noise after the receiver.
 
 One routine, :func:`averaged_breakdown`, gives both the conditional breakdown
-of one channel realization and the average over a stack of draws. The
-matched-filter (``nif``) components are exact conditional second moments
-given the channel realization (or its ensemble average): ici/isi from the
-interference tables weighted by the cross moment E[|E_n|^2 |C_q|^2] of
-equalizer and channel, fd/ibi from structured covariance quadratic forms.
-The inverse-filter (``if``) breakdown multiplies fd/ibi/noise by the link
-context's ``zeta_m``, the enhancement of the inverse R the receiver applies:
-exact for white noise but understating the structured fd error;
+of one channel realization and the average over a stack of draws, on one
+path for both receivers. ici/isi are exact conditional second moments
+given the channel realization (or its ensemble average): the leakage table
+of the receiver's error operator weighted by the cross moment
+E[|E_n|^2 |C_q|^2] of equalizer and channel. The matched-filter (``nif``)
+fd/ibi come from structured covariance quadratic forms. The inverse-filter
+(``if``) breakdown multiplies fd/ibi/noise by the link context's
+``zeta_m``, the enhancement of the inverse R the receiver applies: exact
+for white noise but understating the structured fd error;
 ``fd_exact``/``ibi_exact`` hold the values propagated through that R, which
 for ``nif`` are ``fd``/``ibi`` themselves.
 
@@ -32,16 +34,21 @@ realization) and their equalizer: bias delta^2 E(1 - beta_n)^2, gain
 E|E_n|^2, cross moment x[n, q] = E[|E_n|^2 |C_q|^2], an (N x D)(D x N) product.
 Closed forms of these moments plug in at the same place.
 
-The matched-filter leakage closed form lives in one place:
-:func:`leakage_sums` weights the :class:`InterferenceTables` (built once per
-link, in ``simulator.make_context``) by an (N, N) cross-moment matrix
-x[n, q], the weight of the path from donor subcarrier q to receiver
-subcarrier n. It gathers x by lag once and takes one matrix product with
-the tables, and :func:`neighbor_counts` says how many symbols sit at each
-band distance inside the block. The breakdown passes the cross moment of
-:class:`ChannelMoments`; the link validator passes its fixed |E|^2
-broadcast over rows, the donor index, which the lag-symmetric profiles
-allow.
+The leakage closed form lives in one place for both receivers. A receiver
+with per-sample matrix T_v leaves the error operator E_v = T_v - I: G - I
+for the matched filter, (R - G^-1) G for the inverse filter, exactly zero
+with the exact inverse and the part that sparsification drops at eta > 0.
+In the transform domain block (a, b) of E is a circulant, and
+:func:`leakage_table` gives the (M, M, N) lag power of its profiles, built
+once per link in ``simulator.make_context``. :func:`leakage_sums` weights
+any stack of lag profiles by an (N, N) cross-moment matrix x[n, q], the
+weight of the path from donor subcarrier q to receiver subcarrier n, with
+one gather of x by lag and one matrix product. The breakdown passes the
+diagonal profiles (ici) and the off-diagonal row sums (isi) with the cross
+moment of :class:`ChannelMoments`; the link validator passes the donor
+symbol's diagonal profile and off-diagonal column sums with its fixed
+|E|^2 broadcast over rows, the donor index, which the lag-symmetric
+profiles allow.
 
 The fd/ibi covariances never form a matrix of size MN x MN. For a delay of
 l samples, block (j', j) of P^T B_l, with B_l the dispersion or the
@@ -70,9 +77,7 @@ from .filterbank import kept_mask
 from .transceiver import Equalizer
 
 __all__ = [
-    "InterferenceTables",
-    "interference_tables",
-    "neighbor_counts",
+    "leakage_table",
     "leakage_sums",
     "zeta_factors",
     "MseBreakdown",
@@ -88,62 +93,35 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Interference coefficient tables
+# Leakage of a receiver's error operator
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InterferenceTables:
-    """Squared circulant profiles of the transformed autocorrelation blocks.
+def leakage_table(err: np.ndarray) -> np.ndarray:
+    """The (M, M, N) lag power of an error operator E from its per-sample
+    (N, M, M) stack E_v.
 
-    ``power[d, k]`` is |c_d[k]|^2 where c_d is the circulant profile of the
-    transformed band-d block: entry (n, q) of that block is c_d[(n - q) mod N].
-    ``alpha_ici`` is the own-symbol leakage total (independent of n);
-    ``alpha_isi[m]`` sums the valid neighbor bands for reference symbol m.
+    Block (a, b) of E is diag(E_v[a, b]) in the sample domain, so in the
+    transform domain it is a circulant: entry (n, q) is c_ab[(n - q) mod N]
+    with c_ab = fft over v of E_v[a, b] / N. Entry [a, b, k] is |c_ab[k]|^2,
+    the power that reaches receiver symbol a from donor symbol b at lag k.
+    Real E_v make every profile symmetric in the lag.
     """
-
-    power: np.ndarray       # (K, N)
-    alpha_ici: float
-    alpha_isi: np.ndarray   # (M,)
+    n = err.shape[0]
+    return np.abs(np.fft.fft(err, axis=0) / n).transpose(1, 2, 0) ** 2
 
 
-def interference_tables(bands: np.ndarray, m: int) -> InterferenceTables:
-    """Build the tables from the autocorrelation band vectors (K, N)."""
-    k, n = bands.shape
-    prof = np.fft.fft(bands, axis=1) / n
-    power = np.abs(prof) ** 2
-    # own band: main circulant diagonal is mean(g_0) = 1 exactly; leakage is
-    # everything off it
-    alpha_ici = float(power[0].sum() - power[0, 0] + (prof[0, 0].real - 1.0) ** 2)
-    alpha_isi = neighbor_counts(m, k) @ power[1:].sum(axis=1)
-    return InterferenceTables(power, alpha_ici, alpha_isi)
-
-
-def neighbor_counts(m: int, k: int) -> np.ndarray:
-    """(M, K - 1) counts: entry [ref, d - 1] is how many symbols of an M-symbol
-    block sit at distance d from symbol ``ref`` (0, 1 or 2)."""
-    ref = np.arange(m)[:, None]
-    d = np.arange(1, k)[None, :]
-    return (ref - d >= 0).astype(int) + (ref + d < m)
-
-
-def leakage_sums(tables: InterferenceTables, x: np.ndarray):
-    """Matched-filter leakage of the tables weighted by an (N, N)
+def leakage_sums(profiles: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Leakage of a stack of lag profiles (..., N) weighted by an (N, N)
     cross-moment matrix ``x``, where ``x[n, q]`` weights the path from
-    donor subcarrier q to receiver subcarrier n.
+    donor subcarrier q to receiver subcarrier n:
+    out[..., n] = sum_q profiles[..., (n - q) mod N] x[n, q].
 
-    Returns ``own`` (N,), the same-symbol sums sum_q power[0, (n - q) mod N]
-    x[n, q] without the desired term q = n (the main circulant diagonal),
-    and ``per_d`` (N, K - 1), whose column d - 1 holds the cross-symbol sums
-    sum_q power[d, (n - q) mod N] x[n, q] at band distance d.
-    :func:`neighbor_counts` says how many symbols sit at each distance. The
-    lag-ordered gather ``xd[n, j] = x[n, (n - j) mod N]`` turns all K sums
-    into one (N, N) x (N, K) product.
+    The lag-ordered gather ``xd[n, j] = x[n, (n - j) mod N]`` turns every
+    sum into one (..., N) x (N, N) product.
     """
     n = x.shape[0]
     lag = (np.arange(n)[:, None] - np.arange(n)) % n
-    sums = np.take_along_axis(x, lag, axis=1) @ tables.power.T      # (N, K)
-    own = sums[:, 0] - tables.power[0, 0] * np.diagonal(x)
-    return own, sums[:, 1:]
+    return profiles @ np.take_along_axis(x, lag, axis=1).T
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +322,6 @@ _COMPONENTS = ("resd", "ici", "isi", "fd", "ibi", "noise")
 class MseBreakdown:
     """Per-(m, n) linear-power error components and their totals."""
 
-    mode: str               # "nif" or "if"
     resd: np.ndarray
     ici: np.ndarray
     isi: np.ndarray
@@ -409,34 +386,31 @@ def averaged_breakdown(cfg, ctx, mode: str, moments: ChannelMoments, sigma2: flo
     holds the displaced covariances for the same channel: ``taps=`` for one
     realization, the ensemble ``weights=`` for a stack; the inverse-filter
     variants (through ``ctx.inv``) are needed for ``mode="if"``. ``ctx``
-    supplies the interference ``tables`` and the ``zeta_m`` of the applied
-    inverse; ``cfg`` the numerology and symbol power.
+    supplies the receiver's ``leakage`` table and the ``zeta_m`` of the
+    applied inverse; ``cfg`` the numerology and symbol power.
     """
-    n, m = cfg.n, cfg.m
+    m = cfg.m
     delta2 = cfg.symbol_power
     abse2_bar = moments.abse2
     # equalizer bias delta^2 (1 - beta_n)^2; zero for ZF
     resd = np.repeat(moments.resd[None, :], m, axis=0)
-
+    # receiver symbol a: its diagonal profile is same-symbol leakage, the
+    # off-diagonal row sums gather every other donor symbol
+    table = ctx.leakage[mode]
+    own = np.diagonal(table).T                                  # (M, N)
+    ici, isi = delta2 * leakage_sums(np.stack([own, table.sum(axis=1) - own]),
+                                     moments.cross)
+    fd = delta2 * abse2_bar * cov.fd_nif
+    ibi = delta2 * abse2_bar * cov.ibi_nif
+    noise = np.repeat((sigma2 * abse2_bar)[None, :], m, axis=0)
     if mode == "nif":
-        own, per_d = leakage_sums(ctx.tables, moments.cross)
-        ici = np.repeat((delta2 * own)[None, :], m, axis=0)
-        isi = delta2 * (neighbor_counts(m, cfg.k) @ per_d.T)
-        fd = delta2 * abse2_bar * cov.fd_nif
-        ibi = delta2 * abse2_bar * cov.ibi_nif
-        noise = np.repeat((sigma2 * abse2_bar)[None, :], m, axis=0)
-        return MseBreakdown("nif", resd, ici, isi, fd, ibi, noise, fd, ibi,
-                            delta2=delta2)
+        return MseBreakdown(resd, ici, isi, fd, ibi, noise, fd, ibi, delta2=delta2)
 
-    # inverse filter: self-interference cancelled; fd/ibi/noise enhanced
+    # inverse filter: fd/ibi/noise enhanced by zeta_m of the applied inverse
     zeta = ctx.zeta_m[:, None]
-    fd = zeta * (delta2 * abse2_bar * cov.fd_nif)
-    ibi = zeta * (delta2 * abse2_bar * cov.ibi_nif)
-    noise = zeta * (sigma2 * abse2_bar)[None, :]
-    fd_exact = delta2 * abse2_bar * cov.fd_if
-    ibi_exact = delta2 * abse2_bar * cov.ibi_if
-    return MseBreakdown("if", resd, np.zeros((m, n)), np.zeros((m, n)),
-                        fd, ibi, noise, fd_exact, ibi_exact, delta2=delta2)
+    return MseBreakdown(resd, ici, isi, zeta * fd, zeta * ibi, zeta * noise,
+                        delta2 * abse2_bar * cov.fd_if,
+                        delta2 * abse2_bar * cov.ibi_if, delta2=delta2)
 
 
 # ---------------------------------------------------------------------------

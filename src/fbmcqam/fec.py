@@ -109,12 +109,11 @@ def conv_encode(bits: np.ndarray) -> np.ndarray:
     return out.reshape(shape[:-1] + (2 * steps,))
 
 
-def viterbi_decode(llrs_or_bits: np.ndarray, mode: str = "soft") -> np.ndarray:
-    """Maximum-likelihood decode of zero-terminated codewords.
-
-    ``mode='soft'`` expects finite LLRs (positive favors bit 0); ``mode='hard'``
-    expects 0/1 bits and applies the Hamming metric. Each codeword carries
-    2*(L+6) values; returns the L message bits per codeword.
+def viterbi_decode(llrs_or_bits: np.ndarray) -> np.ndarray:
+    """Maximum-likelihood decode of zero-terminated codewords from finite
+    LLRs (positive favors bit 0). Each codeword carries 2*(L+6) values;
+    returns the L message bits per codeword. Hard decisions decode as the
+    LLRs ``1 - 2 * bits``.
     """
     shape = np.shape(llrs_or_bits)
     obs = np.atleast_2d(np.asarray(llrs_or_bits, dtype=float))
@@ -122,14 +121,8 @@ def viterbi_decode(llrs_or_bits: np.ndarray, mode: str = "soft") -> np.ndarray:
     if total % 2 or total < 2 * (_MEMORY + 1):
         raise ValueError(f"coded length {total} malformed: need even length >= "
                          f"{2 * (_MEMORY + 1)}")
-    if mode == "hard":
-        if np.any((obs != 0) & (obs != 1)):
-            raise ValueError("hard mode expects 0/1 inputs")
-        obs = 1.0 - 2.0 * obs
-    elif mode != "soft":
-        raise ValueError(f"unknown decoding mode {mode!r}")
-    elif not np.all(np.isfinite(obs)):
-        raise ValueError("soft mode expects finite LLRs (no NaN or inf)")
+    if not np.all(np.isfinite(obs)):
+        raise ValueError("expected finite LLRs (no NaN or inf)")
 
     steps = total // 2
     length = steps - _MEMORY

@@ -15,9 +15,8 @@ import logging
 
 import numpy as np
 
-from .analytics import (InterferenceTables, averaged_breakdown,
-                        channel_moments, displaced_covariances, interference_tables,
-                        leakage_sums, neighbor_counts, zeta_factors)
+from .analytics import (averaged_breakdown, channel_moments, displaced_covariances,
+                        leakage_sums, leakage_table, zeta_factors)
 from .channel import (PowerDelayProfile, apply_taps, complex_noise, draw_taps,
                       freq_response, overlap_tail)
 from .config import ConfigError, RunConfig, worker_count
@@ -81,15 +80,20 @@ def channel_profile(cfg: RunConfig) -> PowerDelayProfile:
 
 @dataclass(frozen=True)
 class LinkContext:
-    """Precomputed filter-bank state shared by every trial of a run."""
+    """Precomputed filter-bank state shared by every trial of a run.
+
+    ``leakage`` holds, per receiver mode, the (M, M, N) ``leakage_table`` of
+    the error operator T - I that receiver leaves: G - I for "nif",
+    (R - G^-1) G for "if", exactly zero unless eta > 0 sparsifies R.
+    """
 
     filt: PrototypeFilter
     segs: np.ndarray
     bands: np.ndarray        # (K, N) autocorrelation bands of the filter
-    tables: InterferenceTables   # matched-filter leakage profiles of ``bands``
     gram: np.ndarray
     inv: np.ndarray          # inverse stack the receiver applies (sparsified when eta > 0)
     zeta_m: np.ndarray       # per-symbol noise enhancement of ``inv``
+    leakage: dict[str, np.ndarray]
 
 
 def make_context(cfg: RunConfig) -> LinkContext:
@@ -97,11 +101,11 @@ def make_context(cfg: RunConfig) -> LinkContext:
     segs = tap_segments(filt)
     bands = autocorr_bands(segs)
     gram = gram_stack(bands, cfg.m)
-    inv = inverse_stack(gram)
-    if cfg.eta > 0:
-        inv = sparsify_inverse(inv, kept_mask(cfg.n, cfg.eta))
-    return LinkContext(filt, segs, bands, interference_tables(bands, cfg.m), gram,
-                       inv, zeta_factors(inv, gram))
+    exact = inverse_stack(gram)
+    inv = sparsify_inverse(exact, kept_mask(cfg.n, cfg.eta)) if cfg.eta > 0 else exact
+    leakage = {"nif": leakage_table(gram - np.eye(cfg.m)),
+               "if": leakage_table((inv - exact) @ gram)}
+    return LinkContext(filt, segs, bands, gram, inv, zeta_factors(inv, gram), leakage)
 
 
 def wilson_halfwidth(errors: int, n: int) -> float:
@@ -203,9 +207,10 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
     leakage sums are paired with the per-donor profiles, a dispersion-only
     feed (true channel output minus its circular equivalent), and a
     previous-block-only feed when block overlap is enabled. The predictions
-    use the inverse the receiver applies, so noise, fd and ibi are exact at
-    any eta; with a sparsified inverse (eta > 0) the four leakage checks still
-    predict exact cancellation, which no longer holds.
+    use the inverse the receiver applies, so every check is exact at any
+    eta: the four leakage checks read the receiver's ``ctx.leakage`` table,
+    which is zero for the exact inverse and holds what a sparsified inverse
+    (eta > 0) leaves.
 
     Every draw comes first: the channel, the data grid, the previous-block
     grid, then one unit-power noise draw over all trials. Each point's
@@ -324,23 +329,26 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
             meas["total"][p, cols] = np.mean(
                 np.abs(equalize(coeffs, y_sig + y_noise) - S_b) ** 2, axis=(0, 1))
 
+    # per-donor-subcarrier leakage sums over receivers: donor (m0, q) reaches
+    # receiver (a, n) through leakage[a, m0, (n - q) mod N], its own symbol
+    # through the diagonal profile and the others through the off-diagonal
+    # column sums
+    table = ctx.leakage[mode]
+    own = table[m0, m0]
+    donor_profiles = np.stack([own, table[:, m0].sum(axis=0) - own])
+    cq2 = delta2 * np.abs(c[0]) ** 2
     points = []
     for p, (snr_db, (bd, coeffs, _, _)) in enumerate(zip(cfg.snr_db, setups)):
         got = {name: samples[p] for name, samples in meas.items()}
         # one stimulus cycle accumulates the full cross-symbol error per block
         meas_isi = got["cross"].reshape(-1, m).sum(axis=1) / (n * m)
-        # per-donor-subcarrier leakage sums over receivers
-        cq2 = delta2 * np.abs(c[0]) ** 2
-        pq_ici = np.zeros(n)
-        pq_isi = np.zeros(n)
-        if bd.mode == "nif":
-            # the profiles are symmetric in the lag, so rows may index the
-            # donor q: x[q, n] = |E_n|^2 sums each donor's leakage over receivers
-            gain2 = np.broadcast_to(np.abs(coeffs[:, 0]) ** 2, (n, n))
-            own, per_d = leakage_sums(ctx.tables, gain2)
-            pq_ici = cq2 * own
-            for count, cross_d in zip(neighbor_counts(m, cfg.k)[m0], per_d.T):
-                pq_isi += count * cq2 * cross_d
+        # the profiles are symmetric in the lag, so rows may index the
+        # donor: x[q, n] = |E_n|^2 sums each donor's leakage over receivers
+        gain2 = np.abs(coeffs[:, 0]) ** 2
+        sums = leakage_sums(donor_profiles, np.broadcast_to(gain2, (n, n)))
+        # the measurement leaves out the donor's own position
+        pq_ici = cq2 * (sums[0] - own[0] * gain2)
+        pq_isi = cq2 * sums[1]
 
         pred_ici_m = bd.ici.mean(axis=1)                     # per stimulus position
         atol = 1e-15 * delta2     # exactly-cancelled components measure as roundoff
@@ -553,7 +561,7 @@ class _MultiserviceEngine:
             nv_flat = to_codeword_order(np.broadcast_to(nv, est.shape))
             llrs = qam_llrs(flat.ravel(), cfg.mod_order, nv_flat.ravel(),
                             cfg.symbol_power).reshape(batch, -1)
-            decoded = viterbi_decode(llrs, "soft")
+            decoded = viterbi_decode(llrs)
         else:
             decoded = qam_demap(flat.ravel(), cfg.mod_order,
                                 cfg.symbol_power).reshape(batch, -1)

@@ -14,9 +14,12 @@ and for the whole-window OFDM and QAM kernels (map, decisions and LLRs)
 that the blocked and per-level ones must match byte for byte; the chunk
 reference runs the live tap and filter-bank kernels over the whole batch,
 which pins their column invariance (``column_invariant`` states it for one
-kernel at a time). The per-draw FFT leakage sums, the einsum propagation
-and the roll-based covariance diagonals keep the arithmetic the closed
-forms had before the cross-moment kernel, and
+kernel at a time). ``dense_leakage_table`` builds a receiver's leakage
+table from the dense transform-domain blocks of its error T - I. The
+per-draw FFT leakage sums (for the matched filter on the band powers
+|fft(g_d) / N|^2 with the neighbour counts of each band distance), the
+einsum propagation and the roll-based covariance diagonals keep the
+arithmetic the closed forms had before the cross-moment kernel, and
 ``reference_db`` formats one dB field at a time as a Python f-string:
 ``reference_mse_csv`` is built on them, so the live CSV must match it
 byte for byte, and every breakdown component to 1e-12.
@@ -28,11 +31,12 @@ import math
 import numpy as np
 
 from fbmcqam.analytics import (DisplacedCovariances, MseBreakdown, ensemble_taps,
-                               neighbor_counts, zeta_factors)
+                               zeta_factors)
 from fbmcqam.channel import apply_taps, complex_noise, draw_taps, freq_response
 from fbmcqam.cli import _csv_text
 from fbmcqam.core import dft_segments, idft_block, qam_levels
-from fbmcqam.filterbank import apply_adjoint, apply_filter, apply_inverse
+from fbmcqam.filterbank import (apply_adjoint, apply_filter, apply_inverse, kept_mask,
+                                sparsify_inverse)
 from fbmcqam.simulator import _band_grid, channel_profile, make_context, scheme_label
 from fbmcqam.transceiver import equalize, make_equalizer, ofdm_demodulate
 
@@ -85,6 +89,43 @@ def unitary_dft(n):
     return np.exp(-2j * np.pi * np.outer(grid, grid) / n) / np.sqrt(n)
 
 
+def dense_leakage_table(segs, m, mode, eta=0.0):
+    """The (M, M, N) lag power of a receiver's error operator E = T - I from
+    the dense transform-domain blocks F E_ab F^H, F the unitary DFT: entry
+    [a, b, k] is the mean of |(F E_ab F^H)[(q + k) mod N, q]|^2 over q.
+    T = G for ``mode="nif"``; T = R G for ``"if"``, R the inverse of the
+    dense Gram blocks with eta's keep-mask applied."""
+    n = segs.shape[1]
+    gram = dense_gram_blocks(dense_filter_matrix(segs, m), n, m)
+    if mode == "if":
+        gram = sparsify_inverse(np.linalg.inv(gram), kept_mask(n, eta)) @ gram
+    e = stack_to_dense(gram) - np.eye(m * n)
+    f = unitary_dft(n)
+    q = np.arange(n)
+    rows = (q[:, None] + q) % n                     # rows[k, q] = (q + k) mod N
+    out = np.zeros((m, m, n))
+    for a in range(m):
+        for b in range(m):
+            blk = f @ e[a * n:(a + 1) * n, b * n:(b + 1) * n] @ f.conj().T
+            out[a, b] = np.mean(np.abs(blk[rows, q]) ** 2, axis=1)
+    return out
+
+
+def reference_neighbor_counts(m, k):
+    """(M, K - 1) counts: entry [ref, d - 1] is how many symbols of an M-symbol
+    block sit at distance d from symbol ``ref`` (0, 1 or 2)."""
+    ref = np.arange(m)[:, None]
+    d = np.arange(1, k)[None, :]
+    return (ref - d >= 0).astype(int) + (ref + d < m)
+
+
+def reference_band_power(bands):
+    """The matched filter's lag power by band distance, |fft(g_d) / N|^2
+    (K, N): every block at distance d of G has the circulant profile
+    fft(g_d) / N in the transform domain."""
+    return np.abs(np.fft.fft(bands, axis=1) / bands.shape[1]) ** 2
+
+
 def dense_displacement(p, n, l):
     """Delay-l perturbation: the true delayed response minus the response to
     per-segment circularly delayed inputs. Derived here from o[t] directly."""
@@ -129,15 +170,12 @@ def reference_delay_tables(segs, m, n_delay):
     return fd, tail
 
 
-def reference_leakage_sums(tables, w):
-    """The leakage sums of the tables circularly convolved with a weight
-    ``w`` (..., N) by FFT, (p * w)[n] = sum_q p[(n - q) mod N] w[..., q]:
-    the same-symbol sum without the desired term and a list of the
-    cross-symbol sums at band distances 1, ..., K - 1, each of the shape of
-    ``w``."""
+def reference_leakage_sums(profiles, w):
+    """The lag profiles (P, N) circularly convolved with each row of a
+    weight ``w`` (D, N) by FFT, (p * w)[n] = sum_q p[(n - q) mod N] w[q]:
+    a (P, D, N) array."""
     fw = np.fft.fft(w, axis=-1)
-    conv = [np.fft.ifft(np.fft.fft(p) * fw, axis=-1).real for p in tables.power]
-    return conv[0] - tables.power[0, 0] * w, conv[1:]
+    return np.fft.ifft(np.fft.fft(profiles)[:, None, :] * fw, axis=-1).real
 
 
 def reference_propagate(inv, d):
@@ -175,9 +213,12 @@ def reference_displaced_covariances(segs, m, weights=None, taps=None, inv=None):
 
 
 def reference_averaged_breakdown(cfg, ctx, mode, taps, sigma2, cov):
-    """``analytics.averaged_breakdown`` with the matched-filter leakage taken
-    per draw (FFT leakage sums weighted by that draw's |E|^2, then averaged)
-    and the cross-symbol sums accumulated per reference symbol."""
+    """``analytics.averaged_breakdown`` with the leakage taken per draw (FFT
+    leakage sums weighted by that draw's |E|^2, then averaged): for the
+    matched filter from the band powers, the same-symbol sum without the
+    desired term and the cross-symbol sums accumulated per reference symbol
+    by neighbour counts; for the inverse filter from the lag power of each
+    block of the per-sample error (R - G^-1) G, summed over donor symbols."""
     n, m = cfg.n, cfg.m
     delta2 = cfg.symbol_power
     c = freq_response(np.atleast_2d(taps), n)
@@ -187,30 +228,36 @@ def reference_averaged_breakdown(cfg, ctx, mode, taps, sigma2, cov):
     abse2_bar = abse2.mean(axis=0)
     resd = np.repeat((delta2 * ((1.0 - eq.beta) ** 2).mean(axis=0))[None, :], m, axis=0)
     zgrid = np.repeat(zeta_factors(ctx.inv, ctx.gram)[:, None], n, axis=1)
+    ici = np.zeros((m, n))
+    isi = np.zeros((m, n))
     if mode == "nif":
-        own, per_d = reference_leakage_sums(ctx.tables, absc2)
-        ici_n = delta2 * (abse2 * own).mean(axis=0)
-        ici = np.repeat(ici_n[None, :], m, axis=0)
-        isi = np.zeros((m, n))
+        power = reference_band_power(ctx.bands)
+        own, *per_d = reference_leakage_sums(power, absc2)
+        own = own - power[0, 0] * absc2
+        ici[:] = delta2 * (abse2 * own).mean(axis=0)
         conv_d = [(abse2 * conv).mean(axis=0) for conv in per_d]
-        for ref, counts in enumerate(neighbor_counts(m, cfg.k)):
-            acc = np.zeros(n)
+        for ref, counts in enumerate(reference_neighbor_counts(m, cfg.k)):
             for count, conv in zip(counts, conv_d):
                 if count:
-                    acc += count * conv
-            isi[ref] = delta2 * acc
+                    isi[ref] += count * conv
+        isi *= delta2
         fd = delta2 * abse2_bar * cov.fd_nif
         ibi = delta2 * abse2_bar * cov.ibi_nif
         noise = np.repeat((sigma2 * abse2_bar)[None, :], m, axis=0)
-        return MseBreakdown("nif", resd, ici, isi, fd, ibi, noise, fd, ibi,
-                            delta2=delta2)
+        return MseBreakdown(resd, ici, isi, fd, ibi, noise, fd, ibi, delta2=delta2)
+    err = np.einsum("vab,vbc->vac", ctx.inv - np.linalg.inv(ctx.gram), ctx.gram)
+    for a in range(m):
+        power = np.abs(np.fft.fft(err[:, a].T) / n) ** 2        # blocks (a, b), (M, N)
+        sums = delta2 * (abse2 * reference_leakage_sums(power, absc2)).mean(axis=1)
+        ici[a] = sums[a]
+        isi[a] = np.delete(sums, a, axis=0).sum(axis=0)
     fd = zgrid * (delta2 * abse2_bar * cov.fd_nif)
     ibi = zgrid * (delta2 * abse2_bar * cov.ibi_nif)
     noise = zgrid * (sigma2 * abse2_bar)[None, :]
     fd_exact = delta2 * abse2_bar * cov.fd_if
     ibi_exact = delta2 * abse2_bar * cov.ibi_if
-    return MseBreakdown("if", resd, np.zeros((m, n)), np.zeros((m, n)),
-                        fd, ibi, noise, fd_exact, ibi_exact, delta2=delta2)
+    return MseBreakdown(resd, ici, isi, fd, ibi, noise, fd_exact, ibi_exact,
+                        delta2=delta2)
 
 
 def reference_db(value):

@@ -18,8 +18,7 @@ import numpy as np
 import pytest
 
 from fbmcqam.analytics import (averaged_breakdown, channel_moments, complexity_report,
-                               displaced_covariances, ensemble_taps,
-                               interference_tables, zeta_factors)
+                               displaced_covariances, ensemble_taps, zeta_factors)
 from fbmcqam.channel import PowerDelayProfile, apply_taps, freq_response
 from fbmcqam.config import RunConfig
 from fbmcqam.core import design_prototype, dft_segments, idft_block, qam_map
@@ -279,9 +278,8 @@ def test_c09_rectangular_filter_collapses_to_ofdm():
     assert np.max(np.abs(gram - eye)) < 1e-12
     assert np.max(np.abs(inv - eye)) < 1e-12
     assert np.max(np.abs(zeta_factors(inv, gram) - 1.0)) < 1e-12
-    tables = interference_tables(autocorr_bands(segs), m)
-    assert abs(tables.alpha_ici) < 1e-12
-    assert np.max(np.abs(tables.alpha_isi)) < 1e-12
+    leakage = make_context(RunConfig(n=n, m=m, k=1)).leakage
+    assert np.all(leakage["nif"] == 0.0) and np.all(leakage["if"] == 0.0)
     rng = np.random.default_rng(9)
     S = rng.normal(size=(n, m, 4)) + 1j * rng.normal(size=(n, m, 4))
     gap = np.max(np.abs(apply_filter(segs, idft_block(S)) - ofdm_modulate(S, 0)))
@@ -325,8 +323,8 @@ def test_c10_dense_oracle_and_fec_suite():
 
     msg = rng.integers(0, 2, 30)
     coded = conv_encode(msg)
-    np.testing.assert_array_equal(viterbi_decode(coded, mode="hard"), msg)
+    np.testing.assert_array_equal(viterbi_decode(1.0 - 2.0 * coded), msg)
     flipped = coded[None, :] ^ np.eye(coded.size, dtype=int)
-    decoded = viterbi_decode(flipped, mode="hard")
+    decoded = viterbi_decode(1.0 - 2.0 * flipped)
     np.testing.assert_array_equal(decoded, np.broadcast_to(msg, decoded.shape))
     print("dense oracles and code checks passed on the full small-size grid")

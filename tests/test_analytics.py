@@ -11,20 +11,18 @@ import pytest
 
 from fbmcqam.analytics import (_delay_tables, _diagonals, _propagate, averaged_breakdown,
                                channel_moments, complexity_report, displaced_covariances,
-                               ensemble_taps,
-                               interference_tables, leakage_sums, neighbor_counts,
-                               zeta_factors)
+                               ensemble_taps, leakage_sums, zeta_factors)
 from fbmcqam.channel import PowerDelayProfile, draw_taps, freq_response
 from fbmcqam.config import RunConfig
 from fbmcqam.core import design_prototype
 from fbmcqam.filterbank import autocorr_bands, gram_stack, inverse_stack, tap_segments
 from fbmcqam.simulator import make_context
 from fbmcqam.transceiver import make_equalizer
-from helpers import (dense_displacement, dense_filter_matrix, dense_tail,
-                     reference_averaged_breakdown, reference_delay_tables,
-                     reference_diagonals, reference_displaced_covariances,
-                     reference_leakage_sums, reference_propagate, stack_to_dense,
-                     unitary_dft)
+from helpers import (dense_displacement, dense_filter_matrix, dense_leakage_table,
+                     dense_tail, reference_averaged_breakdown, reference_band_power,
+                     reference_delay_tables, reference_diagonals,
+                     reference_displaced_covariances, reference_leakage_sums,
+                     reference_propagate, stack_to_dense, unitary_dft)
 
 
 def _setup(n, m, k):
@@ -65,76 +63,74 @@ def test_transformed_band_is_circulant():
                                atol=1e-12)
 
 
+def _profiles(table):
+    """A leakage table's per-receiver-symbol lag profiles (2, M, N): the
+    diagonal and the off-diagonal row sums, as the breakdown reads them."""
+    own = np.diagonal(table).T
+    return np.stack([own, table.sum(axis=1) - own])
+
+
 def test_tables_match_dense_leakage_sums():
-    n, m, k = 8, 5, 3
-    segs, bands, _, _ = _setup(n, m, k)
-    tables = interference_tables(bands, m)
-    f = unitary_dft(n)
-    rows = [(f @ np.diag(bands[d]) @ f.conj().T)[0] for d in range(k)]
-    own = np.sum(np.abs(rows[0]) ** 2) - np.abs(rows[0][0]) ** 2 \
-        + np.abs(rows[0][0] - 1.0) ** 2
-    assert tables.alpha_ici == pytest.approx(own, abs=1e-12)
-    # the middle symbol sees both neighbors at every distance, the first
-    # symbol only the ones on its right
-    interior = sum(2 * np.sum(np.abs(rows[d]) ** 2) for d in range(1, k))
-    assert tables.alpha_isi[2] == pytest.approx(interior, abs=1e-12)
-    assert tables.alpha_isi[0] == pytest.approx(interior / 2, abs=1e-12)
+    # each table is the squared unitary DFT of the dense transform-domain
+    # blocks of T - I; the exact inverse cancels every entry, not nearly
+    n, m, k = 16, 4, 4
+    segs = tap_segments(design_prototype(k, n))
+    for mode, eta in (("nif", 0.0), ("if", 0.0), ("if", 0.5), ("if", 1.0)):
+        table = make_context(RunConfig(n=n, m=m, k=k, eta=eta)).leakage[mode]
+        want = dense_leakage_table(segs, m, mode, eta)
+        assert table.shape == (m, m, n)
+        np.testing.assert_allclose(table, want, rtol=0, atol=1e-13,
+                                   err_msg=f"{mode} at eta {eta}")
+        if mode == "if" and eta == 0.0:
+            assert np.all(table == 0.0)
+        else:
+            assert np.max(want) > 1e-4
+            # real per-sample errors: every profile is symmetric in the lag
+            np.testing.assert_allclose(table[..., 1:], table[..., :0:-1], rtol=0,
+                                       atol=1e-16)
 
 
 def test_default_design_leakage_anchors():
-    _, bands, _, _ = _setup(64, 14, 5)
-    tables = interference_tables(bands, 14)
-    assert tables.alpha_ici == pytest.approx(0.06414326779774537, abs=1e-12)
-    assert tables.alpha_isi[7] == pytest.approx(0.06403449756338259, abs=1e-12)
-    np.testing.assert_allclose(tables.alpha_isi[0], tables.alpha_isi[7] / 2,
-                               atol=1e-15)
+    # through leakage_sums with a flat weight each profile sums over lags:
+    # the same-symbol total and the middle symbol's cross-symbol total; the
+    # first symbol has neighbours on one side only
+    cfg = RunConfig()
+    ici, isi = leakage_sums(_profiles(make_context(cfg).leakage["nif"]),
+                            np.ones((cfg.n, cfg.n)))
+    np.testing.assert_allclose(ici, 0.06414326779774537, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(isi[7], 0.06403449756338259, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(isi[0], isi[7] / 2, atol=1e-15)
 
 
 def test_rectangular_filter_has_no_leakage():
     segs, bands, gram, inv = _setup(16, 4, 1)
-    tables = interference_tables(bands, 4)
-    assert abs(tables.alpha_ici) < 1e-12
-    np.testing.assert_allclose(tables.alpha_isi, 0.0, atol=1e-12)
+    for eta in (0.0, 0.5):
+        leakage = make_context(RunConfig(n=16, m=4, k=1, eta=eta)).leakage
+        assert np.all(leakage["nif"] == 0.0) and np.all(leakage["if"] == 0.0)
     np.testing.assert_allclose(gram, np.broadcast_to(np.eye(4), (16, 4, 4)),
                                atol=1e-12)
     np.testing.assert_allclose(zeta_factors(inv, gram), 1.0, atol=1e-12)
 
 
-def test_neighbor_counts_follow_the_block_edges():
-    counts = neighbor_counts(5, 4)
-    assert counts.shape == (5, 3)
-    # symbol 0 has neighbors only on its right, symbol 2 on both sides up to
-    # distance 2, and nobody sits 3 away from the middle of five
-    np.testing.assert_array_equal(counts[0], [1, 1, 1])
-    np.testing.assert_array_equal(counts[2], [2, 2, 0])
-    np.testing.assert_array_equal(counts, counts[::-1])
-    assert neighbor_counts(3, 1).shape == (3, 0)
-
-
 def test_leakage_sums_match_explicit_sums():
-    n, m, k = 8, 5, 3
-    _, bands, _, _ = _setup(n, m, k)
-    tables = interference_tables(bands, m)
+    # random profiles, not symmetric in the lag, pin the lag's direction
+    n, m = 8, 5
     rng = np.random.default_rng(33)
+    profiles = rng.uniform(0.0, 1.0, size=(2, m, n))
     w = rng.uniform(0.5, 2.0, size=(2, n))
     lag = (np.arange(n)[:, None] - np.arange(n)) % n        # (n, q)
-    off = ~np.eye(n, dtype=bool)
     # a general cross moment, one draw's outer product, and a weight
     # broadcast over rows (the link validator's form)
     for x in (rng.uniform(0.5, 2.0, size=(n, n)), np.outer(w[0], w[1]),
               np.broadcast_to(w[0], (n, n))):
-        own, per_d = leakage_sums(tables, x)
-        assert own.shape == (n,) and per_d.shape == (n, k - 1)
+        got = leakage_sums(profiles, x)
+        assert got.shape == (2, m, n)
         for nu in range(n):
-            want = np.sum((tables.power[0][lag[nu]] * x[nu])[off[nu]])
-            assert own[nu] == pytest.approx(want, rel=1e-12)
-            for d in range(1, k):
-                want = np.sum(tables.power[d][lag[nu]] * x[nu])
-                assert per_d[nu, d - 1] == pytest.approx(want, rel=1e-12)
-    # a flat weight collapses onto the tables' totals
-    own, per_d = leakage_sums(tables, np.ones((n, n)))
-    np.testing.assert_allclose(own, tables.alpha_ici, rtol=1e-12)
-    np.testing.assert_allclose(neighbor_counts(m, k) @ per_d[0], tables.alpha_isi,
+            want = np.sum(profiles[..., lag[nu]] * x[nu], axis=-1)
+            np.testing.assert_allclose(got[..., nu], want, rtol=1e-12)
+    # a flat weight collapses each profile onto its total over lags
+    np.testing.assert_allclose(leakage_sums(profiles, np.ones((n, n))),
+                               np.repeat(profiles.sum(axis=-1)[..., None], n, axis=-1),
                                rtol=1e-12)
 
 
@@ -143,15 +139,12 @@ def test_leakage_sums_match_fft_reference():
     # convolutions it replaced, averaged over the same draws
     n, m, k = 16, 4, 4
     _, bands, _, _ = _setup(n, m, k)
-    tables = interference_tables(bands, m)
+    power = reference_band_power(bands)
     rng = np.random.default_rng(38)
     absc2, abse2 = rng.uniform(0.1, 3.0, size=(2, 50, n))
-    own, per_d = leakage_sums(tables, abse2.T @ absc2 / 50)
-    ref_own, ref_per_d = reference_leakage_sums(tables, absc2)
-    np.testing.assert_allclose(own, (abse2 * ref_own).mean(axis=0), rtol=1e-12)
-    for d, ref in enumerate(ref_per_d):
-        np.testing.assert_allclose(per_d[:, d], (abse2 * ref).mean(axis=0),
-                                   rtol=1e-12)
+    got = leakage_sums(power, abse2.T @ absc2 / 50)
+    ref = (abse2 * reference_leakage_sums(power, absc2)).mean(axis=1)
+    np.testing.assert_allclose(got, ref, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -423,21 +416,19 @@ def _conditional(cfg, taps, sigma2):
 
 def test_flat_channel_matches_published_forms():
     # single-tap channel: the conditional ICI/ISI collapse to the
-    # |E|^2 |C|^2 alpha forms and dispersion vanishes
+    # |E|^2 |C|^2 alpha forms, with the leakage totals of
+    # test_default_design_leakage_anchors, and dispersion vanishes
     sys_cfg = _system(receiver_mode="nif")
-    filt = design_prototype(5, 64)
     h = np.array([0.8 + 0.3j])
     sigma2 = 0.05
     bd = _conditional(sys_cfg, h, sigma2)
-    segs = tap_segments(filt)
-    tables = interference_tables(autocorr_bands(segs), 14)
     c2 = abs(h[0]) ** 2
     eq = make_equalizer(freq_response(h, 64), "mmse", sigma2, 1.0)
     e2 = np.abs(eq.coeffs) ** 2
     np.testing.assert_allclose(
-        bd.ici, np.broadcast_to(e2 * c2 * tables.alpha_ici, (14, 64)),
+        bd.ici, np.broadcast_to(e2 * c2 * 0.06414326779774537, (14, 64)),
         rtol=1e-10)
-    np.testing.assert_allclose(bd.isi[7], e2 * c2 * tables.alpha_isi[7],
+    np.testing.assert_allclose(bd.isi[7], e2 * c2 * 0.06403449756338259,
                                rtol=1e-10)
     np.testing.assert_allclose(bd.isi[0], bd.isi[7] / 2, rtol=1e-10)
     assert np.all(bd.fd == 0.0) and np.all(bd.ibi == 0.0)
