@@ -19,13 +19,13 @@ of one channel realization and the average over a stack of draws, on one
 path for both receivers. ici/isi are exact conditional second moments
 given the channel realization (or its ensemble average): the leakage table
 of the receiver's error operator weighted by the cross moment
-E[|E_n|^2 |C_q|^2] of equalizer and channel. The matched-filter (``nif``)
-fd/ibi come from structured covariance quadratic forms. The inverse-filter
-(``if``) breakdown multiplies fd/ibi/noise by the link context's
-``zeta_m``, the enhancement of the inverse R the receiver applies: exact
-for white noise but understating the structured fd error;
-``fd_exact``/``ibi_exact`` hold the values propagated through that R, which
-for ``nif`` are ``fd``/``ibi`` themselves.
+E[|E_n|^2 |C_q|^2] of equalizer and channel. fd/ibi come from structured
+covariance quadratic forms at the matched-filter output, multiplied, as the
+noise is, by the ``zeta`` of the R the receiver applies after the matched
+filter (1 for the matched filter's R = I): exact for white noise but
+understating the structured fd error; ``fd_exact``/``ibi_exact`` hold the
+values propagated through R, ``fd``/``ibi`` themselves for R = I. A
+receiver is one ``simulator.Receiver`` record: label, R, zeta and table.
 
 The channel enters a breakdown only through three moments of the one-tap
 equalizer E and the channel response C, formed once per SNR point by
@@ -229,12 +229,12 @@ def _propagate(inv: np.ndarray, d: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class DisplacedCovariances:
     """Per-(m, n) delay-dispersion and previous-block error powers at unit
-    symbol power, before equalization, for both receivers."""
+    symbol power, before equalization, for one receiver."""
 
-    fd_nif: np.ndarray    # (M, N)
-    fd_if: np.ndarray     # (M, N)
-    ibi_nif: np.ndarray   # (M, N)
-    ibi_if: np.ndarray    # (M, N)
+    fd: np.ndarray          # (M, N) after the matched filter
+    ibi: np.ndarray         # (M, N)
+    fd_exact: np.ndarray    # (M, N) after the receiver's R as well
+    ibi_exact: np.ndarray   # (M, N)
 
 
 def _ensemble_covariances(segs: np.ndarray, m: int, weights: np.ndarray,
@@ -248,10 +248,10 @@ def _ensemble_covariances(segs: np.ndarray, m: int, weights: np.ndarray,
     D_{l,v}[i, j] = d_l[i, j][v], the per-sample Gram G_v = sum_l p_l
     D_{l,v} D_{l,v}^T and R_v the inverse at sample v:
 
-    * fd_nif[m] = (1/N) sum_v G_v[m, m],
-    * fd_if[a] = (1/N) sum_v (R_v G_v R_v^T)[a, a],
-    * ibi_nif[0] = (1/N) sum_v tail2(v), exactly zero at every m > 0,
-    * ibi_if[a] = (1/N) sum_v R_v[a, 0]^2 tail2(v),
+    * fd[m] = (1/N) sum_v G_v[m, m],
+    * fd_exact[a] = (1/N) sum_v (R_v G_v R_v^T)[a, a],
+    * ibi[0] = (1/N) sum_v tail2(v), exactly zero at every m > 0,
+    * ibi_exact[a] = (1/N) sum_v R_v[a, 0]^2 tail2(v),
 
     where tail2(v) = sum_l p_l tail_l(v)^2. D_{l,v} is Toeplitz in the block
     offset, so G_v is the sum of the M principal (M, M) windows of the
@@ -266,16 +266,16 @@ def _ensemble_covariances(segs: np.ndarray, m: int, weights: np.ndarray,
     for top in range(m):
         gram += s[:, top:top + m, top:top + m]
     tail2 = weights @ tail ** 2                                 # (N,)
-    fd_nif = np.diagonal(gram, axis1=1, axis2=2).sum(axis=0) / n
-    ibi_nif = np.zeros(m)
-    ibi_nif[0] = tail2.sum() / n
-    if inv is not None:
-        fd_if = ((inv @ gram) * inv).sum(axis=2).sum(axis=0) / n
-        ibi_if = tail2 @ inv[:, :, 0] ** 2 / n
+    fd = np.diagonal(gram, axis1=1, axis2=2).sum(axis=0) / n
+    ibi = np.zeros(m)
+    ibi[0] = tail2.sum() / n
+    if inv is None:
+        fd_exact, ibi_exact = fd, ibi
     else:
-        fd_if = ibi_if = np.zeros(m)
+        fd_exact = ((inv @ gram) * inv).sum(axis=2).sum(axis=0) / n
+        ibi_exact = tail2 @ inv[:, :, 0] ** 2 / n
     return DisplacedCovariances(*(np.repeat(c[:, None], n, axis=1)
-                                  for c in (fd_nif, fd_if, ibi_nif, ibi_if)))
+                                  for c in (fd, ibi, fd_exact, ibi_exact)))
 
 
 def displaced_covariances(segs: np.ndarray, m: int,
@@ -286,9 +286,9 @@ def displaced_covariances(segs: np.ndarray, m: int,
 
     Pass ``taps`` (complex h_l) for a fixed realization, or ``weights``
     (rho_l^2) for the channel-ensemble average, whose components are the
-    same on every subcarrier. ``inv`` enables the inverse-filter variants;
-    zeros are returned for them otherwise. Delays up to N samples (N + 1
-    taps) are supported.
+    same on every subcarrier. ``fd_exact``/``ibi_exact`` go through the
+    receiver's R, ``inv``, and are ``fd``/``ibi`` for None (R = I). Delays up
+    to N samples (N + 1 taps) are supported.
     """
     if (weights is None) == (taps is None):
         raise ValueError("exactly one of weights/taps must be given")
@@ -299,16 +299,13 @@ def displaced_covariances(segs: np.ndarray, m: int,
     if taps is None:
         return _ensemble_covariances(segs, m, weights, inv)
     moments = np.outer(taps, np.conj(taps))
-    fd, tail = _delay_tables(segs, m, n_taps)
-    fd_nif = _diagonals(fd, moments)
-    ibi_nif = _diagonals(tail, moments)
-    if inv is not None:
-        fd_if = _diagonals(_propagate(inv, fd), moments)
-        ibi_if = _diagonals(_propagate(inv, tail), moments)
-    else:
-        fd_if = np.zeros((m, n))
-        ibi_if = np.zeros((m, n))
-    return DisplacedCovariances(fd_nif, fd_if, ibi_nif, ibi_if)
+    fd_ops, tail_ops = _delay_tables(segs, m, n_taps)
+    fd = _diagonals(fd_ops, moments)
+    ibi = _diagonals(tail_ops, moments)
+    if inv is None:
+        return DisplacedCovariances(fd, ibi, fd, ibi)
+    return DisplacedCovariances(fd, ibi, _diagonals(_propagate(inv, fd_ops), moments),
+                                _diagonals(_propagate(inv, tail_ops), moments))
 
 
 # ---------------------------------------------------------------------------
@@ -375,19 +372,19 @@ def channel_moments(eq: Equalizer, c: np.ndarray, delta2: float) -> ChannelMomen
                           cross=abse2.T @ absc2 / len(absc2))
 
 
-def averaged_breakdown(cfg, ctx, mode: str, moments: ChannelMoments, sigma2: float,
+def averaged_breakdown(cfg, rx, moments: ChannelMoments, sigma2: float,
                        cov: DisplacedCovariances) -> MseBreakdown:
-    """Per-(m, n) error powers of receiver ``mode`` ("nif" or "if"), averaged
-    over channel realizations.
+    """Per-(m, n) error powers of receiver ``rx`` (a ``simulator.Receiver``),
+    averaged over channel realizations.
 
-    ``moments`` are the :func:`channel_moments` at ``sigma2`` of one
-    realization, which gives the exact conditional breakdown, or of a stack
-    of draws, whose equalizer-dependent terms are then averaged. ``cov``
-    holds the displaced covariances for the same channel: ``taps=`` for one
-    realization, the ensemble ``weights=`` for a stack; the inverse-filter
-    variants (through ``ctx.inv``) are needed for ``mode="if"``. ``ctx``
-    supplies the receiver's ``leakage`` table and the ``zeta_m`` of the
-    applied inverse; ``cfg`` the numerology and symbol power.
+    ``rx.leakage`` gives ici/isi, and ``rx.zeta``, the noise enhancement of
+    the R it applies (1 for R = I), scales fd/ibi/noise. ``moments`` are the
+    :func:`channel_moments` at ``sigma2`` of one realization, which gives the
+    exact conditional breakdown, or of a stack of draws, whose
+    equalizer-dependent terms are then averaged. ``cov`` holds the displaced
+    covariances for the same channel and ``inv=rx.inv``: ``taps=`` for one
+    realization, the ensemble ``weights=`` for a stack. ``cfg`` supplies the
+    numerology and symbol power.
     """
     m = cfg.m
     delta2 = cfg.symbol_power
@@ -396,21 +393,15 @@ def averaged_breakdown(cfg, ctx, mode: str, moments: ChannelMoments, sigma2: flo
     resd = np.repeat(moments.resd[None, :], m, axis=0)
     # receiver symbol a: its diagonal profile is same-symbol leakage, the
     # off-diagonal row sums gather every other donor symbol
-    table = ctx.leakage[mode]
-    own = np.diagonal(table).T                                  # (M, N)
-    ici, isi = delta2 * leakage_sums(np.stack([own, table.sum(axis=1) - own]),
+    own = np.diagonal(rx.leakage).T                             # (M, N)
+    ici, isi = delta2 * leakage_sums(np.stack([own, rx.leakage.sum(axis=1) - own]),
                                      moments.cross)
-    fd = delta2 * abse2_bar * cov.fd_nif
-    ibi = delta2 * abse2_bar * cov.ibi_nif
+    zeta = rx.zeta[:, None]
     noise = np.repeat((sigma2 * abse2_bar)[None, :], m, axis=0)
-    if mode == "nif":
-        return MseBreakdown(resd, ici, isi, fd, ibi, noise, fd, ibi, delta2=delta2)
-
-    # inverse filter: fd/ibi/noise enhanced by zeta_m of the applied inverse
-    zeta = ctx.zeta_m[:, None]
-    return MseBreakdown(resd, ici, isi, zeta * fd, zeta * ibi, zeta * noise,
-                        delta2 * abse2_bar * cov.fd_if,
-                        delta2 * abse2_bar * cov.ibi_if, delta2=delta2)
+    return MseBreakdown(resd, ici, isi, zeta * (delta2 * abse2_bar * cov.fd),
+                        zeta * (delta2 * abse2_bar * cov.ibi), zeta * noise,
+                        delta2 * abse2_bar * cov.fd_exact,
+                        delta2 * abse2_bar * cov.ibi_exact, delta2=delta2)
 
 
 # ---------------------------------------------------------------------------

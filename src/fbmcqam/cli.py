@@ -260,6 +260,7 @@ def _complexity_rows(cfg: RunConfig) -> list[tuple[str, object]]:
 
 def cmd_filter(args: argparse.Namespace, cfg: RunConfig) -> int:
     ctx = make_context(cfg)
+    rx = ctx.receivers["if"]
     join = lambda name: os.path.join(args.out_dir, name)
     with _OutputSet() as out:
         out.write_text(join("prototype.txt"), "".join(
@@ -268,14 +269,14 @@ def cmd_filter(args: argparse.Namespace, cfg: RunConfig) -> int:
             ["d", "nu", "value"],
             ((d, nu, f"{ctx.bands[d, nu]:.12g}")
              for d in range(cfg.k) for nu in range(cfg.n))))
-        norms = np.sqrt(np.sum(ctx.inv ** 2, axis=0))
+        norms = np.sqrt(np.sum(rx.inv ** 2, axis=0))
         out.write_text(join("inverse_block_norms.csv"), _csv_text(
             ["m", "i", "frobenius"],
             ((mm, i, f"{norms[mm, i]:.12g}")
              for mm in range(cfg.m) for i in range(cfg.m))))
         out.write_text(join("zeta.csv"), _csv_text(
             ["m", "n", "zeta"],
-            ((mm, nu, f"{ctx.zeta_m[mm]:.12g}")
+            ((mm, nu, f"{rx.zeta[mm]:.12g}")
              for mm in range(cfg.m) for nu in range(cfg.n))))
         out.write_text(join("complexity.csv"),
                        _csv_text(["metric", "value"], _complexity_rows(cfg)))
@@ -301,7 +302,7 @@ def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
         for snr_db in cfg.snr_db:
             sigma2 = cfg.sigma2(snr_db)
             covs = {mode: displaced_covariances(ctx.segs, cfg.m, weights=pdp.powers,
-                                                inv=ctx.inv if mode == "if" else None)
+                                                inv=ctx.receivers[mode].inv)
                     for mode in mode_components}
             # the moments and their (D, N) equalizer live only between two
             # points' covariances: an (N, N) moment alive through them kept
@@ -309,7 +310,8 @@ def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
             eq = make_equalizer(c, cfg.equalizer, sigma2, cfg.symbol_power)
             moments = channel_moments(eq, c, cfg.symbol_power)
             for mode, names in mode_components.items():
-                bd = averaged_breakdown(cfg, ctx, mode, moments, sigma2, covs[mode])
+                bd = averaged_breakdown(cfg, ctx.receivers[mode], moments, sigma2,
+                                        covs[mode])
                 values = np.stack([bd.component(name) for name in names], axis=-1)
                 yield _db_rows(f"{snr_db:g},{mode},", keys[mode], values)
             del moments, eq

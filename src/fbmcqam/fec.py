@@ -2,10 +2,11 @@
 
 Constraint length 7, generators octal 133 and 171 (first output stream from
 133), zero-terminated with six flush bits. The decoder runs the 64-state
-trellis over a whole batch of codewords at once; soft mode consumes per-bit
-log-likelihood ratios (positive = bit 0 likelier), hard mode consumes bits.
-A global scaling of the LLRs cannot change the decoded path. Encoder and
-decoder take bits along the last axis and a leading axis, if any, as the batch.
+trellis over a whole batch of codewords at once on per-bit log-likelihood
+ratios (positive = bit 0 likelier); a hard decision decodes as the LLRs
+``1 - 2 * bits``. A global scaling of the LLRs cannot change the decoded
+path. Encoder and decoder take bits along the last axis and a leading axis,
+if any, as the batch.
 
 The decoder keeps its path metrics states-major, one row per state and one
 column per codeword, in float64. Its rows follow a fixed permutation of the

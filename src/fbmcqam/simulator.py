@@ -32,6 +32,7 @@ from .transceiver import (equalize, fbmc_demodulate, fbmc_transmit, make_equaliz
 __all__ = [
     "build_filter",
     "channel_profile",
+    "Receiver",
     "LinkContext",
     "make_context",
     "ComponentCheck",
@@ -40,7 +41,6 @@ __all__ = [
     "BerPoint",
     "MultiserviceResult",
     "run_multiservice",
-    "scheme_label",
     "wilson_halfwidth",
 ]
 
@@ -79,21 +79,30 @@ def channel_profile(cfg: RunConfig) -> PowerDelayProfile:
 
 
 @dataclass(frozen=True)
+class Receiver:
+    """One receiver: the per-sample (N, M, M) stack R it applies after the
+    matched filter (None for R = I), the per-symbol noise enhancement
+    ``zeta`` of R, and the (M, M, N) ``leakage_table`` of its error R G - I."""
+
+    label: str               # its scheme name in campaign results
+    inv: np.ndarray | None
+    zeta: np.ndarray         # (M,)
+    leakage: np.ndarray
+
+
+@dataclass(frozen=True)
 class LinkContext:
     """Precomputed filter-bank state shared by every trial of a run.
 
-    ``leakage`` holds, per receiver mode, the (M, M, N) ``leakage_table`` of
-    the error operator T - I that receiver leaves: G - I for "nif",
-    (R - G^-1) G for "if", exactly zero unless eta > 0 sparsifies R.
+    ``receivers`` maps a receiver mode to its :class:`Receiver`: "nif" the
+    matched filter (R = I), "if" the inverse (R = G^-1, sparsified at eta > 0).
     """
 
     filt: PrototypeFilter
     segs: np.ndarray
     bands: np.ndarray        # (K, N) autocorrelation bands of the filter
     gram: np.ndarray
-    inv: np.ndarray          # inverse stack the receiver applies (sparsified when eta > 0)
-    zeta_m: np.ndarray       # per-symbol noise enhancement of ``inv``
-    leakage: dict[str, np.ndarray]
+    receivers: dict[str, Receiver]
 
 
 def make_context(cfg: RunConfig) -> LinkContext:
@@ -103,9 +112,12 @@ def make_context(cfg: RunConfig) -> LinkContext:
     gram = gram_stack(bands, cfg.m)
     exact = inverse_stack(gram)
     inv = sparsify_inverse(exact, kept_mask(cfg.n, cfg.eta)) if cfg.eta > 0 else exact
-    leakage = {"nif": leakage_table(gram - np.eye(cfg.m)),
-               "if": leakage_table((inv - exact) @ gram)}
-    return LinkContext(filt, segs, bands, gram, inv, zeta_factors(inv, gram), leakage)
+    label = "fbmc-if" if cfg.eta == 0 else f"fbmc-if+eta{cfg.eta:g}"
+    receivers = {"nif": Receiver("fbmc-nif", None, np.ones(cfg.m),
+                                 leakage_table(gram - np.eye(cfg.m))),
+                 "if": Receiver(label, inv, zeta_factors(inv, gram),
+                                leakage_table((inv - exact) @ gram))}
+    return LinkContext(filt, segs, bands, gram, receivers)
 
 
 def wilson_halfwidth(errors: int, n: int) -> float:
@@ -208,8 +220,8 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
     feed (true channel output minus its circular equivalent), and a
     previous-block-only feed when block overlap is enabled. The predictions
     use the inverse the receiver applies, so every check is exact at any
-    eta: the four leakage checks read the receiver's ``ctx.leakage`` table,
-    which is zero for the exact inverse and holds what a sparsified inverse
+    eta: the four leakage checks read the receiver's ``leakage`` table, which
+    is zero for the exact inverse and holds what a sparsified inverse
     (eta > 0) leaves.
 
     Every draw comes first: the channel, the data grid, the previous-block
@@ -229,8 +241,8 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
     """
     cfg.validate()
     _keep_heap()
-    mode = cfg.receiver_mode
     ctx = make_context(cfg)
+    rx = ctx.receivers[cfg.receiver_mode]
     n, m = cfg.n, cfg.m
     delta2 = cfg.symbol_power
     bps = int(np.log2(cfg.mod_order))
@@ -247,8 +259,7 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
     rng_data = np.random.default_rng(ss_data)
     rng_noise = np.random.default_rng(ss_noise)
 
-    inv = ctx.inv if mode == "if" else None
-    cov = displaced_covariances(ctx.segs, m, taps=h, inv=inv)
+    cov = displaced_covariances(ctx.segs, m, taps=h, inv=rx.inv)
 
     def draw_grid():
         bits = rng_data.integers(0, 2, size=trials * n * m * bps)
@@ -264,11 +275,11 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
         # one (1, N) equalizer gives the moments and, transposed, the feeds' column
         eq = make_equalizer(c, cfg.equalizer, sigma2, delta2)
         setups.append((
-            averaged_breakdown(cfg, ctx, mode, channel_moments(eq, c, delta2), sigma2, cov),
+            averaged_breakdown(cfg, rx, channel_moments(eq, c, delta2), sigma2, cov),
             eq.coeffs.T, eq.beta.T, np.sqrt(sigma2)))
 
     def demodulate(r):
-        return fbmc_demodulate(r, ctx.segs, inv)
+        return fbmc_demodulate(r, ctx.segs, rx.inv)
 
     def transmit_circular(grid):
         return fbmc_transmit(c.T[:, :, None] * grid, ctx.segs)
@@ -333,9 +344,8 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
     # receiver (a, n) through leakage[a, m0, (n - q) mod N], its own symbol
     # through the diagonal profile and the others through the off-diagonal
     # column sums
-    table = ctx.leakage[mode]
-    own = table[m0, m0]
-    donor_profiles = np.stack([own, table[:, m0].sum(axis=0) - own])
+    own = rx.leakage[m0, m0]
+    donor_profiles = np.stack([own, rx.leakage[:, m0].sum(axis=0) - own])
     cq2 = delta2 * np.abs(c[0]) ** 2
     points = []
     for p, (snr_db, (bd, coeffs, _, _)) in enumerate(zip(cfg.snr_db, setups)):
@@ -383,12 +393,6 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
 # ---------------------------------------------------------------------------
 # Multi-service BER campaigns
 # ---------------------------------------------------------------------------
-
-def scheme_label(mode: str, eta: float) -> str:
-    if mode == "nif":
-        return "fbmc-nif"
-    return "fbmc-if" if eta == 0 else f"fbmc-if+eta{eta:g}"
-
 
 @dataclass(frozen=True)
 class BerPoint:
@@ -439,8 +443,8 @@ class _MultiserviceEngine:
     def __init__(self, cfg: RunConfig, ctx: LinkContext, modes: tuple[str, ...]):
         self.cfg = cfg
         self.ctx = ctx
-        self.modes = modes
-        self.schemes = tuple(scheme_label(mode, cfg.eta) for mode in modes)
+        self.receivers = tuple(ctx.receivers[mode] for mode in modes)
+        self.schemes = tuple(rx.label for rx in self.receivers)
         self.n, self.m = cfg.n, cfg.m
         self.width = cfg.band_width()
         self.starts = cfg.band_starts()
@@ -505,10 +509,9 @@ class _MultiserviceEngine:
         del grids, taps, mid_c, noise, dummies, noise_ofdm
 
         out: dict[str, _Tally] = {}
-        for mode, scheme in zip(self.modes, self.schemes):
-            zeta = self.ctx.zeta_m if mode == "if" else np.ones(m)
-            nv = sigma2 * np.abs(coeffs[:, None, :]) ** 2 * zeta[None, :, None]
-            out[scheme] = self._tally(est[scheme], nv, info)
+        for rx in self.receivers:
+            nv = sigma2 * np.abs(coeffs[:, None, :]) ** 2 * rx.zeta[None, :, None]
+            out[rx.label] = self._tally(est[rx.label], nv, info)
         nvo = sigma2_ofdm * np.abs(coeffs_ofdm[:, None, :]) ** 2 * np.ones((1, m, 1))
         out["ofdm"] = self._tally(est["ofdm"], nvo, info)
         return out
@@ -526,14 +529,14 @@ class _MultiserviceEngine:
 
     def _fbmc_block(self, grids, taps, noise, coeffs, cols: slice, est) -> None:
         """Filter-bank windows of all users on trials ``cols``, one matched
-        filter, then the middle band of both receiver modes into ``est``."""
+        filter, then the middle band of each receiver into ``est``."""
         ctx, n = self.ctx, self.n
         r = self._superpose(lambda grid: fbmc_transmit(grid, ctx.segs),
                             (g[:, :, cols] for g in grids), taps[:, cols], noise[:, cols])
         x = apply_adjoint(ctx.segs, r)
-        for mode, scheme in zip(self.modes, self.schemes):
-            y = apply_inverse(ctx.inv, x) if mode == "if" else x
-            est[scheme][:, :, cols] = equalize(
+        for rx in self.receivers:
+            y = x if rx.inv is None else apply_inverse(rx.inv, x)
+            est[rx.label][:, :, cols] = equalize(
                 coeffs[:, cols], dft_segments(y, n)[self.band])
 
     def _ofdm_block(self, grids, taps, dummies, noise, coeffs, cols: slice,

@@ -37,7 +37,7 @@ from fbmcqam.cli import _csv_text
 from fbmcqam.core import dft_segments, idft_block, qam_levels
 from fbmcqam.filterbank import (apply_adjoint, apply_filter, apply_inverse, kept_mask,
                                 sparsify_inverse)
-from fbmcqam.simulator import _band_grid, channel_profile, make_context, scheme_label
+from fbmcqam.simulator import _band_grid, channel_profile, make_context
 from fbmcqam.transceiver import equalize, make_equalizer, ofdm_demodulate
 
 
@@ -199,17 +199,14 @@ def reference_diagonals(d, moments):
 
 def reference_displaced_covariances(segs, m, weights=None, taps=None, inv=None):
     """``analytics.displaced_covariances`` on the block-by-block delay
-    tables, the einsum propagation and the roll-based diagonals."""
-    n = segs.shape[1]
+    tables, the einsum propagation and the roll-based diagonals; with
+    ``inv=None`` (R = I) the propagated tables are the tables themselves."""
     moments = np.outer(taps, np.conj(taps)) if taps is not None else np.diag(weights)
     fd, tail = reference_delay_tables(segs, m, len(moments))
-    if inv is None:
-        fd_if = ibi_if = np.zeros((m, n))
-    else:
-        fd_if = reference_diagonals(reference_propagate(inv, fd), moments)
-        ibi_if = reference_diagonals(reference_propagate(inv, tail), moments)
-    return DisplacedCovariances(reference_diagonals(fd, moments), fd_if,
-                                reference_diagonals(tail, moments), ibi_if)
+    after = (fd, tail) if inv is None else (reference_propagate(inv, fd),
+                                            reference_propagate(inv, tail))
+    return DisplacedCovariances(*(reference_diagonals(d, moments)
+                                  for d in (fd, tail) + after))
 
 
 def reference_averaged_breakdown(cfg, ctx, mode, taps, sigma2, cov):
@@ -227,7 +224,8 @@ def reference_averaged_breakdown(cfg, ctx, mode, taps, sigma2, cov):
     abse2 = np.abs(eq.coeffs) ** 2
     abse2_bar = abse2.mean(axis=0)
     resd = np.repeat((delta2 * ((1.0 - eq.beta) ** 2).mean(axis=0))[None, :], m, axis=0)
-    zgrid = np.repeat(zeta_factors(ctx.inv, ctx.gram)[:, None], n, axis=1)
+    inv = ctx.receivers["if"].inv
+    zgrid = np.repeat(zeta_factors(inv, ctx.gram)[:, None], n, axis=1)
     ici = np.zeros((m, n))
     isi = np.zeros((m, n))
     if mode == "nif":
@@ -241,21 +239,21 @@ def reference_averaged_breakdown(cfg, ctx, mode, taps, sigma2, cov):
                 if count:
                     isi[ref] += count * conv
         isi *= delta2
-        fd = delta2 * abse2_bar * cov.fd_nif
-        ibi = delta2 * abse2_bar * cov.ibi_nif
+        fd = delta2 * abse2_bar * cov.fd
+        ibi = delta2 * abse2_bar * cov.ibi
         noise = np.repeat((sigma2 * abse2_bar)[None, :], m, axis=0)
         return MseBreakdown(resd, ici, isi, fd, ibi, noise, fd, ibi, delta2=delta2)
-    err = np.einsum("vab,vbc->vac", ctx.inv - np.linalg.inv(ctx.gram), ctx.gram)
+    err = np.einsum("vab,vbc->vac", inv - np.linalg.inv(ctx.gram), ctx.gram)
     for a in range(m):
         power = np.abs(np.fft.fft(err[:, a].T) / n) ** 2        # blocks (a, b), (M, N)
         sums = delta2 * (abse2 * reference_leakage_sums(power, absc2)).mean(axis=1)
         ici[a] = sums[a]
         isi[a] = np.delete(sums, a, axis=0).sum(axis=0)
-    fd = zgrid * (delta2 * abse2_bar * cov.fd_nif)
-    ibi = zgrid * (delta2 * abse2_bar * cov.ibi_nif)
+    fd = zgrid * (delta2 * abse2_bar * cov.fd)
+    ibi = zgrid * (delta2 * abse2_bar * cov.ibi)
     noise = zgrid * (sigma2 * abse2_bar)[None, :]
-    fd_exact = delta2 * abse2_bar * cov.fd_if
-    ibi_exact = delta2 * abse2_bar * cov.ibi_if
+    fd_exact = delta2 * abse2_bar * cov.fd_exact
+    ibi_exact = delta2 * abse2_bar * cov.ibi_exact
     return MseBreakdown(resd, ici, isi, fd, ibi, noise, fd_exact, ibi_exact,
                         delta2=delta2)
 
@@ -288,9 +286,8 @@ def reference_mse_csv(cfg):
     for snr_db in cfg.snr_db:
         sigma2 = cfg.symbol_power / 10.0 ** (snr_db / 10.0)
         for mode in ("nif", "if"):
-            cov = reference_displaced_covariances(
-                ctx.segs, cfg.m, weights=pdp.powers,
-                inv=ctx.inv if mode == "if" else None)
+            cov = reference_displaced_covariances(ctx.segs, cfg.m, weights=pdp.powers,
+                                                  inv=ctx.receivers[mode].inv)
             bd = reference_averaged_breakdown(cfg, ctx, mode, taps, sigma2, cov)
             grids = {name: bd.component(name) for name in mode_components[mode]}
             for mm in range(cfg.m):
@@ -403,14 +400,13 @@ def reference_run_chunk(engine, seed, batch, sigma2):
 
     eq = make_equalizer(mid_c, cfg.equalizer, sigma2, cfg.symbol_power)
     coeffs = eq.coeffs.T
-    for mode in engine.modes:
+    for rx in engine.receivers:
         x = apply_adjoint(ctx.segs, r)
-        if mode == "if":
-            x = apply_inverse(ctx.inv, x)
+        if rx.inv is not None:
+            x = apply_inverse(rx.inv, x)
         est = equalize(coeffs, dft_segments(x, n))
-        zeta = ctx.zeta_m if mode == "if" else np.ones(m)
-        nv = sigma2 * np.abs(coeffs[:, None, :]) ** 2 * zeta[None, :, None]
-        out[scheme_label(mode, cfg.eta)] = engine._tally(est[band], nv[band], info)
+        nv = sigma2 * np.abs(coeffs[:, None, :]) ** 2 * rx.zeta[None, :, None]
+        out[rx.label] = engine._tally(est[band], nv[band], info)
 
     step = n + engine.cp
     sigma2_ofdm = sigma2 * step / n

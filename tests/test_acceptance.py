@@ -94,9 +94,9 @@ def test_c04_high_snr_interference_floor_gap():
                               c, cfg.symbol_power)
     totals = {}
     for mode in ("nif", "if"):
-        cov = displaced_covariances(ctx.segs, cfg.m, weights=pdp.powers,
-                                    inv=ctx.inv if mode == "if" else None)
-        bd = averaged_breakdown(cfg, ctx, mode, moments, sigma2, cov)
+        rx = ctx.receivers[mode]
+        cov = displaced_covariances(ctx.segs, cfg.m, weights=pdp.powers, inv=rx.inv)
+        bd = averaged_breakdown(cfg, rx, moments, sigma2, cov)
         totals[mode] = float(bd.total.mean())
     gap_db = 10 * np.log10(totals["nif"] / totals["if"])
     print(f"50 dB floors: nif {10 * np.log10(totals['nif']):.2f} dB, "
@@ -160,7 +160,7 @@ _C07_BER_WINDOW = (1e-3, 0.4)
 def _c07_predicted_offset_db(cfg):
     """10 log10(mean zeta_m * N / (N + cp)): the inverse receiver's noise
     enhancement beyond the baseline's cyclic-prefix energy overhead."""
-    zeta = make_context(cfg).zeta_m.mean()
+    zeta = make_context(cfg).receivers["if"].zeta.mean()
     return float(10 * np.log10(zeta * cfg.n / (cfg.n + cfg.cp())))
 
 
@@ -278,8 +278,8 @@ def test_c09_rectangular_filter_collapses_to_ofdm():
     assert np.max(np.abs(gram - eye)) < 1e-12
     assert np.max(np.abs(inv - eye)) < 1e-12
     assert np.max(np.abs(zeta_factors(inv, gram) - 1.0)) < 1e-12
-    leakage = make_context(RunConfig(n=n, m=m, k=1)).leakage
-    assert np.all(leakage["nif"] == 0.0) and np.all(leakage["if"] == 0.0)
+    receivers = make_context(RunConfig(n=n, m=m, k=1)).receivers
+    assert all(np.all(rx.leakage == 0.0) for rx in receivers.values())
     rng = np.random.default_rng(9)
     S = rng.normal(size=(n, m, 4)) + 1j * rng.normal(size=(n, m, 4))
     gap = np.max(np.abs(apply_filter(segs, idft_block(S)) - ofdm_modulate(S, 0)))

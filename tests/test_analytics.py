@@ -76,7 +76,7 @@ def test_tables_match_dense_leakage_sums():
     n, m, k = 16, 4, 4
     segs = tap_segments(design_prototype(k, n))
     for mode, eta in (("nif", 0.0), ("if", 0.0), ("if", 0.5), ("if", 1.0)):
-        table = make_context(RunConfig(n=n, m=m, k=k, eta=eta)).leakage[mode]
+        table = make_context(RunConfig(n=n, m=m, k=k, eta=eta)).receivers[mode].leakage
         want = dense_leakage_table(segs, m, mode, eta)
         assert table.shape == (m, m, n)
         np.testing.assert_allclose(table, want, rtol=0, atol=1e-13,
@@ -95,7 +95,7 @@ def test_default_design_leakage_anchors():
     # the same-symbol total and the middle symbol's cross-symbol total; the
     # first symbol has neighbours on one side only
     cfg = RunConfig()
-    ici, isi = leakage_sums(_profiles(make_context(cfg).leakage["nif"]),
+    ici, isi = leakage_sums(_profiles(make_context(cfg).receivers["nif"].leakage),
                             np.ones((cfg.n, cfg.n)))
     np.testing.assert_allclose(ici, 0.06414326779774537, rtol=0, atol=1e-12)
     np.testing.assert_allclose(isi[7], 0.06403449756338259, rtol=0, atol=1e-12)
@@ -105,8 +105,8 @@ def test_default_design_leakage_anchors():
 def test_rectangular_filter_has_no_leakage():
     segs, bands, gram, inv = _setup(16, 4, 1)
     for eta in (0.0, 0.5):
-        leakage = make_context(RunConfig(n=16, m=4, k=1, eta=eta)).leakage
-        assert np.all(leakage["nif"] == 0.0) and np.all(leakage["if"] == 0.0)
+        receivers = make_context(RunConfig(n=16, m=4, k=1, eta=eta)).receivers
+        assert all(np.all(rx.leakage == 0.0) for rx in receivers.values())
     np.testing.assert_allclose(gram, np.broadcast_to(np.eye(4), (16, 4, 4)),
                                atol=1e-12)
     np.testing.assert_allclose(zeta_factors(inv, gram), 1.0, atol=1e-12)
@@ -163,7 +163,7 @@ def test_zeta_anchor_and_shape():
 
 def test_zeta_grid_constant_across_subcarriers():
     # the per-(m, n) transform-domain diagonals of R G R^H do not depend on
-    # n, so the breakdowns broadcast the (M,) zeta_m over subcarriers
+    # n, so the breakdowns broadcast the (M,) zeta over subcarriers
     n, m, k = 32, 6, 4
     _, _, gram, inv = _setup(n, m, k)
     rd = stack_to_dense(inv)
@@ -217,12 +217,12 @@ def test_conditional_covariances_match_dense():
                   np.random.default_rng(31))
     cov = displaced_covariances(segs, m, taps=h, inv=inv)
     rd = stack_to_dense(inv)
-    fd_nif, ibi_nif = _dense_covariances(segs, m, taps=h)
-    fd_if, ibi_if = _dense_covariances(segs, m, taps=h, r=rd)
-    np.testing.assert_allclose(cov.fd_nif, fd_nif, atol=1e-12)
-    np.testing.assert_allclose(cov.ibi_nif, ibi_nif, atol=1e-12)
-    np.testing.assert_allclose(cov.fd_if, fd_if, atol=1e-12)
-    np.testing.assert_allclose(cov.ibi_if, ibi_if, atol=1e-12)
+    fd, ibi = _dense_covariances(segs, m, taps=h)
+    fd_exact, ibi_exact = _dense_covariances(segs, m, taps=h, r=rd)
+    np.testing.assert_allclose(cov.fd, fd, atol=1e-12)
+    np.testing.assert_allclose(cov.ibi, ibi, atol=1e-12)
+    np.testing.assert_allclose(cov.fd_exact, fd_exact, atol=1e-12)
+    np.testing.assert_allclose(cov.ibi_exact, ibi_exact, atol=1e-12)
 
 
 def test_averaged_covariances_match_dense():
@@ -231,12 +231,12 @@ def test_averaged_covariances_match_dense():
     pdp = PowerDelayProfile.exponential(4, 10.0)
     cov = displaced_covariances(segs, m, weights=pdp.powers, inv=inv)
     fd, ibi = _dense_covariances(segs, m, weights=pdp.powers)
-    np.testing.assert_allclose(cov.fd_nif, fd, atol=1e-12)
-    np.testing.assert_allclose(cov.ibi_nif, ibi, atol=1e-12)
-    fd_if, ibi_if = _dense_covariances(segs, m, weights=pdp.powers,
-                                       r=stack_to_dense(inv))
-    np.testing.assert_allclose(cov.fd_if, fd_if, atol=1e-12)
-    np.testing.assert_allclose(cov.ibi_if, ibi_if, atol=1e-12)
+    np.testing.assert_allclose(cov.fd, fd, atol=1e-12)
+    np.testing.assert_allclose(cov.ibi, ibi, atol=1e-12)
+    fd_exact, ibi_exact = _dense_covariances(segs, m, weights=pdp.powers,
+                                             r=stack_to_dense(inv))
+    np.testing.assert_allclose(cov.fd_exact, fd_exact, atol=1e-12)
+    np.testing.assert_allclose(cov.ibi_exact, ibi_exact, atol=1e-12)
 
 
 _ORACLE_CASES = [(4, 1, 3, 2), (8, 2, 1, 4), (8, 3, 4, 4), (16, 2, 5, 8),
@@ -256,16 +256,16 @@ def test_covariances_match_dense_oracle(n, m, k, n_taps, spec):
     else:
         chan = {"weights": rng.random(n_taps)}
     cov = displaced_covariances(segs, m, inv=inv, **chan)
-    fd_nif, ibi_nif = _dense_covariances(segs, m, **chan)
-    fd_if, ibi_if = _dense_covariances(segs, m, r=stack_to_dense(inv), **chan)
-    np.testing.assert_allclose(cov.fd_nif, fd_nif, atol=1e-12)
-    np.testing.assert_allclose(cov.ibi_nif, ibi_nif, atol=1e-12)
-    np.testing.assert_allclose(cov.fd_if, fd_if, atol=1e-12)
-    np.testing.assert_allclose(cov.ibi_if, ibi_if, atol=1e-12)
+    fd, ibi = _dense_covariances(segs, m, **chan)
+    fd_exact, ibi_exact = _dense_covariances(segs, m, r=stack_to_dense(inv), **chan)
+    np.testing.assert_allclose(cov.fd, fd, atol=1e-12)
+    np.testing.assert_allclose(cov.ibi, ibi, atol=1e-12)
+    np.testing.assert_allclose(cov.fd_exact, fd_exact, atol=1e-12)
+    np.testing.assert_allclose(cov.ibi_exact, ibi_exact, atol=1e-12)
     if spec == "weights":
         # diagonal tap moments leave no cross-delay phase: every component
         # is exactly the same on every subcarrier
-        for name in ("fd_nif", "fd_if", "ibi_nif", "ibi_if"):
+        for name in ("fd", "ibi", "fd_exact", "ibi_exact"):
             grid = getattr(cov, name)
             assert grid.shape == (m, n)
             assert np.array_equal(grid, np.repeat(grid[:, :1], n, axis=1)), name
@@ -339,7 +339,7 @@ def test_ensemble_covariances_stay_small_in_memory(with_inv, parent_peak):
     cfg = RunConfig()
     ctx = make_context(cfg)
     weights = PowerDelayProfile.exponential(cfg.channel_taps, cfg.pdp_decay_db).powers
-    inv = ctx.inv if with_inv else None
+    inv = ctx.receivers["if"].inv if with_inv else None
     displaced_covariances(ctx.segs, cfg.m, weights=weights, inv=inv)
     tracemalloc.start()
     try:
@@ -366,9 +366,9 @@ def test_averaged_covariance_is_expectation_of_conditional():
     segs, _, _, _ = _setup(n, m, k)
     pdp = PowerDelayProfile.exponential(3, 10.0)
     rng = np.random.default_rng(32)
-    draws = [displaced_covariances(segs, m, taps=draw_taps(pdp, rng)).fd_nif
+    draws = [displaced_covariances(segs, m, taps=draw_taps(pdp, rng)).fd
              for _ in range(4000)]
-    avg = displaced_covariances(segs, m, weights=pdp.powers).fd_nif
+    avg = displaced_covariances(segs, m, weights=pdp.powers).fd
     err = np.mean(draws, axis=0) - avg
     assert np.max(np.abs(err)) < 0.05 * np.max(avg)
 
@@ -384,8 +384,8 @@ def test_covariances_require_exactly_one_channel_spec():
 def test_single_tap_channel_has_no_dispersion():
     segs, _, _, _ = _setup(8, 3, 3)
     cov = displaced_covariances(segs, 3, taps=np.array([0.7 - 0.2j]))
-    assert np.all(cov.fd_nif == 0.0)
-    assert np.all(cov.ibi_nif == 0.0)
+    assert np.all(cov.fd == 0.0)
+    assert np.all(cov.ibi == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +407,10 @@ def _conditional(cfg, taps, sigma2):
     """One realization's breakdown for ``cfg.receiver_mode``, with the
     displaced covariances of those taps."""
     ctx = make_context(cfg)
-    mode = cfg.receiver_mode
-    cov = displaced_covariances(ctx.segs, cfg.m, taps=taps,
-                                inv=ctx.inv if mode == "if" else None)
+    rx = ctx.receivers[cfg.receiver_mode]
+    cov = displaced_covariances(ctx.segs, cfg.m, taps=taps, inv=rx.inv)
     moments = _moments(cfg, freq_response(taps[None, :], cfg.n), sigma2)
-    return averaged_breakdown(cfg, ctx, mode, moments, sigma2, cov)
+    return averaged_breakdown(cfg, rx, moments, sigma2, cov)
 
 
 def test_flat_channel_matches_published_forms():
@@ -460,20 +459,21 @@ def test_if_mode_cancels_self_interference():
     # noise enhancement by zeta, constant per symbol row
     nif = _conditional(_system(receiver_mode="nif"), h, 0.01)
     ctx = make_context(sys_cfg)
-    np.testing.assert_allclose(bd.noise, zeta_factors(ctx.inv, ctx.gram)[:, None]
+    np.testing.assert_allclose(bd.noise, zeta_factors(ctx.receivers["if"].inv,
+                                                      ctx.gram)[:, None]
                                * nif.noise, rtol=1e-12)
     # the zeta-scaled dispersion form understates the exact propagated one
     assert bd.component("fd_exact").mean() > bd.fd.mean()
 
 
 def test_nif_exact_fields_are_its_own_fd_and_ibi():
-    # the matched filter has no R to propagate through, so both receivers'
-    # breakdowns have the same fields and nif's exact ones are fd and ibi
+    # the matched filter's R = I propagates nothing, and its zeta of 1
+    # scales nothing, so nif's exact fields are its fd and ibi bit for bit
     h = draw_taps(PowerDelayProfile.exponential(8, 20.0),
                   np.random.default_rng(34))
     bd = _conditional(_system(receiver_mode="nif"), h, 0.01)
-    assert bd.fd_exact is bd.fd and bd.ibi_exact is bd.ibi
-    assert bd.component("fd_exact") is bd.fd and bd.component("ibi_exact") is bd.ibi
+    assert np.array_equal(bd.fd_exact, bd.fd) and np.array_equal(bd.ibi_exact, bd.ibi)
+    assert bd.component("fd_exact") is bd.fd_exact
     assert np.any(bd.fd > 0) and np.any(bd.ibi > 0)
 
 
@@ -499,12 +499,13 @@ def test_symbol_power_scales_signal_terms():
 def test_averaged_breakdown_deterministic():
     cfg = _system()
     ctx = make_context(cfg)
+    rx = ctx.receivers["if"]
     pdp = PowerDelayProfile.exponential(8, 20.0)
-    cov = displaced_covariances(ctx.segs, cfg.m, weights=pdp.powers, inv=ctx.inv)
+    cov = displaced_covariances(ctx.segs, cfg.m, weights=pdp.powers, inv=rx.inv)
 
     def averaged(seed):
         c = freq_response(ensemble_taps(pdp, 20, seed), cfg.n)
-        return averaged_breakdown(cfg, ctx, "if", _moments(cfg, c, 0.01), 0.01, cov)
+        return averaged_breakdown(cfg, rx, _moments(cfg, c, 0.01), 0.01, cov)
 
     a = averaged(3)
     b = averaged(3)
@@ -572,16 +573,19 @@ def test_breakdowns_match_reference_arithmetic(settings, spec):
     else:
         taps = draw_taps(pdp, np.random.default_rng(39))
         chan = {"taps": taps}
-    cov = displaced_covariances(ctx.segs, cfg.m, inv=ctx.inv, **chan)
-    ref_cov = reference_displaced_covariances(ctx.segs, cfg.m, inv=ctx.inv, **chan)
-    for name in ("fd_nif", "fd_if", "ibi_nif", "ibi_if"):
-        np.testing.assert_allclose(getattr(cov, name), getattr(ref_cov, name),
-                                   rtol=1e-12, atol=0, err_msg=name)
+    covs = {}
+    for mode, rx in ctx.receivers.items():
+        cov = displaced_covariances(ctx.segs, cfg.m, inv=rx.inv, **chan)
+        ref_cov = reference_displaced_covariances(ctx.segs, cfg.m, inv=rx.inv, **chan)
+        for name in ("fd", "ibi", "fd_exact", "ibi_exact"):
+            np.testing.assert_allclose(getattr(cov, name), getattr(ref_cov, name),
+                                       rtol=1e-12, atol=0, err_msg=f"{mode} {name}")
+        covs[mode] = cov, ref_cov
     for snr_db in (0.0, 30.0):
         sigma2 = cfg.symbol_power / 10.0 ** (snr_db / 10.0)
         moments = _moments(cfg, freq_response(np.atleast_2d(taps), cfg.n), sigma2)
-        for mode in ("nif", "if"):
-            bd = averaged_breakdown(cfg, ctx, mode, moments, sigma2, cov)
+        for mode, (cov, ref_cov) in covs.items():
+            bd = averaged_breakdown(cfg, ctx.receivers[mode], moments, sigma2, cov)
             ref = reference_averaged_breakdown(cfg, ctx, mode, taps, sigma2, ref_cov)
             for name in _BREAKDOWN_NAMES:
                 np.testing.assert_allclose(bd.component(name), ref.component(name),

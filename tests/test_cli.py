@@ -313,9 +313,9 @@ def test_analyze_streams_its_blocks_and_a_late_nan_leaves_nothing(tmp_path, caps
     last = RunConfig().sigma2(20.0)
     sizes = []
 
-    def watching(cfg, ctx, mode, moments, sigma2, *args, **kwargs):
+    def watching(cfg, rx, moments, sigma2, *args, **kwargs):
         sizes.append(sum(p.stat().st_size for p in out_dir.glob(".fbmcqam-*")))
-        bd = real(cfg, ctx, mode, moments, sigma2, *args, **kwargs)
+        bd = real(cfg, rx, moments, sigma2, *args, **kwargs)
         return replace(bd, fd=np.full_like(bd.fd, np.nan)) if sigma2 == last else bd
 
     monkeypatch.setattr(cli, "averaged_breakdown", watching)
@@ -349,7 +349,7 @@ def test_analyze_builds_each_channel_moment_once_per_snr_point(tmp_path, monkeyp
 
 
 def test_analyze_takes_zeta_from_the_link_context(tmp_path, monkeypatch):
-    # the breakdowns read the context's zeta_m and compute no enhancement
+    # the breakdowns read their receiver's zeta and compute no enhancement
     # factor of their own (one einsum per breakdown, 0.46 ms at N = 64)
     flags = ["--snr-db", "0,30", "--eta", "0.5"] + SMALL
     want = tmp_path / "want.csv"

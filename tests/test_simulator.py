@@ -16,7 +16,7 @@ from fbmcqam.channel import draw_taps, freq_response
 from fbmcqam.config import ConfigError, RunConfig
 from fbmcqam.filterbank import kept_mask, sparsify_inverse, window_length
 from fbmcqam.simulator import (channel_profile, make_context, run_link_validation,
-                               run_multiservice, scheme_label, wilson_halfwidth)
+                               run_multiservice, wilson_halfwidth)
 from fbmcqam.transceiver import make_equalizer
 
 from helpers import ber_points, dense_leakage_table, reference_run_chunk
@@ -125,7 +125,7 @@ def test_validation_predicts_with_the_sparsified_inverse(eta):
                    snr_db=(10.0, 30.0))
     n, m, m0 = cfg.n, cfg.m, cfg.m // 2
     exact = make_context(replace(cfg, eta=0.0))
-    applied = sparsify_inverse(exact.inv, kept_mask(cfg.n, eta))
+    applied = sparsify_inverse(exact.receivers["if"].inv, kept_mask(cfg.n, eta))
     zeta = zeta_factors(applied, exact.gram)
     table = dense_leakage_table(exact.segs, m, "if", eta)
     lag = (np.arange(n)[:, None] - np.arange(n)) % n               # (n, q)
@@ -146,8 +146,8 @@ def test_validation_predicts_with_the_sparsified_inverse(eta):
         from_m0 = reach[:, m0].copy()                            # [a, n, q]
         from_m0[m0, np.arange(n), np.arange(n)] = 0.0            # the donor itself
         want = {"noise": (zeta[:, None] * (sigma2 * abse2)).mean(),
-                "fd": (cfg.symbol_power * abse2 * cov.fd_if).mean(),
-                "ibi": (cfg.symbol_power * abse2 * cov.ibi_if).mean(),
+                "fd": (cfg.symbol_power * abse2 * cov.fd_exact).mean(),
+                "ibi": (cfg.symbol_power * abse2 * cov.ibi_exact).mean(),
                 "ici": np.diagonal(received).mean(),
                 "isi": received[off].sum(axis=0).mean() / m,
                 "ici_sub": from_m0[m0].sum(axis=0).mean(),
@@ -318,10 +318,22 @@ def test_validation_working_set_below_whole_width_reference(monkeypatch, mode):
 # ---------------------------------------------------------------------------
 
 def test_scheme_labels():
-    assert scheme_label("nif", 0.0) == "fbmc-nif"
-    assert scheme_label("nif", 0.5) == "fbmc-nif"
-    assert scheme_label("if", 0.0) == "fbmc-if"
-    assert scheme_label("if", 0.5) == "fbmc-if+eta0.5"
+    for eta, label in ((0.0, "fbmc-if"), (0.5, "fbmc-if+eta0.5")):
+        receivers = make_context(RunConfig(n=16, m=4, k=2, eta=eta)).receivers
+        assert receivers["nif"].label == "fbmc-nif"
+        assert receivers["if"].label == label
+        # the matched filter applies no R, so its noise is not enhanced
+        assert receivers["nif"].inv is None
+        assert np.array_equal(receivers["nif"].zeta, np.ones(4))
+
+
+def test_unknown_receiver_mode_raises_instead_of_running_another():
+    # a mode is looked up among the link's receivers; "IF" is none of them,
+    # so the campaign raises before any trial runs rather than scoring some
+    # other receiver's estimates under a label of its own
+    with pytest.raises(KeyError) as exc:
+        run_multiservice(_ms_cfg(trials=4), modes=("IF",))
+    assert exc.value.args == ("IF",)
 
 
 def test_multiservice_structure(monkeypatch):

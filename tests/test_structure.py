@@ -1,6 +1,7 @@
 """Package structure: modules talk to each other through public names only,
-each layer module lists its public names in ``__all__``, and the
-benchmark's work counters accept every call of the kernels they count."""
+each layer module lists its public names in ``__all__``, no module asks
+which receiver it is serving, and the benchmark's work counters accept
+every call of the kernels they count."""
 
 import ast
 import importlib
@@ -105,6 +106,41 @@ def test_byte_constant_check_sees_plain_and_annotated_forms(tmp_path):
                      "def f():\n    LOCAL_BYTES = 1\n"
                      "BYTES_SEEN = 0\n")
     assert _byte_constants(probe) == ["_BLOCK_BYTES", "ROW_BYTES"]
+
+
+_RECEIVER_MODES = ("if", "nif")
+
+
+def _mode_comparisons(path):
+    """(line, mode) of every comparison in ``path`` with a receiver mode's
+    string constant as an operand. A mode's differences live in its
+    ``Receiver`` record of the link context; a tuple operand, as in an input
+    check ``mode not in ("if", "nif")``, is not a comparison with a mode."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Compare):
+            found += [(node.lineno, operand.value)
+                      for operand in [node.left, *node.comparators]
+                      if isinstance(operand, ast.Constant)
+                      and operand.value in _RECEIVER_MODES]
+    return sorted(found)
+
+
+def test_no_module_branches_on_a_receiver_mode():
+    offenders = {p.name: hits for p in sorted(PACKAGE.glob("*.py"))
+                 if (hits := _mode_comparisons(p))}
+    assert offenders == {}
+
+
+def test_mode_comparison_check_sees_every_operand_position(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text('x = 1 if mode == "if" else 2\n'
+                     'ok = "nif" != mode\n'
+                     'chained = a < b == "nif"\n'
+                     'checked = mode not in ("if", "nif")\n'
+                     'looked_up = receivers["if"]\n'
+                     'other = mode == "ofdm"\n')
+    assert _mode_comparisons(probe) == [(1, "if"), (2, "nif"), (3, "nif")]
 
 
 # ---------------------------------------------------------------------------
