@@ -7,6 +7,24 @@ Conventions pinned here and relied on everywhere else:
   all-zero label sits on the most positive level of each axis.
 * Prototype filters are stored unit-energy; the filter-bank matrix layer
   rescales by sqrt(N) (see ``PrototypeFilter.matrix_taps``).
+* A hard decision per axis is the argmin of the float distance |x - level|
+  over the levels in label order: the nearest level, ties to the smallest
+  label. ``qam_demap`` reaches it by slicing. The PAM levels are equally
+  spaced, ``step`` apart, so ``u = (x - lowest) / step`` is the sample's
+  place on the sorted grid and rint(u), clipped to the grid, names its
+  level. Each float level is one rounding of an odd multiple of the scale,
+  so it sits within eps*L/2 steps of the uniform grid (eps = 2^-53, L <= 8
+  levels); the two roundings of u move it by at most 2*eps*(|u| + L) steps;
+  and rounded distances keep the order of the exact ones except within
+  eps*(|u| + L) steps of a midpoint. For |u| <= 2^21 all three stay below
+  2^-29 steps. The guard therefore hands to the exact rule every sample
+  with |u - rint(u)| > 1/2 - delta, delta = 2^-20 steps; every tie is one
+  of them. Far from the grid the rounded distances to neighbouring levels can
+  round equal (at 1e300 they all do, and the rule picks label 0), so a
+  sample is first clipped to half a step beyond 2^20 steps past the end
+  levels: far and infinite samples then land on a half-step and take the
+  exact rule, as does NaN (its |u - rint(u)| fails the comparison). Only
+  finite, moderate positions reach the integer cast.
 """
 
 from __future__ import annotations
@@ -110,22 +128,34 @@ def qam_map(bits: np.ndarray, order: int, power: float = 1.0) -> np.ndarray:
     return table[bits.reshape(-1, bps) @ (1 << np.arange(bps - 1, -1, -1))]
 
 
+# Slicer guard, in level steps: a sample within _TIE_MARGIN of a half-step,
+# or beyond _FAR_STEPS steps of the grid, is decided by the exact rule.
+_TIE_MARGIN = 2.0**-20
+_FAR_STEPS = 2.0**20
+
+
 def _axis_decide(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Nearest level per sample; ties resolve to the smallest label (argmin order).
 
-    One pass per level over the samples: a label moves only where the new
-    distance is strictly smaller than the best so far.
+    A slicer with an exactness guard (see the module docstring): samples
+    within ``_TIE_MARGIN`` of a half-step, and far, infinite or NaN ones,
+    are decided by argmin of ``|x - level|`` in label order, the rest by
+    their rounded position on the grid of sorted levels.
     """
-    best = np.abs(x - levels[0])
-    labels = np.zeros(best.shape, dtype=np.intp)
-    d = np.empty_like(best)
-    closer = np.empty(best.shape, dtype=bool)
-    for j in range(1, levels.size):
-        np.subtract(x, levels[j], out=d)
-        np.abs(d, out=d)
-        np.less(d, best, out=closer)
-        np.copyto(labels, j, where=closer)
-        np.minimum(best, d, out=best)
+    order = np.argsort(levels)
+    lowest, highest = levels[order[0]], levels[order[-1]]
+    step = (highest - lowest) / (levels.size - 1)
+    reach = (_FAR_STEPS + 0.5) * step
+    u = np.clip(x, lowest - reach, highest + reach)
+    u -= lowest
+    u /= step
+    nearest = np.rint(u)
+    u -= nearest
+    np.abs(u, out=u)
+    unsure = ~(u <= 0.5 - _TIE_MARGIN)         # NaN included
+    nearest[unsure] = 0.0                      # keeps NaN from the integer cast
+    labels = order.take(nearest.astype(np.intp), mode="clip")
+    labels[unsure] = np.argmin(np.abs(x[unsure][:, None] - levels), axis=1)
     return labels
 
 
@@ -133,15 +163,13 @@ def qam_demap(symbols: np.ndarray, order: int, power: float = 1.0) -> np.ndarray
     """Hard minimum-distance demapping back to bits."""
     symbols = np.asarray(symbols).ravel()
     bps = int(np.log2(order))
-    bpa = bps // 2
     levels = qam_levels(order, power)
-    i_lab = _axis_decide(symbols.real, levels)
-    q_lab = _axis_decide(symbols.imag, levels)
-    shifts = np.arange(bpa - 1, -1, -1)
-    bits = np.empty((symbols.size, bps), dtype=np.int64)
-    bits[:, :bpa] = (i_lab[:, None] >> shifts) & 1
-    bits[:, bpa:] = (q_lab[:, None] >> shifts) & 1
-    return bits.ravel()
+    label = _axis_decide(symbols.real, levels)
+    label <<= bps // 2
+    label |= _axis_decide(symbols.imag, levels)
+    # row g holds the bits of label g, MSB first
+    label_bits = (np.arange(order)[:, None] >> np.arange(bps - 1, -1, -1)) & 1
+    return label_bits.take(label, axis=0).ravel()
 
 
 def qam_llrs(symbols: np.ndarray, order: int, noise_var: np.ndarray | float,

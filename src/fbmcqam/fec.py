@@ -10,15 +10,23 @@ if any, as the batch.
 
 The decoder keeps its path metrics states-major, one row per state and one
 column per codeword, in float64. Its rows follow a fixed permutation of the
-states (``_ROW``) chosen so that the LLR additions of each trellis step fall
-on a few contiguous row ranges. A branch's cost is formed as
-``(metric + lam0*c0) + lam1*c1`` in that order, skipping a term whose coded
-bit is 0 (adding a signed zero leaves a metric unchanged, and metrics are
-never -0). On a tie between the two predecessors of a state the even one
-(input history bit 0) survives: the odd branch wins only when its cost is
-strictly smaller. Any change of precision, order or layout must keep these
-decisions, ties included; the reference decoder in ``tests/helpers.py`` pins
-them.
+states (``_ROW``): sorted by the coded bits of their even-predecessor branch
+in Gray order 00, 01, 11, 10. A trellis step gathers the predecessor
+metrics of all 128 branches into cost rows ordered by branch class in the
+same Gray order, 32 rows per class, the even branches in the first 16 rows
+of each block and the odd ones in the last 16. So lam0 (c0 = 1: classes 11
+and 10) adds to rows 64-127 and lam1 (c1 = 1: classes 01 and 11) to rows
+32-95, one contiguous run each. A state's odd branch carries the
+complement of its even branch's bits, so its two branches sit at the same
+offset in blocks k and k XOR 2, and two strided views of the cost buffer
+pair them: a step is one take, two adds, one compare and one minimum. A
+branch's cost is formed as ``(metric + lam0*c0) + lam1*c1`` in that order,
+skipping a term whose coded bit is 0 (adding a signed zero leaves a metric
+unchanged, and metrics are never -0). On a tie between the two
+predecessors of a state the even one (input history bit 0) survives: the
+odd branch wins only when its cost is strictly smaller. Any change of
+precision, order or layout must keep these decisions, ties included; the
+reference decoder in ``tests/helpers.py`` pins them.
 """
 
 from __future__ import annotations
@@ -56,37 +64,27 @@ def _transitions():
     return pred, out0, out1
 
 
-def _runs(mask: np.ndarray) -> tuple[slice, ...]:
-    """The contiguous runs of True in a 1-D mask, as slices."""
-    edges = np.flatnonzero(np.diff(np.concatenate([[0], mask.astype(int), [0]])))
-    return tuple(slice(int(a), int(b)) for a, b in zip(edges[0::2], edges[1::2]))
-
-
 def _layout():
-    """Row order of the states-major metrics and the per-step tables.
+    """Row order of the states-major metrics and the per-step tables, in the
+    layout the module docstring describes.
 
-    States are sorted by the coded-bit pair of their even-predecessor branch
-    in Gray order 00, 01, 11, 10; the odd branch carries the complement. A
-    step gathers both branches' predecessor metrics into a (128, B) cost
-    buffer (even branch in rows 0-63, odd in 64-127, both in metric row
-    order), so the rows that add lam0 or lam1 form a few runs each.
-    Returns row (state -> metric row), gather (128,) metric rows, the lam0
-    and lam1 row runs of the cost buffer, prev (64, 2) the metric row of
-    each predecessor, and the input bit that leads into each row's state.
+    Returns row (state -> metric row), gather (128,) the metric row behind
+    each cost row, prev (64, 2) the metric row of each predecessor, and the
+    input bit that leads into each row's state.
     """
     pred, out0, out1 = _transitions()
     gray_rank = np.array([0, 1, 3, 2])          # classes 00, 01, 10, 11
     order = np.argsort(gray_rank[2 * out0[:, 0] + out1[:, 0]], kind="stable")
     row = np.empty(_NSTATES, dtype=np.intp)
     row[order] = np.arange(_NSTATES)
-    prev = row[pred[order]]
-    gather = np.concatenate([prev[:, 0], prev[:, 1]])
-    add0 = _runs(np.concatenate([out0[order, 0], out0[order, 1]]))
-    add1 = _runs(np.concatenate([out1[order, 0], out1[order, 1]]))
-    return row, gather, add0, add1, prev, order >> (_MEMORY - 1)
+    prev = row[pred[order]].reshape(4, _NSTATES // 4, 2)
+    # block k holds class k's even branches, then the odd branches of the
+    # states of class k ^ 2 (the complement in Gray order)
+    gather = np.stack([prev[:, :, 0], prev[[2, 3, 0, 1], :, 1]], axis=1).ravel()
+    return row, gather, prev.reshape(_NSTATES, 2), order >> (_MEMORY - 1)
 
 
-_ROW, _GATHER, _ADD0, _ADD1, _PREV, _INPUT = _layout()
+_ROW, _GATHER, _PREV, _INPUT = _layout()
 
 
 def conv_encode(bits: np.ndarray) -> np.ndarray:
@@ -132,18 +130,21 @@ def viterbi_decode(llrs_or_bits: np.ndarray) -> np.ndarray:
     metrics = np.full((_NSTATES, b), np.inf)
     metrics[_ROW[0]] = 0.0
     cost = np.empty((2 * _NSTATES, b))
-    cost0, cost1 = cost[:_NSTATES], cost[_NSTATES:]
+    # cost rows as (class block, even/odd, 16): the states' even branches
+    # in blocks 00, 01, 11, 10 and their odd ones in blocks 11, 10, 00, 01
+    blocks = cost.reshape(2, 2, 2, _NSTATES // 4, b)
+    even, odd = blocks[:, :, 0], blocks[::-1, :, 1]
+    state_view = (2, 2, _NSTATES // 4, b)
+    survivors = metrics.reshape(state_view)
     choices = np.empty((steps, _NSTATES, b), dtype=bool)
+    decisions = choices.reshape((steps,) + state_view)
     for t in range(steps):
         # mode="clip" writes straight into cost; "raise" would buffer
         np.take(metrics, _GATHER, axis=0, out=cost, mode="clip")
-        lam0, lam1 = lam[2 * t], lam[2 * t + 1]
-        for rows in _ADD0:
-            cost[rows] += lam0
-        for rows in _ADD1:
-            cost[rows] += lam1
-        np.less(cost1, cost0, out=choices[t])
-        np.minimum(cost0, cost1, out=metrics)
+        cost[64:] += lam[2 * t]                   # classes 11 and 10: c0 = 1
+        cost[32:96] += lam[2 * t + 1]             # classes 01 and 11: c1 = 1
+        np.less(odd, even, out=decisions[t])
+        np.minimum(even, odd, out=survivors)
 
     # traceback through flat indices: the decision of (row, codeword) at
     # step t is flat[t, row * B + codeword], its predecessor _PREV[row, bit]

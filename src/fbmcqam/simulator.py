@@ -443,6 +443,9 @@ class _MultiserviceEngine:
     def __init__(self, cfg: RunConfig, ctx: LinkContext, modes: tuple[str, ...]):
         self.cfg = cfg
         self.ctx = ctx
+        for i, mode in enumerate(modes):
+            if mode in modes[:i]:
+                raise ValueError(f"receiver mode {mode!r} repeated in {modes}")
         self.receivers = tuple(ctx.receivers[mode] for mode in modes)
         self.schemes = tuple(rx.label for rx in self.receivers)
         self.n, self.m = cfg.n, cfg.m

@@ -10,12 +10,13 @@ meaningful. The coding references are the straightforward shift-register
 encoder and row-major (codeword, state) decoder that the package's
 vectorized versions must match exactly, tie decisions included. The same
 holds for the block-by-block delay tables and the row-by-row ``mse.csv``,
-and for the whole-window OFDM and QAM kernels (map, decisions and LLRs)
-that the blocked and per-level ones must match byte for byte; the chunk
-reference runs the live tap and filter-bank kernels over the whole batch,
-which pins their column invariance (``column_invariant`` states it for one
-kernel at a time). ``dense_leakage_table`` builds a receiver's leakage
-table from the dense transform-domain blocks of its error T - I. The
+and for the whole-window OFDM and QAM kernels (map, decisions, demapped
+bits and LLRs) that the blocked, sliced and per-level ones must match byte
+for byte; the chunk reference runs the live tap and filter-bank kernels
+over the whole batch, which pins their column invariance
+(``column_invariant`` states it for one kernel at a time).
+``dense_leakage_table`` builds a receiver's leakage table from the dense
+transform-domain blocks of its error T - I. The
 per-draw FFT leakage sums (for the matched filter on the band powers
 |fft(g_d) / N|^2 with the neighbour counts of each band distance), the
 einsum propagation and the roll-based covariance diagonals keep the
@@ -334,6 +335,18 @@ def reference_ofdm_modulate(S, cp_len):
 def reference_axis_decide(x, levels):
     """Nearest level by argmin over the (samples, levels) distance table."""
     return np.argmin(np.abs(x[..., None] - levels), axis=-1)
+
+
+def reference_qam_demap(symbols, order, power=1.0):
+    """Hard decisions as bits: each axis's label by ``reference_axis_decide``,
+    read out MSB first by shifts, in-phase bits before quadrature bits."""
+    symbols = np.asarray(symbols).ravel()
+    bpa = int(np.log2(order)) // 2
+    levels = qam_levels(order, power)
+    shifts = np.arange(bpa - 1, -1, -1)
+    return np.concatenate(
+        [(reference_axis_decide(x, levels)[:, None] >> shifts) & 1
+         for x in (symbols.real, symbols.imag)], axis=1).ravel()
 
 
 def reference_qam_map(bits, order, power=1.0):

@@ -1,5 +1,7 @@
 """Transforms, QAM mapping, and the prototype filter."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,8 @@ from fbmcqam.core import (SUPPORTED_OVERLAPS, PrototypeFilter, _axis_decide,
                           design_prototype, dft_segments, idft_block,
                           load_prototype_file, qam_demap, qam_levels, qam_llrs,
                           qam_map)
-from helpers import (reference_axis_decide, reference_qam_llrs, reference_qam_map,
-                     unitary_dft)
+from helpers import (reference_axis_decide, reference_qam_demap, reference_qam_llrs,
+                     reference_qam_map, unitary_dft)
 
 
 # ---------------------------------------------------------------------------
@@ -102,16 +104,67 @@ def test_qam_demap_tie_prefers_smallest_label():
     np.testing.assert_array_equal(qam_demap(np.array([0.0 + 0.0j]), 4), [0, 0])
 
 
+def _slicer_edges(levels):
+    """Samples where a slicer could part from the argmin rule: every level,
+    every midpoint and the float neighbours on both sides of each, signed
+    zeros, subnormals, far, huge and non-finite values."""
+    srt = np.sort(levels)
+    step = srt[1] - srt[0]
+    mids = (srt[1:] + srt[:-1]) / 2
+    tiny = np.finfo(float).smallest_subnormal
+    return np.concatenate([
+        levels, mids, np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf),
+        [0.0, -0.0, tiny, -tiny, 1e3 * tiny, -1e3 * tiny],
+        [2.0**40 * step, -(2.0**40) * step, 1e300, -1e300, np.finfo(float).max,
+         -np.finfo(float).max, np.inf, -np.inf, np.nan]])
+
+
+def _slice(x, levels):
+    # no floating-point exception may fire: NaN, inf and overflow must never
+    # reach the integer cast
+    with np.errstate(all="raise"):
+        return _axis_decide(x, levels)
+
+
 @pytest.mark.parametrize("order", [4, 16, 64])
 def test_axis_decision_equals_argmin_over_levels(order):
-    # random samples, samples on every level and on every midpoint (exact
-    # ties, which go to the smaller label), and the extremes
-    levels = qam_levels(order, 1.7)
-    srt = np.sort(levels)
+    # random samples and the slicer's edges: exact ties on every midpoint go
+    # to the smaller label, their float neighbours to the nearer level
     rng = np.random.default_rng(order)
-    x = np.concatenate([rng.standard_normal(4096) * srt[-1], levels,
-                        (srt[1:] + srt[:-1]) / 2, [0.0, -0.0, 1e300, -1e300]])
-    got, want = _axis_decide(x, levels), reference_axis_decide(x, levels)
+    for power in (1.0, 1.7):
+        levels = qam_levels(order, power)
+        x = np.concatenate([rng.standard_normal(4096) * levels.max(),
+                            _slicer_edges(levels)])
+        got, want = _slice(x, levels), reference_axis_decide(x, levels)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+@given(st.lists(st.floats(allow_nan=False) | st.just(math.nan) | st.floats(-3.0, 3.0),
+                min_size=1, max_size=64),
+       st.sampled_from([4, 16, 64]), st.sampled_from([1.0, 1.7]))
+@settings(max_examples=200, deadline=None)
+def test_slicer_equals_argmin_on_arbitrary_floats(values, order, power):
+    levels = qam_levels(order, power)
+    x = np.array(values)
+    np.testing.assert_array_equal(_slice(x, levels), reference_axis_decide(x, levels))
+
+
+@pytest.mark.parametrize("order", [4, 16, 64])
+def test_qam_demap_bit_equal_to_reference(order):
+    # noisy random symbols, every pair of slicer edge values as one symbol
+    # (levels, midpoints and their neighbours, zeros, huge and non-finite)
+    rng = np.random.default_rng(order + 2)
+    bps = int(np.log2(order))
+    noise = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+    edges = _slicer_edges(qam_levels(order, 1.7))
+    pairs = np.empty((edges.size, edges.size), dtype=complex)
+    pairs.real, pairs.imag = edges[:, None], edges      # 1j * inf would be NaN
+    s = np.concatenate([qam_map(rng.integers(0, 2, bps * 4096), order, 1.7)
+                        + 0.3 * noise, pairs.ravel()])
+    with np.errstate(all="raise"):
+        got = qam_demap(s, order, 1.7)
+    want = reference_qam_demap(s, order, 1.7)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
 

@@ -336,6 +336,13 @@ def test_unknown_receiver_mode_raises_instead_of_running_another():
     assert exc.value.args == ("IF",)
 
 
+def test_repeated_receiver_mode_raises_instead_of_running_twice():
+    # the tallies are keyed by label, so a repeated mode would be equalized
+    # and demapped twice per block for a single point per SNR
+    with pytest.raises(ValueError, match="receiver mode 'nif' repeated"):
+        run_multiservice(_ms_cfg(trials=8, coded=False), modes=("nif", "nif"))
+
+
 def test_multiservice_structure(monkeypatch):
     monkeypatch.setattr(simulator, "_CHUNK_TRIALS", 16)
     res = run_multiservice(_ms_cfg())
