@@ -32,7 +32,7 @@ from .analytics import (averaged_breakdown, channel_moments, complexity_report,
 from .channel import freq_response
 from .config import (ConfigError, RunConfig, apply_overrides, format_config,
                      load_config_file, WORKER_ENV_VAR)
-from .simulator import channel_profile, make_context, run_multiservice
+from .simulator import channel_profile, keep_heap, make_context, run_multiservice
 from .transceiver import make_equalizer
 
 __all__ = ["main", "cmd_filter", "cmd_analyze", "cmd_simulate", "cmd_complexity"]
@@ -135,6 +135,17 @@ def _csv_text(header: list[str], rows) -> str:
     return buf.getvalue()
 
 
+def _digits(v: np.ndarray) -> np.ndarray:
+    """``str(i)`` of each non-negative integer of ``v``, as the rows of a
+    NUL-padded ASCII (R, W) uint8 matrix: leading zeros are NULs."""
+    width = len(str(int(v.max(initial=0))))
+    out = np.zeros((v.size, width), dtype=np.uint8)
+    for j in range(width):
+        out[:, width - 1 - j] = np.where((v >= 10 ** j) | (j == 0),
+                                         ord("0") + v // 10 ** j % 10, 0)
+    return out
+
+
 def _fixed6(x: np.ndarray) -> np.ndarray:
     """``f"{v:.6f}"`` of each finite entry of ``x``, as the rows of a
     NUL-padded ASCII (R, W) uint8 matrix.
@@ -149,14 +160,13 @@ def _fixed6(x: np.ndarray) -> np.ndarray:
     exact = (y < 2.0 ** 52) & (np.abs(y - np.floor(y) - 0.5) > 2.0 * np.spacing(y))
     whole, frac = np.divmod(np.where(exact, np.rint(y), 0.0).astype(np.int64), 10 ** 6)
     slow = {i: f"{float(x[i]):.6f}".encode() for i in np.flatnonzero(~exact)}
-    digits = len(str(int(whole.max(initial=0))))
+    ints = _digits(whole)
+    digits = ints.shape[1]
     # sign, integer digits without leading zeros, point, six decimals
     out = np.zeros((x.size, max([digits + 8] + [len(t) for t in slow.values()])),
                    dtype=np.uint8)
     out[:, 0] = np.where(np.signbit(x), ord("-"), 0)
-    for j in range(digits):
-        out[:, digits - j] = np.where((whole >= 10 ** j) | (j == 0),
-                                      ord("0") + whole // 10 ** j % 10, 0)
+    out[:, 1:digits + 1] = ints
     out[:, digits + 1] = ord(".")
     for j in range(6):
         out[:, digits + 7 - j] = ord("0") + frac // 10 ** j % 10
@@ -195,6 +205,20 @@ def _ascii_rows(texts: list[str]) -> np.ndarray:
     """Strings as the rows of a NUL-padded ASCII uint8 matrix."""
     fixed = np.array([t.encode() for t in texts])
     return fixed.view(np.uint8).reshape(len(texts), fixed.itemsize)
+
+
+def _grid_keys(m: int, n: int, names: tuple[str, ...]) -> np.ndarray:
+    """The ``"m,n,component,"`` keys of an (m, n, component) grid in row
+    order, m slowest, as the rows of a NUL-padded ASCII uint8 matrix, built
+    from digit columns (see :func:`_digits`)."""
+    comma = np.full((1, 1, 1, 1), ord(","), dtype=np.uint8)
+    cols = (_digits(np.arange(m))[:, None, None], comma,
+            _digits(np.arange(n))[None, :, None], comma,
+            _ascii_rows(list(names))[None, None], comma)
+    shape = (m, n, len(names))
+    rows = np.concatenate([np.broadcast_to(col, shape + col.shape[-1:]) for col in cols],
+                          axis=-1)
+    return rows.reshape(m * n * len(names), -1)
 
 
 def _db_rows(head: str, keys: np.ndarray, values: np.ndarray) -> str:
@@ -284,6 +308,7 @@ def cmd_filter(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
+    keep_heap()
     # the exact inverse whatever eta is (ROADMAP item 3: honour eta here)
     ctx = make_context(replace(cfg, eta=0.0))
     pdp = channel_profile(cfg)
@@ -294,8 +319,7 @@ def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
     # rows run m, then n, then component, so a mode's (M, N, C) stack of
     # grids ravels into row order and its "m,n,component," keys are shared
     # by every SNR point
-    keys = {mode: _ascii_rows([f"{mm},{nu},{name}," for mm in range(cfg.m)
-                               for nu in range(cfg.n) for name in names])
+    keys = {mode: _grid_keys(cfg.m, cfg.n, names)
             for mode, names in mode_components.items()}
     def blocks():
         yield "snr_db,mode,m,n,component,value_db\n"

@@ -42,6 +42,7 @@ __all__ = [
     "MultiserviceResult",
     "run_multiservice",
     "wilson_halfwidth",
+    "keep_heap",
 ]
 
 log = logging.getLogger("fbmcqam")
@@ -134,22 +135,22 @@ def wilson_halfwidth(errors: int, n: int) -> float:
 # window, its trial-major copy, their product and the result: four
 # window-sized arrays, about 2 MiB, the order of a core's L2. The blocks
 # size the cache working set only; that freed block buffers come back
-# without page faults is the allocator policy's job (_keep_heap). The
+# without page faults is the allocator policy's job (keep_heap). The
 # kernels do no blocking of their own.
 _WINDOW_BYTES = 1 << 19
 
-# glibc's allocator policy for the Monte-Carlo entry points: arrays below
-# 32 MiB come from the heap, and the heap is trimmed only past 64 MiB free
-# at its top, the ceilings of glibc's own adaptive thresholds. Setting
-# either one turns off the adaptation of both, so both are set. Under the
-# adaptive defaults glibc handed block-sized arrays back to the kernel
-# between blocks, and a sim_sync_coded invocation took ~30k minor page
-# faults (getrusage); under this policy it takes about 20.
+# glibc's allocator policy for the Monte-Carlo entry points and the analyze
+# command: arrays below 32 MiB come from the heap, and the heap is trimmed
+# only past 64 MiB free at its top, the ceilings of glibc's own adaptive
+# thresholds. Setting either one turns off the adaptation of both, so both
+# are set. Under the adaptive defaults glibc handed block-sized arrays back
+# to the kernel between blocks, and a sim_sync_coded invocation took ~30k
+# minor page faults (getrusage); under this policy it takes about 20.
 _MMAP_THRESHOLD_BYTES = 32 << 20
 _TRIM_THRESHOLD_BYTES = 64 << 20
 
 
-def _keep_heap() -> tuple[int, int] | None:
+def keep_heap() -> tuple[int, int] | None:
     """Apply the allocator policy above through glibc's ``mallopt``, for the
     rest of the process. Returns the two calls' results (1 on success), or
     None where the C library has no ``mallopt``."""
@@ -165,10 +166,11 @@ def _keep_heap() -> tuple[int, int] | None:
 def _trial_blocks(trials: int, t_len: int) -> list[slice]:
     """Contiguous column blocks covering ``range(trials)``, each one received
     window of at most ``_WINDOW_BYTES`` but at least two trials wide. The
-    sample kernels are column-invariant, but numpy reduces the (N, M) axes of
-    a lone (N, M, 1) grid pairwise, in another order than a column of a wider
-    grid: the validator's per-trial means and sums would change with a
-    one-trial block, so a one-trial remainder joins the block before it."""
+    sample kernels are column-invariant, but the validator's samples sum
+    (points, N, trials) products over n, and numpy sums the n axis of a
+    lone trial column pairwise, in another order than a column of a wider
+    block: the per-trial samples would change with a one-trial block, so a
+    one-trial remainder joins the block before it."""
     step = max(_WINDOW_BYTES // (16 * t_len), 2)
     starts = list(range(0, trials, step))
     if len(starts) > 1 and trials - starts[-1] == 1:
@@ -207,6 +209,75 @@ def _check(name: str, samples: np.ndarray, predicted: float,
     return ComponentCheck(name, measured, predicted, sigma, ok)
 
 
+def _block_moments(feeds: dict, S_b: np.ndarray, c: np.ndarray, sel: tuple,
+                   m0: int) -> dict[str, np.ndarray]:
+    """One trial block's demodulated feeds reduced over the symbol axis m,
+    per (n, trial): all that any SNR point's samples read (see
+    :func:`_point_samples`).
+
+    ``feeds`` maps "fd", "ibi" (None without block overlap), "stim", "sub",
+    "sig" and "w" to (N, M, B) grids whose trial axis is contiguous; ``sel``
+    picks each trial's stimulus entries. The entries a sample leaves out,
+    the stimulus entries of "stim" and column m0 of "sub", are read and
+    then zeroed in place, so the sums leave them out without a subtraction
+    and every sum of powers is >= 0. The full feed is expanded around its
+    error ``e = y_sig - C S``, formed in place of "sig": a point's total
+    error ``E e + (beta - 1) S + sigma E w`` then needs only the sums of
+    |e|^2, e S*, |S|^2, e* w, S* w and |w|^2, and no term cancels. Around
+    ``y_sig`` itself the |E y_sig|^2 and |S|^2 terms cancel down to the
+    noise, which loses digits at high SNR."""
+
+    def dot(x, y):
+        """Re sum_m x y*, per (n, trial), from the float views of x and y."""
+        r = np.einsum("nmk,nmk->nk", x.view(float), y.view(float))
+        return r[:, 0::2] + r[:, 1::2]
+
+    stim, sub, e, w = feeds["stim"], feeds["sub"], feeds["sig"], feeds["w"]
+    mom = {"stim": stim[sel], "data": S_b[sel], "sub_col": sub[:, m0, :].copy()}
+    stim[sel] = 0.0
+    sub[:, m0, :] = 0.0
+    e -= c.T[:, :, None] * S_b
+    S_conj = np.conjugate(S_b, out=np.empty_like(e))    # in the feeds' layout
+    mom.update(w2=dot(w, w), fd=dot(feeds["fd"], feeds["fd"]), cross=dot(stim, stim),
+               sub_rest=dot(sub, sub), e2=dot(e, e), ew=dot(e, w), s2=dot(S_conj, S_conj),
+               es=(e * S_conj).sum(axis=1), sw=(S_conj * w).sum(axis=1))
+    if feeds["ibi"] is not None:
+        mom["ibi"] = dot(feeds["ibi"], feeds["ibi"])
+    return mom
+
+
+def _point_samples(mom: dict, coeffs: np.ndarray, beta: np.ndarray,
+                   sigma: np.ndarray, m: int, donor: tuple) -> dict[str, np.ndarray]:
+    """Every SNR point's per-trial samples from one block's moments, in
+    O(N B) per point: the points' (P, N, 1) equalizer stacks ``coeffs`` and
+    ``beta``, their (P, 1, 1) noise amplitudes ``sigma`` and
+    g = |coeffs|^2. A mean power is the g-weighted sum over n of a moment,
+    over N M. ``donor`` indexes each trial's active entry in the m0 column
+    of the sub feed. Each sample is a (P, B) array."""
+    g = np.abs(coeffs) ** 2
+    nm = coeffs.shape[1] * m
+
+    def weighted(x):
+        return (g * x).sum(axis=1)
+
+    col = np.abs(coeffs * mom["sub_col"]) ** 2
+    noise = sigma ** 2 * mom["w2"]
+    bm1 = beta - 1.0
+    total = (g * (mom["e2"] + noise + 2.0 * sigma * mom["ew"])
+             + bm1 ** 2 * mom["s2"]
+             + 2.0 * bm1 * (coeffs * (mom["es"] + sigma * mom["sw"])).real)
+    out = {"noise": weighted(noise) / nm,
+           "ici": (np.abs(coeffs * mom["stim"] - beta * mom["data"]) ** 2).mean(axis=1),
+           "cross": weighted(mom["cross"]),
+           "fd": weighted(mom["fd"]) / nm,
+           "ici_sub": col.sum(axis=1) - col[:, donor[0], donor[1]],
+           "isi_sub": weighted(mom["sub_rest"]),
+           "total": total.sum(axis=1) / nm}
+    if "ibi" in mom:
+        out["ibi"] = weighted(mom["ibi"]) / nm
+    return out
+
+
 def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
     """Single full-band user: pair measured error components with closed forms.
 
@@ -231,16 +302,19 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
     ``demod(r + sigma w) = demod(r) + sigma demod(w)``, so each block
     demodulates every feed once: the four noise-free feeds (single active
     symbol, single active subcarrier, dispersion only and the previous-block
-    tail), the noise-free full signal and the unit noise; each point scales
-    the noise by its sigma and all grids by its coefficients. The points
-    share the noise, so they are correlated, but each point's distribution
-    is unchanged and its checks do not depend on the rest of the grid.
-    Per-trial samples go into (points, trials) vectors, and the checks are
-    formed from them after the last block, so no output depends on the block
-    width.
+    tail), the noise-free full signal and the unit noise. Each block's feeds
+    are then reduced over the symbol axis once, into per-(n, trial) moments
+    (:func:`_block_moments`; the full feed through its error around the
+    faded data), and every point forms its per-trial samples from those
+    moments with its own coefficients and sigma (:func:`_point_samples`),
+    in O(N B) per point: no grid is equalized. The points share the noise,
+    so they are correlated, but each point's distribution is unchanged and
+    its checks do not depend on the rest of the grid. Per-trial samples go
+    into (points, trials) vectors, and the checks are formed from them after
+    the last block, so no output depends on the block width.
     """
     cfg.validate()
-    _keep_heap()
+    keep_heap()
     ctx = make_context(cfg)
     rx = ctx.receivers[cfg.receiver_mode]
     n, m = cfg.n, cfg.m
@@ -269,24 +343,21 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
     S = draw_grid()
     prev = draw_grid() if with_ibi else None    # the previous block, unfaded
     w = complex_noise(rng_noise, (t_len, trials), 1.0)    # scaled per point
-    setups = []
-    for snr_db in cfg.snr_db:
-        sigma2 = cfg.sigma2(snr_db)
-        # one (1, N) equalizer gives the moments and, transposed, the feeds' column
-        eq = make_equalizer(c, cfg.equalizer, sigma2, delta2)
-        setups.append((
-            averaged_breakdown(cfg, rx, channel_moments(eq, c, delta2), sigma2, cov),
-            eq.coeffs.T, eq.beta.T, np.sqrt(sigma2)))
+    sigma2s = [cfg.sigma2(snr_db) for snr_db in cfg.snr_db]
+    # one (1, N) equalizer per point gives its moments and, transposed, its
+    # row of the (points, N, 1) stacks the samples read
+    eqs = [make_equalizer(c, cfg.equalizer, sigma2, delta2) for sigma2 in sigma2s]
+    breakdowns = [averaged_breakdown(cfg, rx, channel_moments(eq, c, delta2), sigma2, cov)
+                  for eq, sigma2 in zip(eqs, sigma2s)]
+    coeffs = np.stack([eq.coeffs.T for eq in eqs])
+    beta = np.stack([eq.beta.T for eq in eqs])
+    sigma = np.sqrt(sigma2s)[:, None, None]
 
     def demodulate(r):
         return fbmc_demodulate(r, ctx.segs, rx.inv)
 
     def transmit_circular(grid):
         return fbmc_transmit(c.T[:, :, None] * grid, ctx.segs)
-
-    def power(coeffs, y):
-        """Per-trial mean power of an equalized grid."""
-        return np.mean(np.abs(equalize(coeffs, y)) ** 2, axis=(0, 1))
 
     # single active symbol, round robin over block positions; single active
     # subcarrier of the middle symbol, round robin over subcarriers, which
@@ -295,7 +366,7 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
     m0 = m // 2
     sub_q = np.arange(trials) % n
     names = ("noise", "ici", "cross", "fd", "ici_sub", "isi_sub", "ibi", "total")
-    meas = {name: np.empty((len(setups), trials)) for name in names}
+    meas = {name: np.empty((len(cfg.snr_db), trials)) for name in names}
     for cols in _trial_blocks(trials, t_len):
         b = np.arange(cols.stop - cols.start)
         S_b = S[:, :, cols]
@@ -317,28 +388,11 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
         S_sub[sub_sel] = S_b[sub_sel]
         y_sub = demodulate(transmit_circular(S_sub))
         y_sig = demodulate(r_lin if tails is None else r_lin + tails)
-        y_w = demodulate(w[:, cols])
-
-        for p, (_, coeffs, beta, sigma) in enumerate(setups):
-            y_noise = sigma * y_w
-            meas["noise"][p, cols] = power(coeffs, y_noise)
-            est_stim = equalize(coeffs, y_stim)
-            own = np.abs((est_stim - beta[:, :, None] * S_stim)[sel]) ** 2
-            meas["ici"][p, cols] = own.mean(axis=0)
-            cross = np.abs(est_stim) ** 2
-            cross[sel] = 0.0
-            meas["cross"][p, cols] = cross.sum(axis=(0, 1))
-            meas["fd"][p, cols] = power(coeffs, y_fd)
-            est_sub = equalize(coeffs, y_sub)
-            col = np.abs(est_sub[:, m0, :]) ** 2
-            meas["ici_sub"][p, cols] = col.sum(axis=0) - col[q, b]
-            rest = np.abs(est_sub) ** 2
-            rest[:, m0, :] = 0.0
-            meas["isi_sub"][p, cols] = rest.sum(axis=(0, 1))
-            if with_ibi:
-                meas["ibi"][p, cols] = power(coeffs, y_ibi)
-            meas["total"][p, cols] = np.mean(
-                np.abs(equalize(coeffs, y_sig + y_noise) - S_b) ** 2, axis=(0, 1))
+        feeds = {"fd": y_fd, "ibi": y_ibi, "stim": y_stim, "sub": y_sub,
+                 "sig": y_sig, "w": demodulate(w[:, cols])}
+        mom = _block_moments(feeds, S_b, c, sel, m0)
+        for name, values in _point_samples(mom, coeffs, beta, sigma, m, (q, b)).items():
+            meas[name][:, cols] = values
 
     # per-donor-subcarrier leakage sums over receivers: donor (m0, q) reaches
     # receiver (a, n) through leakage[a, m0, (n - q) mod N], its own symbol
@@ -348,13 +402,13 @@ def run_link_validation(cfg: RunConfig) -> list[LinkValidationPoint]:
     donor_profiles = np.stack([own, rx.leakage[:, m0].sum(axis=0) - own])
     cq2 = delta2 * np.abs(c[0]) ** 2
     points = []
-    for p, (snr_db, (bd, coeffs, _, _)) in enumerate(zip(cfg.snr_db, setups)):
+    for p, (snr_db, bd) in enumerate(zip(cfg.snr_db, breakdowns)):
         got = {name: samples[p] for name, samples in meas.items()}
         # one stimulus cycle accumulates the full cross-symbol error per block
         meas_isi = got["cross"].reshape(-1, m).sum(axis=1) / (n * m)
         # the profiles are symmetric in the lag, so rows may index the
         # donor: x[q, n] = |E_n|^2 sums each donor's leakage over receivers
-        gain2 = np.abs(coeffs[:, 0]) ** 2
+        gain2 = np.abs(coeffs[p, :, 0]) ** 2
         sums = leakage_sums(donor_profiles, np.broadcast_to(gain2, (n, n)))
         # the measurement leaves out the donor's own position
         pq_ici = cq2 * (sums[0] - own[0] * gain2)
@@ -588,7 +642,7 @@ def run_multiservice(cfg: RunConfig,
     workers = worker_count()
     ctx = make_context(cfg)
     engine = _MultiserviceEngine(cfg, ctx, modes)
-    _keep_heap()
+    keep_heap()
     master = np.random.SeedSequence(cfg.seed)
     schemes = engine.schemes + ("ofdm",)
     pool = ThreadPoolExecutor(workers) if workers > 1 else None

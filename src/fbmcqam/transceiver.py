@@ -54,10 +54,10 @@ def make_equalizer(c: np.ndarray, kind: str, sigma2: float,
         e = 1.0 / c
         beta = np.ones(c.shape)
     elif kind == "mmse":
-        load = sigma2 / delta2
-        denom = np.abs(c) ** 2 + load
+        gain = np.abs(c) ** 2
+        denom = gain + sigma2 / delta2
         e = np.conj(c) / denom
-        beta = np.abs(c) ** 2 / denom
+        beta = gain / denom
     else:
         raise ValueError(f"unknown equalizer kind {kind!r}")
     return Equalizer(e, beta)

@@ -15,6 +15,9 @@ bits and LLRs) that the blocked, sliced and per-level ones must match byte
 for byte; the chunk reference runs the live tap and filter-bank kernels
 over the whole batch, which pins their column invariance
 (``column_invariant`` states it for one kernel at a time).
+``reference_validation_samples`` keeps the validator's full-grid
+per-point arithmetic (equalize, square, average), which its per-trial
+samples from moments must match to 1e-12.
 ``dense_leakage_table`` builds a receiver's leakage table from the dense
 transform-domain blocks of its error T - I. The
 per-draw FFT leakage sums (for the matched filter on the band powers
@@ -436,6 +439,41 @@ def reference_run_chunk(engine, seed, batch, sigma2):
     esto = equalize(eqo.coeffs.T, grid_rx)
     nvo = sigma2_ofdm * np.abs(eqo.coeffs.T[:, None, :]) ** 2 * np.ones((1, m, 1))
     out["ofdm"] = engine._tally(esto[band], nvo[band], info)
+    return out
+
+
+def reference_validation_samples(feeds, S, sel, m0, donor, coeffs, beta, sigma):
+    """One SNR point's per-trial validation samples from one trial block's
+    demodulated feeds, by the full-grid arithmetic the validator had before
+    its moments: equalize each (N, M, B) grid with the point's (N, 1)
+    ``coeffs``, square, then average or sum. ``feeds`` maps "fd", "ibi"
+    (None without block overlap), "stim", "sub", "sig" and "w" to grids,
+    ``S`` is the block's data, ``sel`` each trial's stimulus entries and
+    ``donor`` each trial's active (q, b) entry in column ``m0`` of the sub
+    feed."""
+    def power(y):
+        return np.mean(np.abs(equalize(coeffs, y)) ** 2, axis=(0, 1))
+
+    S_stim = np.zeros_like(S)
+    S_stim[sel] = S[sel]
+    est_stim = equalize(coeffs, feeds["stim"])
+    cross = np.abs(est_stim) ** 2
+    cross[sel] = 0.0
+    est_sub = equalize(coeffs, feeds["sub"])
+    col = np.abs(est_sub[:, m0, :]) ** 2
+    rest = np.abs(est_sub) ** 2
+    rest[:, m0, :] = 0.0
+    y_noise = sigma * feeds["w"]
+    out = {"noise": power(y_noise),
+           "ici": (np.abs((est_stim - beta[:, :, None] * S_stim)[sel]) ** 2).mean(axis=0),
+           "cross": cross.sum(axis=(0, 1)),
+           "fd": power(feeds["fd"]),
+           "ici_sub": col.sum(axis=0) - col[donor],
+           "isi_sub": rest.sum(axis=(0, 1)),
+           "total": np.mean(np.abs(equalize(coeffs, feeds["sig"] + y_noise) - S) ** 2,
+                            axis=(0, 1))}
+    if feeds["ibi"] is not None:
+        out["ibi"] = power(feeds["ibi"])
     return out
 
 

@@ -288,6 +288,19 @@ def test_fixed_point_rounding_matches_format(x):
         assert _texts(cli._fixed6(np.array([v]))) == [f"{v:.6f}"]
 
 
+@pytest.mark.parametrize("names", [("resd", "ici", "isi", "fd", "ibi", "noise", "total",
+                                    "sinr"),
+                                   ("resd", "fd", "ibi", "noise", "total", "sinr")])
+@pytest.mark.parametrize("m, n", [(1, 1), (9, 10), (10, 9), (11, 100), (100, 11),
+                                  (14, 1024), (1024, 1)])
+def test_analyze_keys_from_digit_columns_equal_fstrings(m, n, names):
+    # sizes that cross digit boundaries: every key reads as its f-string,
+    # in row order (m, then n, then component)
+    want = cli._ascii_rows([f"{mm},{nu},{name}," for mm in range(m) for nu in range(n)
+                            for name in names])
+    assert _texts(cli._grid_keys(m, n, names)) == _texts(want)
+
+
 def test_analyze_nan_grid_exits_1_without_output(tmp_path, capsys, monkeypatch):
     real = cli.averaged_breakdown
 

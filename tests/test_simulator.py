@@ -19,7 +19,8 @@ from fbmcqam.simulator import (channel_profile, make_context, run_link_validatio
                                run_multiservice, wilson_halfwidth)
 from fbmcqam.transceiver import make_equalizer
 
-from helpers import ber_points, dense_leakage_table, reference_run_chunk
+from helpers import (ber_points, dense_leakage_table, reference_run_chunk,
+                     reference_validation_samples)
 
 
 def _val_cfg(**kw):
@@ -209,6 +210,71 @@ def test_validation_blocks_equal_whole_width_reference(monkeypatch, mode, overla
     monkeypatch.setattr(simulator, "_WINDOW_BYTES", block_trials * 16 * t_len)
     assert len(simulator._trial_blocks(cfg.trials, t_len)) > 1
     _same_points(run_link_validation(cfg), whole)
+
+
+_FULL_GRID_CASES = [
+    dict(receiver_mode=mode, overlap_blocks=overlap, eta=eta, equalizer=equalizer,
+         snr_db=(10.0, 30.0))
+    for mode in ("nif", "if") for overlap in (True, False) for eta in (0.0, 0.5)
+    for equalizer in ("mmse", "zf")] + [
+    # a flat channel at 60 dB: the inverse leaves only the noise in the total
+    dict(receiver_mode="if", overlap_blocks=True, equalizer=equalizer, channel_taps=1,
+         snr_db=(60.0,))
+    for equalizer in ("mmse", "zf")]
+
+
+@pytest.mark.parametrize("kw", _FULL_GRID_CASES,
+                         ids=lambda kw: "-".join(f"{v}" for v in kw.values()))
+def test_validation_samples_equal_full_grid_reference(monkeypatch, kw):
+    # every per-trial sample a point forms from a block's moments equals the
+    # full-grid arithmetic on that block's feeds (equalize, square, then
+    # average) to 1e-12; the exactly cancelled components of the exact
+    # inverse measure as roundoff and get an absolute floor. The validator
+    # never equalizes a grid, so a point costs O(N B). 120 trials run in
+    # blocks of 50, 50 and 20
+    cfg = _val_cfg(**kw)
+    blocks, samples, equalized = [], [], []
+    block_moments, point_samples = simulator._block_moments, simulator._point_samples
+    equalize = simulator.equalize
+
+    def recording_moments(feeds, S_b, c, sel, m0):
+        blocks.append(({name: None if y is None else y.copy() for name, y in feeds.items()},
+                       S_b.copy(), sel, m0))
+        return block_moments(feeds, S_b, c, sel, m0)
+
+    def recording_samples(mom, coeffs, beta, sigma, m, donor):
+        got = point_samples(mom, coeffs, beta, sigma, m, donor)
+        samples.append((coeffs, beta, sigma, donor, got))
+        return got
+
+    def recording_equalize(*args):
+        equalized.append(args)
+        return equalize(*args)
+
+    monkeypatch.setattr(simulator, "_block_moments", recording_moments)
+    monkeypatch.setattr(simulator, "_point_samples", recording_samples)
+    monkeypatch.setattr(simulator, "equalize", recording_equalize)
+    monkeypatch.setattr(simulator, "_WINDOW_BYTES",
+                        50 * 16 * window_length(cfg.n, cfg.m, cfg.k))
+    points = run_link_validation(cfg)
+    assert equalized == []
+    assert len(blocks) == len(samples) == 3
+    cancelled = cfg.receiver_mode == "if" and cfg.eta == 0.0
+    floor = 1e-25 * cfg.symbol_power
+    for (feeds, S_b, sel, m0), (coeffs, beta, sigma, donor, got) in zip(blocks, samples):
+        for p in range(len(cfg.snr_db)):
+            want = reference_validation_samples(feeds, S_b, sel, m0, donor, coeffs[p],
+                                                beta[p], sigma[p, 0, 0])
+            assert sorted(got) == sorted(want)
+            for name, values in want.items():
+                atol = floor if cancelled and name in ("ici", "cross", "ici_sub",
+                                                       "isi_sub") else 0.0
+                np.testing.assert_allclose(got[name][p], values, rtol=1e-12, atol=atol,
+                                           err_msg=name)
+                assert np.all(got[name][p] >= 0.0), name
+    for pt in points:
+        assert pt.total_measured >= 0.0
+        assert all(check.measured >= 0.0 for check in pt.checks)
 
 
 @pytest.mark.parametrize("overlap, fixed", [(True, 4), (False, 3)])
@@ -575,7 +641,7 @@ def test_allocator_policy_keeps_block_buffers_resident():
     # back to the kernel and returned as page faults, ~14k per default chunk
     # (N = 64, 256 trials); under the campaign's policy a warm chunk takes
     # almost none
-    results = simulator._keep_heap()
+    results = simulator.keep_heap()
     if results is None:
         pytest.skip("the C library has no mallopt")
     assert results == (1, 1)
